@@ -30,10 +30,7 @@
 //! * [`error_to_json`] / [`error_kind`] — every [`SolveError`] becomes a
 //!   structured `{"error": {"kind": ..., "message": ...}}` body, so
 //!   clients can dispatch on a stable kind string instead of scraping
-//!   the human-readable message;
-//! * [`sim_error_to_json`] / [`sim_error_kind`] — replay failures
-//!   ([`mst_sim::replay::SimError`]) travel in the same typed envelope,
-//!   so chaos reports can name the violated one-port property.
+//!   the human-readable message.
 //!
 //! ```
 //! use mst_api::wire::{instance_from_json, solution_to_json, Json};
@@ -56,7 +53,6 @@ use mst_platform::NodeId;
 use mst_schedule::{
     ChainSchedule, CommVector, SpiderSchedule, SpiderTask, TaskAssignment, TreeSchedule, TreeTask,
 };
-use mst_sim::replay::SimError;
 use std::fmt;
 
 /// Deepest permitted nesting while parsing — adversarial `[[[[...]]]]`
@@ -828,29 +824,6 @@ pub fn error_to_json(error: &SolveError) -> Json {
     )])
 }
 
-/// The stable machine-readable kind string of a replay failure
-/// ([`mst_sim::replay::SimError`]), so chaos reports and clients can
-/// name the violated one-port property without scraping messages.
-pub fn sim_error_kind(error: &SimError) -> &'static str {
-    match error {
-        SimError::ResourceBusy { .. } => "replay-resource-busy",
-        SimError::TaskNotPresent { .. } => "replay-task-not-present",
-    }
-}
-
-/// Encodes a replay failure as the same typed
-/// `{"error": {"kind": ..., "message": ...}}` envelope as
-/// [`error_to_json`], instead of an opaque 500.
-pub fn sim_error_to_json(error: &SimError) -> Json {
-    Json::obj([(
-        "error",
-        Json::obj([
-            ("kind", Json::str(sim_error_kind(error))),
-            ("message", Json::str(error.to_string())),
-        ]),
-    )])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1115,24 +1088,5 @@ mod tests {
         assert_eq!(inner.get("kind").and_then(Json::as_str), Some("unknown-solver"));
         assert!(inner.get("message").and_then(Json::as_str).unwrap().contains("nope"));
         assert_eq!(error_kind(&SolveError::ZeroTasks), "zero-tasks");
-    }
-
-    #[test]
-    fn replay_errors_expose_stable_kinds() {
-        let busy = SimError::ResourceBusy {
-            resource: "leg 0 link 2".into(),
-            task: 3,
-            at: 7,
-            busy_until: 9,
-        };
-        let json = sim_error_to_json(&busy);
-        let inner = json.get("error").unwrap();
-        assert_eq!(inner.get("kind").and_then(Json::as_str), Some("replay-resource-busy"));
-        assert!(inner.get("message").and_then(Json::as_str).unwrap().contains("leg 0 link 2"));
-        let absent =
-            SimError::TaskNotPresent { task: 1, at_node: "node 2".into(), at: 4, arrives: 6 };
-        assert_eq!(sim_error_kind(&absent), "replay-task-not-present");
-        // Same envelope as solve errors: round-trips through the parser.
-        assert!(Json::parse(&sim_error_to_json(&absent).to_string()).is_ok());
     }
 }

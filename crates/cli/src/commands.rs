@@ -11,13 +11,13 @@
 use crate::args::Args;
 use mst_api::{Batch, Instance, Platform, ScheduleRepr, SolverRegistry, TopologyKind};
 use mst_platform::format::to_text;
-use mst_platform::HeterogeneityProfile;
+use mst_platform::{HeterogeneityProfile, Spider, Tree};
 use mst_schedule::format::{
     chain_schedule_from_text, chain_schedule_to_text, spider_schedule_from_text,
     spider_schedule_to_text,
 };
 use mst_schedule::{check_chain, check_spider, gantt, metrics};
-use mst_sim::{replay_chain, replay_spider};
+use mst_verify::sim::{embed_chain, embed_spider, simulate};
 use std::fmt::Write as _;
 use std::fs;
 
@@ -69,16 +69,14 @@ USAGE:
               [--solver NAME] [--profile NAME] [--deadline T]
         Generate K seeded instances and sweep them across all cores.
     mst serve [--addr HOST:PORT] [--threads N] [--solvers-config FILE]
-              [--store FILE] [--io event|threads]
+              [--store FILE]
         Serve the solver API over HTTP (default 127.0.0.1:8080):
         POST /solve, POST /batch, GET /solvers, /healthz, /metrics,
         /history. --solvers-config loads per-tenant registries
         selectable by the registry request field. --store appends every
         solved instance to a crash-safe record log, serves GET /history
         from it and warm-starts the solution cache from prior records
-        on boot. --io picks the transport: the epoll event loop
-        (default) or the thread-per-connection fallback. Stops
-        gracefully on ctrl-c.
+        on boot. Stops gracefully on ctrl-c.
     mst loadgen [--addr HOST:PORT] [--tenants N] [--rate R] [--seconds S]
                 [--seed S] [--out FILE] [--check BASELINE]
                 [--tolerance F] [--p99-limit MS]
@@ -132,7 +130,9 @@ USAGE:
         Inspect a result store offline: the records a --store server
         appended, newest first, filterable by tenant and solver.
     mst validate <instance> <schedule>
-        Check a schedule file: Definition-1 oracle + event replay.
+        Check a chain, fork or spider schedule file with both
+        Definition-1 judges: the pairwise oracle and the reference
+        simulator. Exits non-zero on any violation, or if they disagree.
     mst gantt <instance> <schedule>
         Render a schedule file as an ASCII Gantt chart.
     mst generate <chain|fork|spider|tree> --size P [--profile NAME] [--seed S]
@@ -394,17 +394,11 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         Some("") => return Err("--store expects a file path".into()),
         other => other.map(String::from),
     };
-    let io = match args.opt("io") {
-        None | Some("event") => mst_serve::IoModel::Event,
-        Some("threads") => mst_serve::IoModel::Threads,
-        Some(other) => return Err(format!("--io must be \"event\" or \"threads\", got {other:?}")),
-    };
     let config = mst_serve::ServeConfig {
         addr,
         threads,
         registries,
         store,
-        io,
         ..mst_serve::ServeConfig::default()
     };
     let server = mst_serve::Server::bind(config).map_err(|e| format!("cannot serve: {e}"))?;
@@ -534,67 +528,57 @@ fn cmd_history(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
+/// `mst validate` — both Definition-1 judges on one schedule file: the
+/// pairwise oracle (`check_chain` / `check_spider`) and the reference
+/// simulator ([`mst_verify::sim`]) replaying the schedule's tree
+/// embedding. A fork is checked as the depth-one spider
+/// [`Spider::from_fork`] builds. Any rejection, or any disagreement
+/// between the judges, is an error.
 fn cmd_validate(args: &Args) -> Result<String, String> {
     let inst_path = args.pos(0, "instance")?;
     let sched_path = args.pos(1, "schedule")?;
     let sched_text = read_file(sched_path)?;
-    let mut out = String::new();
-    match load_platform(inst_path)? {
+    let bad_file = |e: mst_platform::PlatformError| format!("{sched_path}: {e}");
+    let on_spider = |spider: Spider| -> Result<_, String> {
+        let s = spider_schedule_from_text(&spider, &sched_text).map_err(bad_file)?;
+        Ok((check_spider(&spider, &s), Tree::from_spider(&spider), embed_spider(&spider, &s)))
+    };
+    let (report, tree, embedded) = match load_platform(inst_path)? {
         Platform::Chain(chain) => {
-            let s = chain_schedule_from_text(&chain, &sched_text)
-                .map_err(|e| format!("{sched_path}: {e}"))?;
-            let report = check_chain(&chain, &s);
-            if !report.is_feasible() {
-                let mut msg = String::from("INFEASIBLE:\n");
-                for v in &report.violations {
-                    writeln!(msg, "  - {v}").unwrap();
-                }
-                return Err(msg);
-            }
-            let trace = replay_chain(&chain, &s).map_err(|e| format!("replay failed: {e}"))?;
-            writeln!(
-                out,
-                "feasible: {} tasks, makespan {}, replayed {} events",
-                s.n(),
-                s.makespan(),
-                trace.len()
-            )
-            .unwrap();
+            let s = chain_schedule_from_text(&chain, &sched_text).map_err(bad_file)?;
+            (check_chain(&chain, &s), Tree::from_chain(&chain), embed_chain(&s))
         }
-        Platform::Spider(spider) => {
-            let s = spider_schedule_from_text(&spider, &sched_text)
-                .map_err(|e| format!("{sched_path}: {e}"))?;
-            let report = check_spider(&spider, &s);
-            if !report.is_feasible() {
-                let mut msg = String::from("INFEASIBLE:\n");
-                for v in &report.violations {
-                    writeln!(msg, "  - {v}").unwrap();
-                }
-                return Err(msg);
-            }
-            let trace = replay_spider(&spider, &s).map_err(|e| format!("replay failed: {e}"))?;
-            writeln!(
-                out,
-                "feasible: {} tasks, makespan {}, replayed {} events",
-                s.n(),
-                s.makespan(),
-                trace.len()
-            )
-            .unwrap();
-        }
-        Platform::Fork(fork) => {
-            let spider = mst_platform::Spider::from_fork(&fork);
-            let s = spider_schedule_from_text(&spider, &sched_text)
-                .map_err(|e| format!("{sched_path}: {e}"))?;
-            let report = check_spider(&spider, &s);
-            if !report.is_feasible() {
-                return Err(format!("INFEASIBLE: {} violation(s)", report.violations.len()));
-            }
-            writeln!(out, "feasible: {} tasks, makespan {}", s.n(), s.makespan()).unwrap();
-        }
+        Platform::Spider(spider) => on_spider(spider)?,
+        Platform::Fork(fork) => on_spider(Spider::from_fork(&fork))?,
         Platform::Tree(_) => return Err("validate expects a chain, fork or spider instance".into()),
+    };
+    let verdict = simulate(&tree, &embedded);
+    if !report.is_feasible() {
+        let mut msg = String::from("INFEASIBLE:\n");
+        for v in &report.violations {
+            writeln!(msg, "  - {v}").unwrap();
+        }
+        if verdict.accepted() {
+            msg.push_str("JUDGES DISAGREE: the reference simulator accepts this schedule\n");
+        }
+        return Err(msg);
     }
-    Ok(out)
+    if let Some(rejection) = verdict.rejections.first() {
+        return Err(format!(
+            "JUDGES DISAGREE: the oracle accepts this schedule, the reference simulator \
+             rejects it: {rejection}\n"
+        ));
+    }
+    if verdict.makespan != report.makespan {
+        return Err(format!(
+            "JUDGES DISAGREE: the oracle's makespan is {}, the reference simulator's is {}\n",
+            report.makespan, verdict.makespan
+        ));
+    }
+    Ok(format!(
+        "feasible: {} tasks, makespan {} (oracle and reference simulator agree)\n",
+        report.tasks, report.makespan
+    ))
 }
 
 fn cmd_gantt(args: &Args) -> Result<String, String> {
@@ -772,6 +756,27 @@ mod tests {
             run_line(&format!("validate {} {}", inst.display(), sched.display())).unwrap_err();
         assert!(err.contains("INFEASIBLE"), "{err}");
         assert!(err.contains("overlap"), "{err}");
+        assert!(!err.contains("DISAGREE"), "the simulator rejects it too: {err}");
+    }
+
+    #[test]
+    fn fork_schedules_validate_through_both_judges() {
+        let inst = tmp("fork.txt", "fork\n2 3\n3 4\n");
+        let ok = tmp("fork-ok.txt", "spider-schedule\ntask 0 1 2 0\ntask 1 1 5 2\n");
+        let out = run_line(&format!("validate {} {}", inst.display(), ok.display())).unwrap();
+        assert!(out.contains("feasible: 2 tasks, makespan 9"), "{out}");
+        assert!(out.contains("agree"), "{out}");
+        // Both emissions hold the master's single port during [1, 2).
+        let bad = tmp("fork-bad.txt", "spider-schedule\ntask 0 1 2 0\ntask 1 1 4 1\n");
+        let err = run_line(&format!("validate {} {}", inst.display(), bad.display())).unwrap_err();
+        assert!(err.starts_with("INFEASIBLE:\n  - "), "the violation list, as for chains: {err}");
+        assert!(!err.contains("DISAGREE"), "the simulator rejects it too: {err}");
+        // A solved fork's --out file validates as well.
+        let sched = std::env::temp_dir().join(format!("mst-cli-fsched-{}", std::process::id()));
+        run_line(&format!("schedule {} --tasks 6 --out {}", inst.display(), sched.display()))
+            .unwrap();
+        let out = run_line(&format!("validate {} {}", inst.display(), sched.display())).unwrap();
+        assert!(out.contains("feasible: 6 tasks"), "{out}");
     }
 
     #[test]
@@ -975,8 +980,6 @@ mod tests {
         assert!(err.contains("cannot serve"), "{err}");
         let err = run_line("serve --threads 0").unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
-        let err = run_line("serve --io fibers").unwrap_err();
-        assert!(err.contains("--io"), "{err}");
     }
 
     #[test]

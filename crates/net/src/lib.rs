@@ -20,8 +20,7 @@
 //!   insert/remove and index reuse.
 //!
 //! Off Linux everything compiles but [`Poller::new`] reports
-//! `Unsupported`; callers (the serve crate) fall back to their threaded
-//! transport.
+//! `Unsupported`, and so does the serve crate's `Server::run`.
 //!
 //! ```
 //! # #[cfg(target_os = "linux")] {

@@ -4,8 +4,7 @@
 //! symbols we need (`epoll_*`, `eventfd`, `setrlimit`) are declared
 //! here directly — they live in the C library every Rust binary on
 //! Linux already links. Everything is `cfg(target_os = "linux")`; other
-//! targets get an `Unsupported` stub so the workspace still compiles
-//! and the serve crate can fall back to its threaded transport.
+//! targets get an `Unsupported` stub so the workspace still compiles.
 
 #![allow(non_camel_case_types)]
 

@@ -1,5 +1,5 @@
 //! The event-driven transport: one epoll readiness loop owning every
-//! client socket, driving the [`crate::service`] boundary.
+//! client socket, driving [`crate::routes::route_on`].
 //!
 //! Layout:
 //!
@@ -28,8 +28,7 @@
 //! * **overload** answers `503` + `Retry-After: 1` — at accept time
 //!   when [`crate::ServeConfig::max_connections`] sockets are already open,
 //!   and at dispatch time when the bounded hand-off queue
-//!   ([`crate::ServeConfig::backlog`]) is full — the same refusal contract the
-//!   threaded transport has always had;
+//!   ([`crate::ServeConfig::backlog`]) is full;
 //! * **shutdown** stops accepting, closes idle connections, lets
 //!   in-flight requests finish (bounded by their own timers), then
 //!   joins the dispatch pool.
@@ -153,9 +152,10 @@ struct ConnShared {
     /// Hard death: the socket errored or was torn down. Pushes fail.
     gone: AtomicBool,
     /// The peer half-closed. [`StreamWriter::client_gone`] reports it
-    /// (FIN means *abandoned* for a streaming sweep — same policy as
-    /// the threaded transport's peek probe) but buffered responses are
-    /// still delivered.
+    /// (FIN means *abandoned* for a streaming sweep: a dropped `/batch`
+    /// must stop burning cores, so clients keep their write side open
+    /// until the answer arrives) but buffered responses are still
+    /// delivered.
     read_closed: AtomicBool,
     out: Mutex<SharedOut>,
     cond: Condvar,
@@ -259,7 +259,7 @@ struct Job {
     parsed_ns: u64,
 }
 
-/// Dispatch-pool worker: routes jobs through the service boundary.
+/// Dispatch-pool worker: routes jobs through [`routes::route_on`].
 fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<Job>>>, state: Arc<ServiceState>) {
     loop {
         let job = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
@@ -332,8 +332,7 @@ fn handle_job(job: Job, state: &ServiceState) {
 }
 
 /// Runs the event transport until shutdown. Called by
-/// [`Server::run`](crate::server::Server) under [`IoModel::Event`]
-/// (crate::server::IoModel).
+/// [`Server::run`](crate::server::Server::run).
 pub(crate) fn run_event(
     listener: TcpListener,
     state: Arc<ServiceState>,
@@ -550,8 +549,7 @@ impl EventLoop {
         match conn.phase {
             Phase::Reading => {
                 if conn.buf.is_empty() && conn.served > 0 {
-                    // Idle keep-alive expiry: close silently, like the
-                    // threaded transport.
+                    // Idle keep-alive expiry: close silently.
                     self.teardown(slot);
                 } else {
                     // The request never arrived, or is dripping in too
@@ -635,8 +633,8 @@ impl EventLoop {
 
     /// The peer half-closed (FIN). In-flight work sees it through the
     /// mailbox flag ([`StreamWriter::client_gone`] — FIN reads as
-    /// *abandoned*, same policy as the threaded probe); a partial
-    /// request becomes one `400`; a clean idle connection just closes.
+    /// *abandoned*); a partial request becomes one `400`; a clean idle
+    /// connection just closes.
     fn on_eof(&mut self, slot: usize) {
         let Some(conn) = self.conns.get_mut(slot) else { return };
         if conn.read_closed {
@@ -715,9 +713,8 @@ impl EventLoop {
                 match self.dispatch.try_send(job) {
                     Ok(()) => {}
                     Err(mpsc::TrySendError::Full(_job)) => {
-                        // Dispatch queue full: refuse loudly rather than
-                        // buffer — same contract as the threaded accept
-                        // loop's 503 overflow path.
+                        // Dispatch queue full: refuse loudly (503 +
+                        // Retry-After) rather than buffer.
                         self.state.metrics.connections_rejected.fetch_add(1, Ordering::Relaxed);
                         self.state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
                         if let Some(conn) = self.conns.get_mut(slot) {

@@ -1,23 +1,21 @@
-//! Minimal HTTP/1.1 request parsing and response writing over raw
-//! streams.
+//! Minimal HTTP/1.1 request parsing and response serialization, with
+//! no I/O of its own.
 //!
 //! The build environment is offline, so there is no hyper/tokio; this
 //! module hand-rolls exactly what the service front-end needs —
 //! `Content-Length` bodies, hard caps on header and body size so a
 //! hostile peer cannot make the server buffer without bound, and
 //! structured failures that the caller turns into 4xx responses (a
-//! malformed request must never panic or hang a handler thread).
+//! malformed request must never panic the event loop).
 //!
-//! Connections are **persistent** (HTTP/1.1 keep-alive): a
-//! [`RequestReader`] carries bytes read past the current request over
-//! to the next one, so sequential — and even pipelined — requests on
-//! one `TcpStream` each parse cleanly. A request's
-//! [`Request::keep_alive`] reflects the negotiated default
-//! (`HTTP/1.1` keeps alive unless `Connection: close`; `HTTP/1.0`
-//! closes unless `Connection: keep-alive`); the server layer bounds
-//! requests-per-connection on top.
-
-use std::io::{Read, Write};
+//! Connections are **persistent** (HTTP/1.1 keep-alive): the event
+//! loop feeds socket bytes to [`try_parse`], which drains exactly one
+//! request and leaves any pipelined follow-up buffered for the next
+//! call. A request's [`Request::keep_alive`] reflects the negotiated
+//! default (`HTTP/1.1` keeps alive unless `Connection: close`;
+//! `HTTP/1.0` closes unless `Connection: keep-alive`); the server layer
+//! bounds requests-per-connection on top. [`Response::to_bytes`] is the
+//! one response serializer.
 
 /// Largest accepted request head (request line + headers). Anything
 /// bigger is rejected before buffering more.
@@ -62,30 +60,22 @@ impl Request {
     }
 }
 
-/// Why a request could not be read. Every variant maps to a status code
-/// via [`HttpError::status`]; I/O failures mean the peer is gone and the
-/// connection is simply dropped.
+/// Why buffered bytes are not a valid request. Every variant maps to a
+/// status code via [`HttpError::status`].
 #[derive(Debug)]
 pub enum HttpError {
-    /// Malformed request line, header, or truncated body: 400.
+    /// A malformed, unsupported or oversized request head: 400.
     BadRequest(String),
     /// The declared `Content-Length` exceeds the configured cap: 413.
     PayloadTooLarge(usize),
-    /// The peer stalled past the socket read timeout: 408.
-    Timeout,
-    /// The peer disconnected before sending a full request head.
-    Disconnected,
 }
 
 impl HttpError {
-    /// The response status this error maps to (`Disconnected` keeps 400
-    /// for uniformity, though nobody is left to read it).
+    /// The response status this error maps to.
     pub fn status(&self) -> u16 {
         match self {
             HttpError::BadRequest(_) => 400,
             HttpError::PayloadTooLarge(_) => 413,
-            HttpError::Timeout => 408,
-            HttpError::Disconnected => 400,
         }
     }
 
@@ -96,19 +86,7 @@ impl HttpError {
             HttpError::PayloadTooLarge(cap) => {
                 format!("request body exceeds the {cap}-byte limit")
             }
-            HttpError::Timeout => "request timed out".to_string(),
-            HttpError::Disconnected => "client disconnected mid-request".to_string(),
         }
-    }
-}
-
-fn io_error(e: std::io::Error) -> HttpError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => HttpError::Timeout,
-        std::io::ErrorKind::UnexpectedEof => {
-            HttpError::BadRequest("truncated request body".to_string())
-        }
-        _ => HttpError::Disconnected,
     }
 }
 
@@ -123,13 +101,13 @@ pub enum Parsed {
 }
 
 /// Attempts to parse one complete request out of `buf` without any
-/// I/O: the **incremental** entry point the event-driven transport
-/// feeds socket bytes into as they arrive. Returns
-/// [`Parsed::Partial`] until the head *and* the declared body are
-/// fully buffered; caps (head size, `max_body`) are enforced as soon
-/// as they are decidable, so a hostile peer cannot make the caller
-/// buffer without bound. The blocking [`RequestReader`] is a read
-/// loop over this same function — one parser, two transports.
+/// I/O: the **incremental** parser the event loop feeds socket bytes
+/// into as they arrive. Returns [`Parsed::Partial`] until the head
+/// *and* the declared body are fully buffered; caps (head size,
+/// `max_body`) are enforced as soon as they are decidable, so a
+/// hostile peer cannot make the caller buffer without bound. A peer
+/// that closes while the result is still `Partial` sent a truncated
+/// request; the event loop answers that `400`.
 pub fn try_parse(buf: &mut Vec<u8>, max_body: usize) -> Result<Parsed, HttpError> {
     let Some(head_end) = find_head_end(buf) else {
         if buf.len() > MAX_HEAD_BYTES {
@@ -196,82 +174,6 @@ pub fn try_parse(buf: &mut Vec<u8>, max_body: usize) -> Result<Parsed, HttpError
         *buf = body.split_off(content_length);
     }
     Ok(Parsed::Complete(Request { method, path, query, headers, body, keep_alive }))
-}
-
-/// A per-connection request parser: bytes read past the end of one
-/// request (a pipelined follow-up) carry over to the next call, which
-/// is what makes keep-alive connections parse every request cleanly.
-#[derive(Debug, Default)]
-pub struct RequestReader {
-    buf: Vec<u8>,
-    /// When the first byte of the in-flight request landed (ns on the
-    /// [`mst_obs::now_ns`] clock); moves to `last_started_ns` when the
-    /// request completes.
-    started_ns: Option<u64>,
-    last_started_ns: Option<u64>,
-}
-
-impl RequestReader {
-    /// A fresh reader with an empty carry-over buffer.
-    pub fn new() -> RequestReader {
-        RequestReader { buf: Vec::with_capacity(1024), started_ns: None, last_started_ns: None }
-    }
-
-    /// Whether a previous read left buffered (pipelined) bytes behind.
-    pub fn has_buffered(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
-    /// When the most recently returned request's first byte arrived
-    /// (ns on the [`mst_obs::now_ns`] clock) — the transport's trace
-    /// start time. `None` before the first completed request.
-    pub fn last_started_ns(&self) -> Option<u64> {
-        self.last_started_ns
-    }
-
-    /// Reads and parses one request, enforcing the head cap and
-    /// `max_body`.
-    ///
-    /// Blocks until a full request arrives, the stream's read timeout
-    /// fires, or a cap trips — never longer, and never unboundedly
-    /// buffering. A peer that closes between requests (no bytes of a
-    /// next head) reports [`HttpError::Disconnected`].
-    pub fn read_request(
-        &mut self,
-        stream: &mut impl Read,
-        max_body: usize,
-    ) -> Result<Request, HttpError> {
-        // Accumulate until try_parse has a whole request. A peer that
-        // trickles garbage runs into MAX_HEAD_BYTES; one that stalls
-        // runs into the socket timeout.
-        let mut chunk = [0u8; 1024];
-        loop {
-            if !self.buf.is_empty() && self.started_ns.is_none() {
-                self.started_ns = Some(mst_obs::now_ns());
-            }
-            if let Parsed::Complete(request) = try_parse(&mut self.buf, max_body)? {
-                self.last_started_ns = self.started_ns.take();
-                return Ok(request);
-            }
-            let n = stream.read(&mut chunk).map_err(io_error)?;
-            if n == 0 {
-                return Err(if self.buf.is_empty() {
-                    HttpError::Disconnected
-                } else if find_head_end(&self.buf).is_some() {
-                    HttpError::BadRequest("truncated request body".to_string())
-                } else {
-                    HttpError::BadRequest("truncated request head".to_string())
-                });
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-}
-
-/// One-shot convenience over [`RequestReader`] for single-request
-/// callers and tests; pipelined surplus bytes are dropped.
-pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
-    RequestReader::new().read_request(stream, max_body)
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -351,95 +253,31 @@ impl Response {
         }
     }
 
-    /// Writes the response (with `Connection: close`) to the stream.
-    /// Write failures are returned but callers may ignore them — the
-    /// peer may legitimately have hung up already.
-    pub fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
-        self.write_with_connection(stream, false)
-    }
-
-    /// The response serialized to wire bytes with the given
-    /// `Connection` header — what the event-driven transport queues
-    /// onto a connection's outbound buffer.
+    /// The response serialized to wire bytes, advertising
+    /// `Connection: keep-alive` or `Connection: close` as the event loop
+    /// decided — what it queues onto a connection's outbound buffer.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body.len() + 128);
-        self.write_with_connection(&mut out, keep_alive).expect("writing to a Vec cannot fail");
-        out
-    }
-
-    /// Writes the response, advertising `Connection: keep-alive` or
-    /// `Connection: close` as the server's connection loop decided.
-    pub fn write_with_connection(
-        &self,
-        stream: &mut impl Write,
-        keep_alive: bool,
-    ) -> std::io::Result<()> {
-        let mut extra = match self.retry_after {
-            Some(secs) => format!("Retry-After: {secs}\r\n"),
-            None => String::new(),
-        };
-        if let Some(id) = self.trace_id {
-            use std::fmt::Write as _;
-            write!(extra, "X-Trace-Id: {id}\r\n").expect("write to String");
-        }
-        write!(
-            stream,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: {}\r\n\r\n{}",
+        use std::fmt::Write as _;
+        // Writing to a String cannot fail.
+        let mut out = String::with_capacity(self.body.len() + 128);
+        let _ = write!(
+            out,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             self.reason(),
             self.content_type,
-            self.body.len(),
-            extra,
-            if keep_alive { "keep-alive" } else { "close" },
-            self.body
-        )?;
-        stream.flush()
-    }
-}
-
-/// A chunked (`Transfer-Encoding: chunked`) response body writer, for
-/// replies whose length is unknown up front — the streamed `/batch`
-/// per-instance results. The server writes one NDJSON line per
-/// instance as it is solved, so a large sweep never materialises its
-/// whole response in memory and a disconnected client is noticed at
-/// the next write instead of after the full solve.
-///
-/// Write the head with [`ChunkedWriter::begin`], then any number of
-/// [`ChunkedWriter::chunk`] calls, then [`ChunkedWriter::finish`]. Any
-/// `Err` means the peer is gone — the caller should cancel the
-/// remaining work and drop the connection.
-#[derive(Debug)]
-pub struct ChunkedWriter<W: Write> {
-    stream: W,
-}
-
-impl<W: Write> ChunkedWriter<W> {
-    /// Writes the response head (status 200, NDJSON content type,
-    /// `Connection: close`) and returns the writer.
-    pub fn begin(mut stream: W) -> std::io::Result<ChunkedWriter<W>> {
-        write!(
-            stream,
-            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
-        )?;
-        Ok(ChunkedWriter { stream })
-    }
-
-    /// Writes one chunk (empty input writes nothing — an empty HTTP
-    /// chunk would terminate the body).
-    pub fn chunk(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        if bytes.is_empty() {
-            return Ok(());
+            self.body.len()
+        );
+        if let Some(secs) = self.retry_after {
+            let _ = write!(out, "Retry-After: {secs}\r\n");
         }
-        write!(self.stream, "{:x}\r\n", bytes.len())?;
-        self.stream.write_all(bytes)?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
-    }
-
-    /// Terminates the chunked body.
-    pub fn finish(mut self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+        if let Some(id) = self.trace_id {
+            let _ = write!(out, "X-Trace-Id: {id}\r\n");
+        }
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        let _ = write!(out, "Connection: {connection}\r\n\r\n");
+        out.push_str(&self.body);
+        out.into_bytes()
     }
 }
 
@@ -448,7 +286,14 @@ mod tests {
     use super::*;
 
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
-        read_request(&mut std::io::Cursor::new(raw.to_vec()), 1024)
+        match try_parse(&mut raw.to_vec(), 1024)? {
+            Parsed::Complete(request) => Ok(request),
+            Parsed::Partial => panic!("incomplete request: {raw:?}"),
+        }
+    }
+
+    fn text(response: Response, keep_alive: bool) -> String {
+        String::from_utf8(response.to_bytes(keep_alive)).unwrap()
     }
 
     #[test]
@@ -472,23 +317,6 @@ mod tests {
         assert!(!old.keep_alive, "HTTP/1.0 defaults to close");
         let old_keep = parse(b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
         assert!(old_keep.keep_alive);
-    }
-
-    #[test]
-    fn sequential_requests_parse_through_one_reader() {
-        let raw =
-            b"POST /solve HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcGET /healthz HTTP/1.1\r\n\r\n";
-        let mut cursor = std::io::Cursor::new(raw.to_vec());
-        let mut reader = RequestReader::new();
-        let first = reader.read_request(&mut cursor, 1024).unwrap();
-        assert_eq!(first.path, "/solve");
-        assert_eq!(first.body, b"abc");
-        assert!(reader.has_buffered(), "the pipelined head stays buffered");
-        let second = reader.read_request(&mut cursor, 1024).unwrap();
-        assert_eq!(second.path, "/healthz");
-        assert!(second.body.is_empty());
-        // Nothing left: the peer is done.
-        assert!(matches!(reader.read_request(&mut cursor, 1024), Err(HttpError::Disconnected)));
     }
 
     #[test]
@@ -518,17 +346,14 @@ mod tests {
     fn rejects_oversized_declarations_and_truncated_bodies() {
         let over = parse(b"POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n");
         assert!(matches!(over, Err(HttpError::PayloadTooLarge(1024))));
-        let truncated = parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort");
-        assert!(matches!(truncated, Err(HttpError::BadRequest(_))));
+        // A truncated body never completes (the event loop answers 400
+        // when the peer closes on it).
+        let mut truncated = b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort".to_vec();
+        assert!(matches!(try_parse(&mut truncated, 1024), Ok(Parsed::Partial)));
         // An endless head trips the head cap rather than buffering forever.
         let mut junk = b"GET /".to_vec();
         junk.extend(std::iter::repeat_n(b'a', 64 * 1024));
         assert!(matches!(parse(&junk), Err(HttpError::BadRequest(_))));
-    }
-
-    #[test]
-    fn empty_connection_is_a_disconnect() {
-        assert!(matches!(parse(b""), Err(HttpError::Disconnected)));
     }
 
     #[test]
@@ -581,8 +406,6 @@ mod tests {
     fn error_statuses_are_4xx() {
         assert_eq!(HttpError::BadRequest("x".into()).status(), 400);
         assert_eq!(HttpError::PayloadTooLarge(1).status(), 413);
-        assert_eq!(HttpError::Timeout.status(), 408);
-        assert_eq!(HttpError::Disconnected.status(), 400);
     }
 
     #[test]
@@ -596,55 +419,31 @@ mod tests {
 
     #[test]
     fn retry_after_is_emitted_when_set() {
-        let mut out = Vec::new();
-        Response::json(429, "{}").with_retry_after(2).write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"), "{text}");
-        assert!(text.contains("Retry-After: 2\r\n"), "{text}");
+        let out = text(Response::json(429, "{}").with_retry_after(2), false);
+        assert!(out.starts_with("HTTP/1.1 429 Too Many Requests\r\n"), "{out}");
+        assert!(out.contains("Retry-After: 2\r\n"), "{out}");
         // Unset means no header at all.
-        let mut out = Vec::new();
-        Response::json(200, "{}").write_to(&mut out).unwrap();
-        assert!(!String::from_utf8(out).unwrap().contains("Retry-After"));
+        assert!(!text(Response::json(200, "{}"), false).contains("Retry-After"));
     }
 
     #[test]
     fn trace_id_and_content_type_are_emitted() {
-        let mut out = Vec::new();
-        Response::json(200, "{}").with_trace_id(42).write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("X-Trace-Id: 42\r\n"), "{text}");
-        assert!(text.contains("Content-Type: application/json\r\n"), "{text}");
-        let mut out = Vec::new();
-        Response::text(200, "mst_up 1\n").write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Content-Type: text/plain; version=0.0.4\r\n"), "{text}");
-        assert!(!text.contains("X-Trace-Id"), "unset means no header");
-    }
-
-    #[test]
-    fn chunked_writer_frames_chunks_and_terminates() {
-        let mut out = Vec::new();
-        let mut writer = ChunkedWriter::begin(&mut out).unwrap();
-        writer.chunk(b"{\"a\":1}\n").unwrap();
-        writer.chunk(b"").unwrap(); // empty chunks are suppressed
-        writer.chunk(b"{\"b\":2}\n").unwrap();
-        writer.finish().unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-        assert!(text.contains("Transfer-Encoding: chunked"), "{text}");
-        assert!(text.contains("Connection: close"), "{text}");
-        assert!(text.contains("8\r\n{\"a\":1}\n\r\n"), "{text}");
-        assert!(text.ends_with("0\r\n\r\n"), "{text}");
+        let out = text(Response::json(200, "{}").with_trace_id(42), false);
+        assert!(out.contains("X-Trace-Id: 42\r\n"), "{out}");
+        assert!(out.contains("Content-Type: application/json\r\n"), "{out}");
+        let out = text(Response::text(200, "mst_up 1\n"), false);
+        assert!(out.contains("Content-Type: text/plain; version=0.0.4\r\n"), "{out}");
+        assert!(!out.contains("X-Trace-Id"), "unset means no header");
     }
 
     #[test]
     fn responses_carry_length_and_close() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\":true}").write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-        assert!(text.contains("Content-Length: 11\r\n"), "{text}");
-        assert!(text.contains("Connection: close\r\n"), "{text}");
-        assert!(text.ends_with("{\"ok\":true}"), "{text}");
+        let out = text(Response::json(200, "{\"ok\":true}"), false);
+        assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+        assert!(out.contains("Content-Length: 11\r\n"), "{out}");
+        assert!(out.contains("Connection: close\r\n"), "{out}");
+        assert!(out.ends_with("{\"ok\":true}"), "{out}");
+        let out = text(Response::json(200, "{}"), true);
+        assert!(out.contains("Connection: keep-alive\r\n"), "{out}");
     }
 }

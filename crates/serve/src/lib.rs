@@ -5,25 +5,21 @@
 //! hyper/tokio) exposing the unified [`mst_api`] surface over the
 //! network.
 //!
-//! The crate is split along a **transport-agnostic boundary**
-//! ([`service`]): request handling ([`routes`], [`session`]) is pure —
-//! no sockets, no threads — and a transport's only job is to move
-//! bytes between the wire and [`Service::call`]. Two transports
-//! drive it ([`IoModel`]):
-//!
-//! * **event** (the default) — an epoll readiness loop ([`event`],
-//!   built on the dependency-free [`mst_net`] crate) holding one small
-//!   state machine per connection. Idle keep-alive sockets cost a slab
-//!   entry instead of a parked thread, streamed responses flow through
-//!   a bounded mailbox (a slow consumer blocks the producer at
-//!   [`ServeConfig::stream_high_water`], a vanished one unwinds it),
-//!   and the hostile-client policies live in the loop: a dripped
-//!   request head is answered `408` once [`ServeConfig::io_timeout`]
-//!   expires, overflow past [`ServeConfig::max_connections`] is
-//!   answered `503` + `Retry-After: 1` at accept, and half-closed
-//!   clients still receive their answer.
-//! * **threads** — the classic bounded accept loop feeding a fixed set
-//!   of handler threads, kept as the `--io threads` fallback.
+//! Request handling ([`routes`], [`session`]) is pure — no sockets,
+//! no threads — and is entered through [`routes::route_on`]; the only
+//! transport capability it sees is the [`StreamWriter`] of
+//! [`service`]. One transport drives it: an epoll readiness loop
+//! ([`event`], built on the dependency-free [`mst_net`] crate, Linux
+//! only) holding one small state machine per connection. Idle
+//! keep-alive sockets cost a slab entry instead of a parked thread,
+//! streamed responses flow through a bounded mailbox (a slow consumer
+//! blocks the producer at [`ServeConfig::stream_high_water`], a
+//! vanished one unwinds it), and the hostile-client policies live in
+//! the loop: a dripped request head is answered `408` once
+//! [`ServeConfig::io_timeout`] expires, overflow past
+//! [`ServeConfig::max_connections`] is answered `503` +
+//! `Retry-After: 1` at accept, and half-closed clients still receive
+//! their answer.
 //!
 //! Solving fans out through the same persistent
 //! [`mst_sim::WorkerPool`] the library's [`mst_api::Batch`] engine
@@ -98,10 +94,10 @@ pub mod server;
 pub mod service;
 pub mod session;
 
-pub use http::{HttpError, Request, RequestReader, Response};
+pub use http::{HttpError, Request, Response};
 pub use server::{
-    install_sigint_handler, IoModel, Metrics, ServeConfig, ServeReport, Server, ServerHandle,
-    ServiceState, StoreHealth,
+    install_sigint_handler, Metrics, ServeConfig, ServeReport, Server, ServerHandle, ServiceState,
+    StoreHealth,
 };
-pub use service::{BufferedStream, MstService, ResponseBody, Service, StreamWriter};
+pub use service::{BufferedStream, ResponseBody, StreamWriter};
 pub use session::{Session, SessionTable};

@@ -69,9 +69,9 @@ use std::time::Instant;
 /// disconnects and to stream large result sets; `None` (tests,
 /// embedding without a transport) degrades to fully buffered replies.
 ///
-/// This is the whole **Service boundary**: nothing below this function
-/// knows what a socket is, so the threaded and the event-driven
-/// transports (and any future one) drive identical handler code.
+/// This is the whole handler boundary: nothing below this function
+/// knows what a socket is. The event loop calls it from its dispatch
+/// threads; tests and embedders call it directly.
 pub fn route_on(
     request: &Request,
     state: &ServiceState,

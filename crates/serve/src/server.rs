@@ -1,61 +1,42 @@
-//! The [`Server`]: bind, shared [`ServiceState`], and the two I/O
-//! transports that drive the [`crate::service`] boundary — the default
-//! **event-driven** readiness loop ([`crate::event`], Linux) and the
-//! legacy **thread-per-connection** loop kept here as the
-//! `--io threads` fallback.
+//! The [`Server`]: bind, shared [`ServiceState`], and the hand-off to
+//! the epoll event loop ([`crate::event`]) that drives
+//! [`crate::routes::route_on`].
 //!
 //! Architecture (everything `std`, nothing async):
 //!
-//! * under [`IoModel::Event`] one loop thread owns every socket via
+//! * one **loop thread** owns the listener and every client socket via
 //!   [`mst_net::Poller`]; parked keep-alive connections cost bytes, not
-//!   threads, and handlers run on a small dispatch pool;
-//! * under [`IoModel::Threads`] the **accept loop** polls a
-//!   non-blocking [`TcpListener`] and pushes connections into a
-//!   **bounded** queue (`mpsc::sync_channel`); when the queue is full
-//!   the connection is answered `503` immediately instead of piling up
-//!   — backpressure by refusal, not by buffering; a fixed set of
-//!   **connection threads** drains the queue, parses requests
-//!   ([`crate::http`]) and routes them ([`crate::routes`]);
-//! * either way connections are **persistent** (HTTP/1.1 keep-alive)
-//!   up to [`ServeConfig::max_requests_per_connection`], so a client
-//!   sweeping many instances pays the TCP handshake once;
+//!   threads, and handlers run on a small **dispatch pool** of
+//!   [`ServeConfig::conn_threads`] threads fed through a bounded
+//!   hand-off queue ([`ServeConfig::backlog`]);
+//! * connections are **persistent** (HTTP/1.1 keep-alive) up to
+//!   [`ServeConfig::max_requests_per_connection`], so a client sweeping
+//!   many instances pays the TCP handshake once;
 //! * **solving** goes through the pooled [`mst_api::Batch`] engine — the
 //!   same persistent [`mst_sim::WorkerPool`] the library batch path
 //!   uses, sized by [`ServeConfig::threads`] (or the process-wide shared
 //!   pool when unset);
-//! * **shutdown** is a flag checked every accept-poll tick: set by
+//! * **shutdown** is a flag the loop checks on every poll tick: set by
 //!   [`ServerHandle::shutdown`], or by SIGINT/ctrl-c once
 //!   [`install_sigint_handler`] is active. The loop then stops
-//!   accepting, drains in-flight work, joins every handler thread
-//!   and returns a [`ServeReport`] — no thread is left stuck.
+//!   accepting, closes idle connections, lets in-flight requests
+//!   finish, joins the dispatch pool and returns a [`ServeReport`].
+//!
+//! The event loop needs Linux epoll; elsewhere the crate compiles but
+//! [`Server::run`] fails with [`io::ErrorKind::Unsupported`].
 
-use crate::http::{HttpError, RequestReader, Response};
-use crate::routes;
-use crate::service::{ResponseBody, StreamWriter};
+#[cfg(target_os = "linux")]
+use crate::event::run_event;
+use crate::http::Response;
 use mst_api::wire::{solution_from_json, Json};
 use mst_api::{Batch, CacheKey, ExecPolicy, RegistrySet, TenantExec};
 use mst_sim::{shared_pool, WorkerPool};
 use mst_store::{FileStore, StoreBackend};
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Which I/O transport drives client connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// The `mst-net` epoll readiness loop: one loop thread owns all
-    /// sockets, handlers run on a dispatch pool, and a parked
-    /// keep-alive connection costs bytes instead of a thread. The
-    /// default; on platforms without epoll the server silently falls
-    /// back to [`IoModel::Threads`].
-    #[default]
-    Event,
-    /// The legacy thread-per-connection loop (`mst serve --io
-    /// threads`), kept as a fallback for one release.
-    Threads,
-}
 
 /// How the service is wired: address, parallelism and safety caps.
 #[derive(Debug, Clone)]
@@ -66,10 +47,12 @@ pub struct ServeConfig {
     /// pool; `Some(n)` gives the server a dedicated
     /// [`WorkerPool::with_parallelism`] pool of `n`.
     pub threads: Option<usize>,
-    /// Connection-handler threads (HTTP parsing and routing).
+    /// Dispatch threads: the pool that runs the handlers for requests
+    /// the event loop has parsed.
     pub conn_threads: usize,
-    /// Pending-connection queue bound; beyond it, new connections get
-    /// an immediate `503`.
+    /// Bound of the hand-off queue between the event loop and the
+    /// dispatch threads; a request parsed while the queue is full is
+    /// answered `503` + `Retry-After: 1`.
     pub backlog: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
@@ -83,20 +66,19 @@ pub struct ServeConfig {
     /// (explicit platforms are already bounded by
     /// [`ServeConfig::max_body_bytes`], but `"size"` is just a number).
     pub max_platform_processors: usize,
-    /// Socket read/write timeout for client connections (applies while
-    /// a request is in flight).
+    /// Per-request I/O budget: a request not fully received this long
+    /// after the connection opened (first request) or after its first
+    /// byte (later requests) is answered `408`, and a connection whose
+    /// client takes no response bytes for this long is torn down.
     pub io_timeout: Duration,
     /// How long a keep-alive connection may sit **idle** between
-    /// requests before the server closes it. Deliberately much shorter
-    /// than [`ServeConfig::io_timeout`]: an idle socket occupies a
-    /// handler thread, so the worst-case hold per connection is
-    /// `max_requests_per_connection × (keep_alive_timeout + request
-    /// time)` — a silent peer costs at most one `keep_alive_timeout`.
+    /// requests before the server closes it silently. An idle
+    /// connection costs a slab entry and its buffers, so this bounds
+    /// memory held by silent peers, not threads.
     pub keep_alive_timeout: Duration,
     /// Requests served over one keep-alive connection before the server
-    /// forces `Connection: close` — with
-    /// [`ServeConfig::keep_alive_timeout`], bounds how long one client
-    /// can hold a handler thread.
+    /// forces `Connection: close`, so one client cannot hold a
+    /// connection slot forever.
     pub max_requests_per_connection: usize,
     /// Instances solved per chunk on the `/batch` path. Chunk
     /// boundaries are the service's cancellation checkpoints: between
@@ -124,18 +106,13 @@ pub struct ServeConfig {
     /// [`mst_store::FlakyStore`] (or any custom backend) and watch the
     /// solve path keep serving while appends fail.
     pub store_backend: Option<Arc<dyn StoreBackend>>,
-    /// Which I/O transport serves connections.
-    pub io: IoModel,
-    /// Most connections the event transport holds open at once; beyond
-    /// it, new connections get an immediate `503`. (The threaded
-    /// transport is bounded by [`ServeConfig::backlog`] plus its
-    /// handler threads instead.) The server raises `RLIMIT_NOFILE`
-    /// toward this at startup.
+    /// Most connections the event loop holds open at once; beyond it,
+    /// new connections are answered `503` + `Retry-After: 1` at accept.
+    /// The server raises `RLIMIT_NOFILE` toward this at startup.
     pub max_connections: usize,
-    /// Per-connection outbound high-water mark, in bytes, for the
-    /// event transport. A streaming handler that outruns its client
-    /// blocks once this much output is buffered — backpressure instead
-    /// of unbounded server memory.
+    /// Per-connection outbound high-water mark, in bytes. A streaming
+    /// handler that outruns its client blocks once this much output is
+    /// buffered — backpressure instead of unbounded server memory.
     pub stream_high_water: usize,
 }
 
@@ -157,7 +134,6 @@ impl Default for ServeConfig {
             registries: None,
             store: None,
             store_backend: None,
-            io: IoModel::default(),
             max_connections: 10_000,
             stream_high_water: 256 * 1024,
         }
@@ -260,7 +236,8 @@ impl StoreHealth {
 pub struct Metrics {
     /// Connections accepted by the listener.
     pub connections_total: AtomicU64,
-    /// Connections refused with `503` because the queue was full.
+    /// `503` refusals: connections over [`ServeConfig::max_connections`]
+    /// at accept, and requests parsed while the dispatch queue was full.
     pub connections_rejected: AtomicU64,
     /// Requests routed (any method, any path).
     pub requests_total: AtomicU64,
@@ -332,8 +309,8 @@ pub struct ServiceState {
     /// Per-route and per-tenant latency histograms (`/metrics`,
     /// `mst top`).
     pub obs: mst_obs::Obs,
-    /// The event transport's poller activity counters; empty under the
-    /// threaded transport (set once by the event loop at boot).
+    /// The event loop's poller activity counters (set once by the loop
+    /// at boot; empty until [`Server::run`] starts).
     pub poll_stats: std::sync::OnceLock<Arc<mst_net::PollStats>>,
     /// Config snapshot (caps consulted by the routes).
     pub config: ServeConfig,
@@ -421,8 +398,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Requests graceful shutdown: the accept loop stops within one
-    /// poll tick, queued connections drain, handler threads join.
+    /// Requests graceful shutdown: the event loop stops accepting within
+    /// one poll tick, closes idle connections, lets in-flight requests
+    /// finish and joins the dispatch threads.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::Relaxed);
     }
@@ -432,8 +410,8 @@ impl ServerHandle {
         &self.state
     }
 
-    /// The shared state as its `Arc` — what
-    /// [`MstService::new`](crate::service::MstService) wants.
+    /// The shared state as its `Arc`, for callers that drive
+    /// [`crate::routes::route_on`] without a transport.
     pub fn state_arc(&self) -> &Arc<ServiceState> {
         &self.state
     }
@@ -465,8 +443,8 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Binds the configured address and prepares the solve engine. The
-    /// listener is non-blocking — [`Server::run`] polls it so shutdown
-    /// requests are honoured within milliseconds.
+    /// listener is non-blocking, as the event loop in [`Server::run`]
+    /// requires.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         let addrs: Vec<SocketAddr> = config
             .addr
@@ -558,86 +536,18 @@ impl Server {
         ServerHandle { state: Arc::clone(&self.state), addr: self.addr }
     }
 
-    /// Serves until shutdown is requested, then drains and joins every
-    /// handler thread before returning the lifetime counters. Which
-    /// loop runs is [`ServeConfig::io`]; [`IoModel::Event`] falls back
-    /// to the threaded loop on platforms without epoll.
+    /// Serves until shutdown is requested, then drains in-flight
+    /// requests and joins the dispatch threads before returning the
+    /// lifetime counters. Fails with [`io::ErrorKind::Unsupported`] off
+    /// Linux, where there is no epoll.
     pub fn run(self) -> io::Result<ServeReport> {
-        let Server { listener, state, .. } = self;
-        match state.config.io {
-            #[cfg(target_os = "linux")]
-            IoModel::Event => crate::event::run_event(listener, state),
-            #[cfg(not(target_os = "linux"))]
-            IoModel::Event => run_threads(listener, state),
-            IoModel::Threads => run_threads(listener, state),
-        }
+        run_event(self.listener, self.state)
     }
 }
 
-/// The thread-per-connection transport: a bounded queue of accepted
-/// sockets drained by [`ServeConfig::conn_threads`] handler threads.
-fn run_threads(listener: TcpListener, state: Arc<ServiceState>) -> io::Result<ServeReport> {
-    let (queue, rx) = mpsc::sync_channel::<TcpStream>(state.config.backlog);
-    let rx = Arc::new(Mutex::new(rx));
-    let handlers: Vec<_> = (0..state.config.conn_threads.max(1))
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("mst-serve-conn".into())
-                .spawn(move || loop {
-                    // Holding the lock only for the dequeue keeps the
-                    // other handlers runnable while this one serves.
-                    let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                    match next {
-                        Ok(stream) => serve_connection(stream, &state),
-                        Err(_) => return, // queue closed: shutdown
-                    }
-                })
-                .expect("spawn connection handler")
-        })
-        .collect();
-
-    while !state.shutdown_requested() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                state.metrics.connections_total.fetch_add(1, Ordering::Relaxed);
-                if let Err(mpsc::TrySendError::Full(mut stream)) = queue.try_send(stream) {
-                    // Queue full: refuse loudly rather than buffer —
-                    // structured body plus Retry-After, so clients
-                    // can tell a transient overload from a failure.
-                    state.metrics.connections_rejected.fetch_add(1, Ordering::Relaxed);
-                    let _ = error_body(503, "overloaded", "connection queue is full; retry")
-                        .with_retry_after(1)
-                        .write_to(&mut stream);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                // Listener failure: shut down cleanly rather than spin.
-                drop(queue);
-                for handle in handlers {
-                    let _ = handle.join();
-                }
-                return Err(e);
-            }
-        }
-    }
-
-    // Graceful exit: close the queue (handlers finish in-flight and
-    // queued requests, then see the hangup) and join them all.
-    drop(queue);
-    for handle in handlers {
-        handle.join().expect("connection handler exits cleanly");
-    }
-    Ok(ServeReport {
-        connections: state.metrics.connections_total.load(Ordering::Relaxed),
-        requests: state.metrics.requests_total.load(Ordering::Relaxed),
-        solved: state.metrics.solved_total.load(Ordering::Relaxed),
-    })
+#[cfg(not(target_os = "linux"))]
+fn run_event(_listener: TcpListener, _state: Arc<ServiceState>) -> io::Result<ServeReport> {
+    Err(io::Error::new(io::ErrorKind::Unsupported, "mst-serve requires Linux epoll"))
 }
 
 /// Preloads every tenant's solution cache from the persistent store's
@@ -667,124 +577,6 @@ fn warm_start(store: &dyn StoreBackend, default_exec: &TenantExec, tenants: &[Te
     }
 }
 
-/// Serves one connection: parse, route, respond — repeatedly, honouring
-/// HTTP keep-alive up to the configured requests-per-connection bound.
-/// A panic inside routing (a solver bug) is caught here so it costs one
-/// response (and the connection), not a handler thread.
-fn serve_connection(mut stream: TcpStream, state: &ServiceState) {
-    // The listener is non-blocking; on BSD-derived platforms accepted
-    // sockets inherit that flag (Linux clears it), which would turn the
-    // blocking reads below into instant WouldBlock/408s.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(state.config.io_timeout));
-    let _ = stream.set_write_timeout(Some(state.config.io_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut reader = RequestReader::new();
-    let max_requests = state.config.max_requests_per_connection.max(1);
-    for served in 0..max_requests {
-        // Waiting for the *next* request on an idle keep-alive
-        // connection uses the short keep-alive timeout, so a silent
-        // peer cannot pin this handler thread for a full io_timeout per
-        // request slot; the first request and pipelined follow-ups get
-        // the ordinary io_timeout.
-        let idle = served > 0 && !reader.has_buffered();
-        let _ = stream.set_read_timeout(Some(if idle {
-            state.config.keep_alive_timeout
-        } else {
-            state.config.io_timeout
-        }));
-        let mut traced: Option<(u64, u64, mst_obs::Notes, String)> = None;
-        let (response, keep_alive) =
-            match reader.read_request(&mut stream, state.config.max_body_bytes) {
-                Ok(request) => {
-                    // The request became a trace when its first byte
-                    // landed; the Parse span covers read + parse, the
-                    // Queue span the (inline) handoff to routing.
-                    let now = mst_obs::now_ns();
-                    let start_ns = reader.last_started_ns().unwrap_or(now);
-                    let trace = mst_obs::begin_trace();
-                    mst_obs::record_span(
-                        trace,
-                        mst_obs::Stage::Parse,
-                        start_ns,
-                        now.saturating_sub(start_ns),
-                    );
-                    let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let _scope = mst_obs::enter_trace(trace);
-                        mst_obs::record_span(
-                            trace,
-                            mst_obs::Stage::Queue,
-                            now,
-                            mst_obs::now_ns().saturating_sub(now),
-                        );
-                        let mut writer = TcpStreamWriter { stream: &mut stream };
-                        routes::route_on(&request, state, Some(&mut writer))
-                    }));
-                    // Handler annotations stay on this thread; harvest
-                    // them before the next request overwrites them.
-                    let notes = mst_obs::take_notes();
-                    let route = routes::route_label(&request.method, &request.path).to_string();
-                    match routed {
-                        // The client may ask to keep the connection, but
-                        // the server bounds it and closes on shutdown.
-                        Ok(ResponseBody::Full(response)) => {
-                            let keep = request.keep_alive
-                                && served + 1 < max_requests
-                                && !state.shutdown_requested();
-                            traced = Some((trace, start_ns, notes, route));
-                            (response.with_trace_id(trace), keep)
-                        }
-                        // The handler streamed its (chunked) response
-                        // directly; streamed replies always close.
-                        Ok(ResponseBody::Streamed) => {
-                            finish_request(state, trace, start_ns, 200, notes, &route);
-                            return;
-                        }
-                        Err(_) => {
-                            traced = Some((trace, start_ns, notes, route));
-                            (
-                                error_body(
-                                    500,
-                                    "internal-error",
-                                    "request handler panicked; see server logs",
-                                )
-                                .with_trace_id(trace),
-                                false,
-                            )
-                        }
-                    }
-                }
-                // A connection that never sent a byte (port scanners, load
-                // balancer liveness probes) is not a request; neither is a
-                // keep-alive client hanging up — or idling out — between
-                // requests. No counters, no response to a gone peer.
-                Err(HttpError::Disconnected) => return,
-                Err(HttpError::Timeout) if served > 0 && !reader.has_buffered() => return,
-                Err(e) => {
-                    state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-                    (error_body(e.status(), "bad-request", &e.message()), false)
-                }
-            };
-        if response.status >= 400 {
-            state.metrics.http_errors_total.fetch_add(1, Ordering::Relaxed);
-        }
-        let write_start = mst_obs::now_ns();
-        let write_ok = response.write_with_connection(&mut stream, keep_alive).is_ok();
-        if let Some((trace, start_ns, notes, route)) = traced {
-            mst_obs::record_span(
-                trace,
-                mst_obs::Stage::Write,
-                write_start,
-                mst_obs::now_ns().saturating_sub(write_start),
-            );
-            finish_request(state, trace, start_ns, response.status, notes, &route);
-        }
-        if !write_ok || !keep_alive {
-            return;
-        }
-    }
-}
-
 /// Completes a request's observability bookkeeping: latency histograms
 /// (route + tenant, µs) and the trace table's finish record.
 pub(crate) fn finish_request(
@@ -809,69 +601,6 @@ pub(crate) fn finish_request(
     });
 }
 
-/// The threaded transport's [`StreamWriter`]: chunked NDJSON framing
-/// written straight to the connection's socket, with the disconnect
-/// probe peeking the same socket between chunks of work.
-struct TcpStreamWriter<'a> {
-    stream: &'a mut TcpStream,
-}
-
-impl StreamWriter for TcpStreamWriter<'_> {
-    fn client_gone(&mut self) -> bool {
-        client_disconnected(self.stream)
-    }
-
-    fn begin(&mut self) -> io::Result<()> {
-        self.stream.write_all(
-            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-              Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-        )?;
-        self.stream.flush()
-    }
-
-    fn chunk(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if bytes.is_empty() {
-            // An empty chunk would terminate the chunked body.
-            return Ok(());
-        }
-        write!(self.stream, "{:x}\r\n", bytes.len())?;
-        self.stream.write_all(bytes)?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
-    }
-
-    fn end(&mut self) -> io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
-    }
-}
-
-/// Whether the peer of `stream` is gone: a non-blocking `peek` sees an
-/// orderly shutdown (`Ok(0)`) or a hard error; pipelined bytes or a
-/// clean `WouldBlock` mean the client is still there. The probe never
-/// consumes request bytes.
-///
-/// Policy note: TCP cannot distinguish a closed connection from a
-/// half-close (`shutdown(SHUT_WR)`) — both deliver FIN. This service
-/// deliberately reads FIN as *abandoned*: a dropped `/batch` must stop
-/// burning cores, which matters more than supporting clients that
-/// half-close while still expecting a full sweep. Clients must keep
-/// their write side open until the response arrives.
-pub(crate) fn client_disconnected(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let mut byte = [0u8; 1];
-    let gone = match stream.peek(&mut byte) {
-        Ok(0) => true,
-        Ok(_) => false,
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
-        Err(_) => true,
-    };
-    let _ = stream.set_nonblocking(false);
-    gone
-}
-
 /// A structured `{"error": {"kind", "message"}}` response.
 pub(crate) fn error_body(status: u16, kind: &str, message: &str) -> Response {
     Response::json(
@@ -892,7 +621,8 @@ pub use mst_net::install_sigint_handler;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read as _;
+    use std::io::{Read as _, Write as _};
+    use std::net::TcpStream;
 
     fn request(addr: SocketAddr, raw: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");

@@ -1,29 +1,21 @@
-//! The transport-agnostic **Service** boundary: handlers see
-//! [`Request`]s and produce [`ResponseBody`]s, never sockets.
+//! The types at the handler boundary: handlers see
+//! [`Request`](crate::http::Request)s and produce [`ResponseBody`]s, never
+//! sockets.
 //!
 //! Everything under [`crate::routes`] and [`crate::session`] is pure
-//! request → response logic; the only transport capability a handler
-//! may need — streaming a response body of unknown length, and
-//! noticing mid-request that the client is gone — is abstracted as
-//! the [`StreamWriter`] trait. Both transports implement it:
-//!
-//! * the threaded server wraps the connection's `TcpStream` (a
-//!   nonblocking `peek` probe plus `Transfer-Encoding: chunked`
-//!   framing);
-//! * the event-driven server hands out a writer that pushes framed
-//!   chunks into the connection's bounded outbound buffer — when the
-//!   client reads slowly the buffer fills and the push **blocks**,
-//!   which is exactly the backpressure that keeps a large streamed
-//!   sweep from materialising in server memory.
-//!
-//! The same handler code therefore runs unchanged under either I/O
-//! model (`mst serve --io event|threads`), and a third transport (the
-//! ROADMAP's follow-on) only has to implement these two traits.
+//! request → response logic, entered through
+//! [`crate::routes::route_on`]. The only transport capability a handler
+//! may need — streaming a response body of unknown length, and noticing
+//! mid-request that the client is gone — is the [`StreamWriter`]
+//! trait. The event loop ([`crate::event`]) implements it by pushing
+//! framed chunks into the connection's bounded outbound buffer: when
+//! the client reads slowly the buffer fills and the push **blocks**,
+//! which is the backpressure that keeps a large streamed sweep from
+//! materialising in server memory. [`BufferedStream`] implements it in
+//! memory for tests and embedded callers.
 
-use crate::http::{Request, Response};
-use crate::server::ServiceState;
+use crate::http::Response;
 use std::io;
-use std::sync::Arc;
 
 /// How a handler answered: a buffered [`Response`] for the transport
 /// to write, or a body already streamed through the [`StreamWriter`]
@@ -39,7 +31,8 @@ pub enum ResponseBody {
 
 /// The transport capabilities a handler may use while producing a
 /// response: a client-liveness probe and a chunked streaming body
-/// writer. Implemented per transport; handlers stay socket-free.
+/// writer. The event loop and [`BufferedStream`] implement it; handlers
+/// stay socket-free.
 pub trait StreamWriter {
     /// Whether the client has abandoned the request. Polled between
     /// chunks of work so an abandoned sweep stops burning cores; a
@@ -57,44 +50,6 @@ pub trait StreamWriter {
 
     /// Terminates the streamed body.
     fn end(&mut self) -> io::Result<()>;
-}
-
-/// A `Request -> ResponseBody` handler stack: the boundary a transport
-/// drives. The optional [`StreamWriter`] is the *only* channel back to
-/// the transport; `None` (tests, embedded callers) degrades streamed
-/// endpoints to fully buffered replies.
-pub trait Service: Send + Sync {
-    /// Handles one request.
-    fn call(&self, request: &Request, stream: Option<&mut dyn StreamWriter>) -> ResponseBody;
-}
-
-/// The mst service: [`crate::routes`] over shared [`ServiceState`].
-pub struct MstService {
-    state: Arc<ServiceState>,
-}
-
-impl std::fmt::Debug for MstService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MstService").finish_non_exhaustive()
-    }
-}
-
-impl MstService {
-    /// Wraps the shared state as a callable service.
-    pub fn new(state: Arc<ServiceState>) -> MstService {
-        MstService { state }
-    }
-
-    /// The shared state behind the service.
-    pub fn state(&self) -> &Arc<ServiceState> {
-        &self.state
-    }
-}
-
-impl Service for MstService {
-    fn call(&self, request: &Request, stream: Option<&mut dyn StreamWriter>) -> ResponseBody {
-        crate::routes::route_on(request, &self.state, stream)
-    }
 }
 
 /// A [`StreamWriter`] that buffers chunks in memory and never loses a
@@ -134,6 +89,8 @@ impl StreamWriter for BufferedStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Request;
+    use crate::routes::route_on;
     use crate::server::{ServeConfig, Server};
 
     fn request(method: &str, path: &str, body: &str) -> Request {
@@ -152,8 +109,10 @@ mod tests {
         let server =
             Server::bind(ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() })
                 .expect("bind");
-        let service = MstService::new(Arc::clone(server.handle().state_arc()));
-        let ResponseBody::Full(health) = service.call(&request("GET", "/healthz", ""), None) else {
+        let handle = server.handle();
+        let ResponseBody::Full(health) =
+            route_on(&request("GET", "/healthz", ""), handle.state(), None)
+        else {
             panic!("healthz is a buffered reply")
         };
         assert_eq!(health.status, 200);
@@ -165,10 +124,10 @@ mod tests {
         let server =
             Server::bind(ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() })
                 .expect("bind");
-        let service = MstService::new(Arc::clone(server.handle().state_arc()));
+        let handle = server.handle();
         let mut sink = BufferedStream::default();
         let body = r#"{"generate": {"kind": "chain", "count": 3}, "stream": true}"#;
-        let routed = service.call(&request("POST", "/batch", body), Some(&mut sink));
+        let routed = route_on(&request("POST", "/batch", body), handle.state(), Some(&mut sink));
         assert!(matches!(routed, ResponseBody::Streamed));
         assert!(sink.began && sink.ended);
         let text = String::from_utf8(sink.body).unwrap();

@@ -1,15 +1,11 @@
-//! # mst-sim — discrete-event simulation of the one-port platform
+//! # mst-sim — simulation and execution substrate of the one-port platform
 //!
-//! The paper evaluates analytically; this crate supplies the missing
-//! *execution* substrate: a discrete-event simulator that actually moves
-//! tasks through links and processors under the one-port rules of
-//! Definition 1.
+//! The paper evaluates analytically; this crate supplies the pieces that
+//! *run* things: forward simulation of online master policies under the
+//! one-port rules of Definition 1, and the worker pool every parallel
+//! sweep in the workspace executes on. (The reference judge that replays
+//! a static schedule against Definition 1 is `mst_verify::sim`.)
 //!
-//! * [`replay`] — executes a static schedule event by event, verifying at
-//!   every step that the claimed resource is actually free and the task has
-//!   actually arrived; the resulting [`trace::Trace`] must reproduce the
-//!   analytic makespan exactly. Together with the pairwise checker in
-//!   `mst-schedule` this closes the *analytic == executable* triangle.
 //! * [`online`] — demand-driven policies (the schedulers a deployed
 //!   master would really run: eager earliest-completion,
 //!   bandwidth-centric fixed priority, round-robin) simulated forward,
@@ -41,15 +37,11 @@ pub mod cancel;
 pub mod faults;
 pub mod online;
 pub mod pool;
-pub mod replay;
 pub mod runner;
-pub mod trace;
 
 pub use buffered::simulate_online_buffered;
 pub use cancel::CancelToken;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRng};
 pub use online::{simulate_online, OnlinePolicy};
 pub use pool::WorkerPool;
-pub use replay::{replay_chain, replay_spider, SimError};
 pub use runner::{run_parallel, shared_pool};
-pub use trace::{Event, EventKind, Trace};

@@ -6,7 +6,7 @@
 //! ```
 
 use master_slave_tasking::prelude::*;
-use mst_sim::replay_chain;
+use mst_verify::sim::simulate_solution;
 
 fn main() {
     // The chain of the paper's Figure 2: the master feeds processor 1
@@ -27,11 +27,15 @@ fn main() {
     assert!(verify(&instance, &solution).expect("checkable").is_feasible());
     println!("feasibility oracle: all four Definition-1 properties hold");
 
-    // ... and actually execute it in the discrete-event simulator.
-    let chain = instance.platform.as_chain().expect("chain instance");
-    let schedule = solution.chain_schedule().expect("chain schedule");
-    let trace = replay_chain(chain, schedule).expect("schedule must replay");
-    println!("simulator replay: {} events, finished at t = {}", trace.len(), trace.end_time());
+    // ... and replay it in the independent reference simulator, which
+    // walks every task's route and sweeps every port and processor.
+    let verdict = simulate_solution(&instance, &solution).expect("witnessed");
+    assert!(verdict.accepted(), "schedule must replay: {:?}", verdict.rejections);
+    assert_eq!(verdict.makespan, solution.makespan());
+    println!(
+        "reference simulator: {} tasks replayed, finished at t = {}",
+        verdict.tasks, verdict.makespan
+    );
 
     // Utilization summary through the unified solution type.
     let per_proc = solution.tasks_per_processor(&instance.platform).expect("witnessed");
@@ -48,7 +52,7 @@ fn main() {
 
     // The deadline variant (Section 7): how many tasks fit in 10 ticks?
     let by_10 = registry
-        .solve_by_deadline("optimal", &Instance::new(chain.clone(), 100), 10)
+        .solve_by_deadline("optimal", &Instance::new(Chain::paper_figure2(), 100), 10)
         .expect("deadline solve");
     println!("\nwithin a 10-tick deadline, {} tasks fit", by_10.n());
 }

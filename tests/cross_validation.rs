@@ -2,7 +2,7 @@
 //!
 //! ```text
 //!    backward algorithm  ==  exhaustive optimum        (Theorems 1 & 3)
-//!    analytic schedule   ==  pairwise oracle == replay (Definition 1)
+//!    analytic schedule   ==  pairwise oracle == simulator (Definition 1)
 //! ```
 //!
 //! Every arrow is checked on seeded random platforms across all
@@ -15,7 +15,7 @@ use mst_baselines::{
 };
 use mst_platform::Tree;
 use mst_schedule::{check_chain, check_spider, gantt, metrics};
-use mst_sim::{replay_chain, replay_spider};
+use mst_verify::sim::{embed_chain, embed_spider, simulate};
 
 fn profiles(seed: u64) -> HeterogeneityProfile {
     HeterogeneityProfile::ALL[(seed % 5) as usize]
@@ -31,11 +31,11 @@ fn chain_triangle_holds_across_profiles() {
 
         // Oracle.
         check_chain(&chain, &schedule).assert_feasible();
-        // Replay.
-        let trace = replay_chain(&chain, &schedule)
-            .unwrap_or_else(|e| panic!("seed {seed}: replay failed: {e}"));
-        assert_eq!(trace.end_time(), schedule.makespan(), "seed {seed}");
-        assert_eq!(trace.completed_tasks(), n, "seed {seed}");
+        // Reference simulator.
+        let verdict = simulate(&Tree::from_chain(&chain), &embed_chain(&schedule));
+        assert!(verdict.accepted(), "seed {seed}: simulator rejects: {:?}", verdict.rejections);
+        assert_eq!(verdict.makespan, schedule.makespan(), "seed {seed}");
+        assert_eq!(verdict.tasks, n, "seed {seed}");
         // Rendering never conflicts on a feasible schedule.
         assert!(!gantt::render_chain(&chain, &schedule).contains('#'), "seed {seed}");
     }
@@ -62,10 +62,10 @@ fn spider_triangle_holds_across_profiles() {
         let (makespan, schedule) = schedule_spider(&spider, n);
 
         check_spider(&spider, &schedule).assert_feasible();
-        let trace = replay_spider(&spider, &schedule)
-            .unwrap_or_else(|e| panic!("seed {seed}: replay failed: {e}"));
-        assert_eq!(trace.end_time(), makespan, "seed {seed}");
-        assert_eq!(trace.completed_tasks(), n, "seed {seed}");
+        let verdict = simulate(&Tree::from_spider(&spider), &embed_spider(&spider, &schedule));
+        assert!(verdict.accepted(), "seed {seed}: simulator rejects: {:?}", verdict.rejections);
+        assert_eq!(verdict.makespan, makespan, "seed {seed}");
+        assert_eq!(verdict.tasks, n, "seed {seed}");
         assert!(!gantt::render_spider(&spider, &schedule).contains('#'), "seed {seed}");
     }
 }
@@ -98,8 +98,9 @@ fn heuristics_bracket_the_optimum() {
             check_chain(&chain, &s).assert_feasible();
             // And they replay too — the simulator accepts any feasible
             // schedule, not only the optimal one.
-            let trace = replay_chain(&chain, &s).expect("heuristic schedule replays");
-            assert_eq!(trace.end_time(), s.makespan());
+            let verdict = simulate(&Tree::from_chain(&chain), &embed_chain(&s));
+            assert!(verdict.accepted(), "heuristic schedule replays: {:?}", verdict.rejections);
+            assert_eq!(verdict.makespan, s.makespan());
         }
     }
 }

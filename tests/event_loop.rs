@@ -1,25 +1,22 @@
-//! Robustness tests of the epoll event transport (`--io event`, the
-//! default): thousands of idle keep-alive connections must cost
-//! nothing, hostile clients (slowloris header drips, one-byte writers,
-//! half-closed and vanished sockets) must be contained by policy
-//! rather than by luck, and the accept-loop overflow / streamed-batch
-//! backpressure behaviors must survive any rebuild of the serving
-//! core.
+//! Robustness tests of the epoll event transport: thousands of idle
+//! keep-alive connections must cost nothing, hostile clients
+//! (slowloris header drips, one-byte writers, half-closed and vanished
+//! sockets) must be contained by policy rather than by luck, and the
+//! accept-loop overflow / streamed-batch backpressure behaviors must
+//! survive any rebuild of the serving core.
 
 use master_slave_tasking::api::wire::Json;
 use master_slave_tasking::prelude::*;
-use mst_serve::IoModel;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Binds an event-transport server on an ephemeral port with the
-/// given tweaks applied over the defaults.
+/// Binds a server on an ephemeral port with the given tweaks applied
+/// over the defaults.
 fn start_with(
     tweak: impl FnOnce(&mut ServeConfig),
 ) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<mst_serve::ServeReport>) {
     let mut config = ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() };
-    assert_eq!(config.io, IoModel::Event, "the event loop is the default transport");
     tweak(&mut config);
     let server = Server::bind(config).expect("bind ephemeral port");
     let addr = server.addr();

@@ -6,8 +6,8 @@ use master_slave_tasking::prelude::*;
 use mst_baselines::optimal_chain_makespan;
 use mst_core::lemmas::{check_lemma1_no_crossing, check_lemma2_subchain, Lemma2Outcome};
 use mst_schedule::{check_chain, check_spider};
-use mst_sim::{replay_chain, replay_spider};
 use mst_spider::transform_leg;
+use mst_verify::sim::{embed_chain, embed_spider, simulate};
 
 #[test]
 fn figure2_full_pipeline() {
@@ -21,9 +21,10 @@ fn figure2_full_pipeline() {
 
     // Analytic == oracle == executable.
     check_chain(&chain, &schedule).assert_feasible();
-    let trace = replay_chain(&chain, &schedule).expect("replays");
-    assert_eq!(trace.end_time(), schedule.makespan());
-    assert_eq!(trace.completed_tasks(), 5);
+    let verdict = simulate(&Tree::from_chain(&chain), &embed_chain(&schedule));
+    assert!(verdict.accepted(), "replays: {:?}", verdict.rejections);
+    assert_eq!(verdict.makespan, schedule.makespan());
+    assert_eq!(verdict.tasks, 5);
 
     // The exhaustive optimum agrees (Theorem 1 on this instance).
     assert_eq!(optimal_chain_makespan(&chain, 5), 14);
@@ -64,9 +65,10 @@ fn paper_chain_as_spider_leg_among_others() {
         let (makespan, schedule) = schedule_spider(&spider, n);
         assert_eq!(schedule.n(), n);
         check_spider(&spider, &schedule).assert_feasible();
-        let trace = replay_spider(&spider, &schedule).expect("replays");
-        assert_eq!(trace.end_time(), makespan);
-        assert_eq!(trace.completed_tasks(), n);
+        let verdict = simulate(&Tree::from_spider(&spider), &embed_spider(&spider, &schedule));
+        assert!(verdict.accepted(), "replays: {:?}", verdict.rejections);
+        assert_eq!(verdict.makespan, makespan);
+        assert_eq!(verdict.tasks, n);
         // More legs can only help relative to the lone chain.
         assert!(makespan <= schedule_chain(&Chain::paper_figure2(), n).makespan());
     }

@@ -1,13 +1,14 @@
 //! Property-based tests over the substrates: the fork algorithm, the
-//! instance format, the replay/oracle agreement and the metrics.
+//! instance format, the simulator/oracle agreement and the metrics.
 
 use mst_core::schedule_chain;
 use mst_fork::{max_tasks_fork_by_deadline, schedule_fork};
 use mst_platform::format::{parse, to_text, Instance};
-use mst_platform::{Chain, Fork, Spider, Time};
+use mst_platform::{Chain, Fork, Spider, Time, Tree};
 use mst_schedule::metrics::chain_metrics;
 use mst_schedule::{check_chain, check_spider};
-use mst_sim::{replay_chain, simulate_online, OnlinePolicy};
+use mst_sim::{simulate_online, OnlinePolicy};
+use mst_verify::sim::{embed_chain, simulate};
 use proptest::prelude::*;
 
 fn fork_strategy(max_p: usize) -> impl Strategy<Value = Fork> {
@@ -87,9 +88,10 @@ proptest! {
     ) {
         let s = schedule_chain(&chain, n);
         prop_assert!(check_chain(&chain, &s).is_feasible());
-        let trace = replay_chain(&chain, &s).expect("optimal schedules replay");
-        prop_assert_eq!(trace.end_time(), s.makespan());
-        prop_assert_eq!(trace.completed_tasks(), n);
+        let verdict = simulate(&Tree::from_chain(&chain), &embed_chain(&s));
+        prop_assert!(verdict.accepted(), "optimal schedules replay: {:?}", verdict.rejections);
+        prop_assert_eq!(verdict.makespan, s.makespan());
+        prop_assert_eq!(verdict.tasks, n);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use master_slave_tasking::prelude::*;
 use mst_baselines::bounds::chain_lower_bound;
 use mst_core::schedule_chain_fast;
 use mst_schedule::{check_chain, check_spider};
-use mst_sim::{replay_chain, replay_spider};
+use mst_verify::sim::{embed_chain, embed_spider, simulate};
 use std::time::Instant;
 
 #[test]
@@ -21,8 +21,9 @@ fn chain_at_scale_n2000_p64() {
     assert!(elapsed.as_secs() < 30, "scheduling took {elapsed:?}");
 
     check_chain(&chain, &s).assert_feasible();
-    let trace = replay_chain(&chain, &s).expect("replays");
-    assert_eq!(trace.end_time(), s.makespan());
+    let verdict = simulate(&Tree::from_chain(&chain), &embed_chain(&s));
+    assert!(verdict.accepted(), "replays: {:?}", verdict.rejections.first());
+    assert_eq!(verdict.makespan, s.makespan());
 
     // Sandwiched between the analytic bound and the master-only pipeline.
     assert!(s.makespan() >= chain_lower_bound(&chain, n));
@@ -43,8 +44,9 @@ fn spider_at_scale_n500_8legs() {
     assert!(elapsed.as_secs() < 60, "spider scheduling took {elapsed:?}");
 
     check_spider(&spider, &s).assert_feasible();
-    let trace = replay_spider(&spider, &s).expect("replays");
-    assert_eq!(trace.end_time(), makespan);
+    let verdict = simulate(&Tree::from_spider(&spider), &embed_spider(&spider, &s));
+    assert!(verdict.accepted(), "replays: {:?}", verdict.rejections.first());
+    assert_eq!(verdict.makespan, makespan);
     assert!(makespan <= spider.makespan_upper_bound(n));
 }
 

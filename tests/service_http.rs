@@ -571,72 +571,6 @@ fn exact_tree_solves_serve_checkable_witnesses() {
     runner.join().unwrap();
 }
 
-/// The `--io threads` fallback drives the exact same [`Service`]
-/// boundary as the event loop: the full request surface — reads,
-/// solves, keep-alive reuse, structured errors, half-closed sockets —
-/// must behave identically on both transports.
-#[test]
-fn the_threads_fallback_transport_serves_the_same_api() {
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        io: mst_serve::IoModel::Threads,
-        conn_threads: 8,
-        ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let addr = server.addr();
-    let handle = server.handle();
-    let runner = std::thread::spawn(move || server.run().expect("server run"));
-
-    let (status, body) = get(addr, "/healthz");
-    assert_eq!(status, 200, "{body}");
-
-    // Same solve, same wire answer as the event transport.
-    let (status, body) =
-        post(addr, "/solve", r#"{"platform": "chain\n2 3\n3 5\n", "tasks": 5, "verify": true}"#);
-    assert_eq!(status, 200, "{body}");
-    let reply = Json::parse(&body).unwrap();
-    assert_eq!(reply.get("makespan").and_then(Json::as_i64), Some(14));
-    assert_eq!(reply.get("feasible").and_then(Json::as_bool), Some(true));
-
-    // Keep-alive reuse works on the thread-per-connection path too.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    for tasks in [1, 3] {
-        let body = format!(r#"{{"platform": "chain\n2 3\n3 5\n", "tasks": {tasks}}}"#);
-        write!(
-            stream,
-            "POST /solve HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        let (status, head, _) = read_one_response(&mut stream);
-        assert_eq!(status, 200);
-        assert!(head.contains("Connection: keep-alive"), "{head}");
-    }
-    drop(stream);
-
-    // Structured errors and half-closed clients behave the same.
-    let (status, body) = post(addr, "/solve", "{{{never json");
-    assert_eq!(status, 400, "{body}");
-    assert_eq!(error_kind_of(&body), "bad-json");
-    let (status, body) = get(addr, "/nope");
-    assert_eq!(status, 404);
-    assert_eq!(error_kind_of(&body), "not-found");
-    let solve = r#"{"platform": "chain\n2 3\n3 5\n", "tasks": 5}"#;
-    let raw = format!(
-        "POST /solve HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{solve}",
-        solve.len()
-    );
-    let (status, body) = raw_request(addr, raw.as_bytes(), true);
-    assert_eq!(status, 200, "half-closed client still answered: {body}");
-    assert!(body.contains("\"makespan\":14"), "{body}");
-
-    handle.shutdown();
-    let report = runner.join().expect("threads transport joins cleanly");
-    assert!(report.requests >= 6, "{report:?}");
-}
-
 #[test]
 fn graceful_shutdown_drains_and_joins_every_thread() {
     let (addr, handle, runner) = start_server();
