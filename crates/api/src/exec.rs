@@ -243,10 +243,11 @@ impl fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Live per-tenant counters, surfaced by the service's `/metrics`.
-///
-/// All monotone atomics except the queue depth, which is read live from
-/// the admission counter ([`TenantExec::queue_depth`]).
+/// Live per-tenant counters, all monotone atomics. The service's
+/// `/metrics` reports them per tenant, next to the tenant cache's own
+/// hit and miss counts ([`SolutionCache::hits`]) and the live queue
+/// depth ([`TenantExec::queue_depth`]), and sums the solve counters
+/// over tenants.
 #[derive(Debug, Default)]
 pub struct TenantStats {
     /// Requests routed to this tenant (admitted or not).
@@ -263,21 +264,22 @@ pub struct TenantStats {
     /// Instances skipped by cancellation (deadline budget or client
     /// disconnect).
     pub cancelled_total: AtomicU64,
-    /// Requests answered from the canonical solution cache.
-    pub cache_hits_total: AtomicU64,
-    /// Cache lookups that had to fall through to a solver.
-    pub cache_misses_total: AtomicU64,
+    /// Nanoseconds of solve wall time spent for this tenant.
+    pub solve_ns_total: AtomicU64,
     /// Records appended to (or preloaded from) the persistent result
     /// store on behalf of this tenant.
     pub store_records: AtomicU64,
 }
 
 impl TenantStats {
-    /// Folds one request's solve outcome into the counters.
-    pub fn record(&self, solved: u64, failed: u64, cancelled: u64) {
+    /// Folds one solving run into the counters: its `solved` /
+    /// `failed` / `cancelled` instance outcomes and the wall time it
+    /// took.
+    pub fn record(&self, solved: u64, failed: u64, cancelled: u64, elapsed: Duration) {
         self.solved_total.fetch_add(solved, Ordering::Relaxed);
         self.failed_total.fetch_add(failed, Ordering::Relaxed);
         self.cancelled_total.fetch_add(cancelled, Ordering::Relaxed);
+        self.solve_ns_total.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 

@@ -231,26 +231,6 @@ impl LoadReport {
     }
 }
 
-/// The value of one Prometheus sample line: the first line whose name
-/// is `metric` and whose label set contains every `(key, value)` pair.
-fn prom_value(text: &str, metric: &str, labels: &[(&str, &str)]) -> Option<f64> {
-    text.lines().find_map(|line| {
-        let rest = line.strip_prefix(metric)?;
-        // The name must end exactly here: at a label block or the
-        // value separator (so `mst_requests_total` never matches
-        // `mst_requests_total_sum`-style longer names).
-        if !rest.starts_with('{') && !rest.starts_with(' ') {
-            return None;
-        }
-        let (label_part, value) = rest.rsplit_once(' ')?;
-        let matches_all = labels.iter().all(|(k, v)| label_part.contains(&format!("{k}=\"{v}\"")));
-        if !matches_all {
-            return None;
-        }
-        value.trim().parse().ok()
-    })
-}
-
 /// Fetches the raw Prometheus text exposition from a live server
 /// (shared by the attribution scrape and `mst top`).
 pub(crate) fn fetch_metrics_text(addr: &str) -> Result<String, String> {
@@ -269,21 +249,55 @@ pub(crate) fn fetch_metrics_text(addr: &str) -> Result<String, String> {
     Ok(String::from_utf8_lossy(&body).to_string())
 }
 
+/// One parsed Prometheus sample: `(name, labels, value)`.
+type Sample<'a> = (&'a str, Vec<(&'a str, &'a str)>, f64);
+
+/// Splits one Prometheus sample line into `(name, labels, value)`.
+/// Label values in this exposition never contain commas or escaped
+/// quotes (routes, tenant names, solver names), so a flat split is
+/// exact.
+pub(crate) fn parse_sample(line: &str) -> Option<Sample<'_>> {
+    let (rest, value) = line.rsplit_once(' ')?;
+    let value: f64 = value.trim().parse().ok()?;
+    match rest.split_once('{') {
+        None => Some((rest, Vec::new(), value)),
+        Some((name, labels)) => {
+            let labels = labels.strip_suffix('}')?;
+            let mut pairs = Vec::new();
+            for part in labels.split(',') {
+                let (key, quoted) = part.split_once("=\"")?;
+                pairs.push((key, quoted.strip_suffix('"')?));
+            }
+            Some((name, pairs, value))
+        }
+    }
+}
+
+/// The value of the first sample named exactly `name` whose labels
+/// include every `(key, value)` pair of `labels`.
+pub(crate) fn sample_value(text: &str, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+    text.lines().find_map(|line| {
+        let (sample_name, sample_labels, value) = parse_sample(line)?;
+        (sample_name == name && labels.iter().all(|pair| sample_labels.contains(pair)))
+            .then_some(value)
+    })
+}
+
 /// Scrapes the target's Prometheus exposition and extracts the
 /// server-side `/solve` latency quantiles for the attribution report.
 pub fn fetch_server_sample(addr: &str) -> Result<ServerSample, String> {
     let text = fetch_metrics_text(addr)?;
     // Histogram quantiles are recorded in microseconds server-side.
     let p50_us =
-        prom_value(&text, "mst_route_latency_us", &[("route", "/solve"), ("quantile", "0.5")]);
+        sample_value(&text, "mst_route_latency_us", &[("route", "/solve"), ("quantile", "0.5")]);
     let p99_us =
-        prom_value(&text, "mst_route_latency_us", &[("route", "/solve"), ("quantile", "0.99")]);
+        sample_value(&text, "mst_route_latency_us", &[("route", "/solve"), ("quantile", "0.99")]);
     match (p50_us, p99_us) {
         (Some(p50), Some(p99)) => Ok(ServerSample {
             solve_p50_ms: p50 / 1e3,
             solve_p99_ms: p99 / 1e3,
-            requests_total: prom_value(&text, "mst_requests_total", &[]).unwrap_or(0.0) as u64,
-            dropped_spans: prom_value(&text, "mst_obs_dropped_spans_total", &[]).unwrap_or(0.0)
+            requests_total: sample_value(&text, "mst_requests_total", &[]).unwrap_or(0.0) as u64,
+            dropped_spans: sample_value(&text, "mst_obs_dropped_spans_total", &[]).unwrap_or(0.0)
                 as u64,
         }),
         _ => Err(format!(
@@ -854,28 +868,40 @@ mod tests {
     }
 
     #[test]
-    fn prom_value_matches_exact_names_and_label_subsets() {
+    fn samples_parse_names_labels_and_values() {
+        assert_eq!(parse_sample("mst_uptime_secs 12"), Some(("mst_uptime_secs", vec![], 12.0)));
+        let (name, labels, value) =
+            parse_sample("mst_kernel_latency_us{kernel=\"solve\",solver=\"optimal\"} 400")
+                .expect("labelled line parses");
+        assert_eq!(name, "mst_kernel_latency_us");
+        assert_eq!(labels, vec![("kernel", "solve"), ("solver", "optimal")]);
+        assert_eq!(value, 400.0);
+        assert_eq!(parse_sample("# HELP not a sample"), None);
+    }
+
+    #[test]
+    fn sample_value_matches_exact_names_and_label_subsets() {
         let text = "mst_requests_total 42\n\
                     mst_route_latency_us{route=\"/solve\",quantile=\"0.5\"} 750\n\
                     mst_route_latency_us{route=\"/solve\",quantile=\"0.99\"} 6000\n\
                     mst_route_latency_us{route=\"/batch\",quantile=\"0.5\"} 9000\n\
                     mst_route_latency_us_sum{route=\"/solve\"} 123456\n";
-        assert_eq!(prom_value(text, "mst_requests_total", &[]), Some(42.0));
+        assert_eq!(sample_value(text, "mst_requests_total", &[]), Some(42.0));
         assert_eq!(
-            prom_value(text, "mst_route_latency_us", &[("route", "/solve"), ("quantile", "0.5")]),
+            sample_value(text, "mst_route_latency_us", &[("route", "/solve"), ("quantile", "0.5")]),
             Some(750.0)
         );
         assert_eq!(
-            prom_value(text, "mst_route_latency_us", &[("route", "/batch"), ("quantile", "0.5")]),
+            sample_value(text, "mst_route_latency_us", &[("route", "/batch"), ("quantile", "0.5")]),
             Some(9000.0)
         );
         // `_sum` is a longer metric name, not a label variant of the base.
         assert_eq!(
-            prom_value(text, "mst_route_latency_us_sum", &[("route", "/solve")]),
+            sample_value(text, "mst_route_latency_us_sum", &[("route", "/solve")]),
             Some(123456.0)
         );
-        assert_eq!(prom_value(text, "mst_route_latency", &[]), None);
-        assert_eq!(prom_value(text, "mst_missing_total", &[]), None);
+        assert_eq!(sample_value(text, "mst_route_latency", &[]), None);
+        assert_eq!(sample_value(text, "mst_missing_total", &[]), None);
     }
 
     #[test]

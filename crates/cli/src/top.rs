@@ -13,6 +13,7 @@
 //! probe a script can grep).
 
 use crate::args::Args;
+use crate::loadgen::{parse_sample, sample_value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{IsTerminal as _, Write as _};
@@ -32,38 +33,6 @@ impl SummaryRow {
     fn quantile_ms(&self, q: &str) -> f64 {
         self.quantiles.get(q).copied().unwrap_or(0.0) / 1e3
     }
-}
-
-/// One parsed Prometheus sample: `(name, labels, value)`.
-type Sample<'a> = (&'a str, Vec<(&'a str, &'a str)>, f64);
-
-/// Splits one Prometheus sample line into `(name, labels, value)`.
-/// Label values in this exposition never contain commas or escaped
-/// quotes (routes, tenant names, solver names), so a flat split is
-/// exact.
-fn parse_sample(line: &str) -> Option<Sample<'_>> {
-    let (rest, value) = line.rsplit_once(' ')?;
-    let value: f64 = value.trim().parse().ok()?;
-    match rest.split_once('{') {
-        None => Some((rest, Vec::new(), value)),
-        Some((name, labels)) => {
-            let labels = labels.strip_suffix('}')?;
-            let mut pairs = Vec::new();
-            for part in labels.split(',') {
-                let (key, quoted) = part.split_once("=\"")?;
-                pairs.push((key, quoted.strip_suffix('"')?));
-            }
-            Some((name, pairs, value))
-        }
-    }
-}
-
-/// The value of an unlabelled sample (counter or gauge) by exact name.
-fn scalar(text: &str, name: &str) -> Option<f64> {
-    text.lines().find_map(|line| {
-        let (sample_name, labels, value) = parse_sample(line)?;
-        (sample_name == name && labels.is_empty()).then_some(value)
-    })
 }
 
 /// Collects one summary family into rows keyed by the joined values of
@@ -136,10 +105,10 @@ fn render_table(
 /// Renders one full frame from the raw exposition text.
 fn render_frame(addr: &str, text: &str) -> String {
     let mut out = String::new();
-    let uptime = scalar(text, "mst_uptime_secs").unwrap_or(0.0);
-    let requests = scalar(text, "mst_requests_total").unwrap_or(0.0) as u64;
-    let queue = scalar(text, "mst_queue_depth").unwrap_or(0.0) as u64;
-    let dropped = scalar(text, "mst_obs_dropped_spans_total").unwrap_or(0.0) as u64;
+    let uptime = sample_value(text, "mst_uptime_secs", &[]).unwrap_or(0.0);
+    let requests = sample_value(text, "mst_requests_total", &[]).unwrap_or(0.0) as u64;
+    let queue = sample_value(text, "mst_queue_depth", &[]).unwrap_or(0.0) as u64;
+    let dropped = sample_value(text, "mst_obs_dropped_spans_total", &[]).unwrap_or(0.0) as u64;
     writeln!(
         out,
         "mst top — {addr}   up {uptime:.0}s   requests {requests}   queue {queue}   \
@@ -229,18 +198,6 @@ mst_kernel_latency_us{kernel=\"solve\",solver=\"optimal\",quantile=\"0.999\"} 16
 mst_kernel_latency_us{kernel=\"solve\",solver=\"optimal\",quantile=\"1\"} 1700\n\
 mst_kernel_latency_us_sum{kernel=\"solve\",solver=\"optimal\"} 150000\n\
 mst_kernel_latency_us_count{kernel=\"solve\",solver=\"optimal\"} 350\n";
-
-    #[test]
-    fn samples_parse_names_labels_and_values() {
-        assert_eq!(parse_sample("mst_uptime_secs 12"), Some(("mst_uptime_secs", vec![], 12.0)));
-        let (name, labels, value) =
-            parse_sample("mst_kernel_latency_us{kernel=\"solve\",solver=\"optimal\"} 400")
-                .expect("labelled line parses");
-        assert_eq!(name, "mst_kernel_latency_us");
-        assert_eq!(labels, vec![("kernel", "solve"), ("solver", "optimal")]);
-        assert_eq!(value, 400.0);
-        assert_eq!(parse_sample("# HELP not a sample"), None);
-    }
 
     #[test]
     fn summary_rows_group_by_label_keys_with_counts() {

@@ -32,10 +32,12 @@
 //!
 //! ## Exposition
 //!
-//! [`write_prom_counter`] / [`write_prom_gauge`] /
-//! [`write_prom_summary`] render Prometheus-style text; all key
-//! iteration is over `BTreeMap`s, so scrapes are deterministically
-//! ordered and diff cleanly.
+//! [`write_prom_gauge`] renders one Prometheus sample line, integral
+//! values without decimals. `mst serve` writes every sample of its
+//! `/metrics?format=prometheus` text through it, derived from its JSON
+//! metrics document. The snapshot maps above iterate sorted
+//! `BTreeMap`s, so scrapes are deterministically ordered and diff
+//! cleanly.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -186,14 +188,8 @@ fn prom_labels(out: &mut String, labels: &[(&str, &str)]) {
     out.push('}');
 }
 
-/// Appends one Prometheus counter sample line.
-pub fn write_prom_counter(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
-    out.push_str(name);
-    prom_labels(out, labels);
-    writeln!(out, " {value}").expect("write to String");
-}
-
-/// Appends one Prometheus gauge sample line.
+/// Appends one Prometheus sample line, counter or gauge: integral
+/// values print without decimals, others with three.
 pub fn write_prom_gauge(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
     out.push_str(name);
     prom_labels(out, labels);
@@ -202,25 +198,6 @@ pub fn write_prom_gauge(out: &mut String, name: &str, labels: &[(&str, &str)], v
     } else {
         writeln!(out, " {value:.3}").expect("write to String");
     }
-}
-
-/// Appends a Prometheus summary for a histogram snapshot: quantile
-/// sample lines (p50/p99/p999/max) plus `_sum` and `_count`.
-pub fn write_prom_summary(
-    out: &mut String,
-    name: &str,
-    labels: &[(&str, &str)],
-    snap: &HistSnapshot,
-) {
-    for (q, label) in [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999"), (1.0, "1")] {
-        let mut all = labels.to_vec();
-        all.push(("quantile", label));
-        out.push_str(name);
-        prom_labels(out, &all);
-        writeln!(out, " {}", snap.percentile(q)).expect("write to String");
-    }
-    write_prom_counter(out, &format!("{name}_sum"), labels, snap.sum);
-    write_prom_counter(out, &format!("{name}_count"), labels, snap.count());
 }
 
 #[cfg(test)]
@@ -250,26 +227,6 @@ mod tests {
         let snaps = kernel_snapshots();
         assert!(snaps[&(Kernel::Solve, "obs-test-solver".to_string())].count() >= 2);
         assert!(snaps[&(Kernel::Probe, "obs-test-solver".to_string())].count() >= 1);
-    }
-
-    #[test]
-    fn prometheus_lines_render_with_labels_and_quantiles() {
-        let mut out = String::new();
-        write_prom_counter(&mut out, "mst_requests_total", &[], 7);
-        write_prom_counter(&mut out, "mst_route_requests_total", &[("route", "/solve")], 3);
-        let h = Histogram::new();
-        for v in [10, 20, 30] {
-            h.record(v);
-        }
-        write_prom_summary(&mut out, "mst_route_latency_us", &[("route", "/solve")], &h.snapshot());
-        assert!(out.contains("mst_requests_total 7\n"), "{out}");
-        assert!(out.contains("mst_route_requests_total{route=\"/solve\"} 3\n"), "{out}");
-        assert!(
-            out.contains("mst_route_latency_us{route=\"/solve\",quantile=\"0.5\"} 20"),
-            "{out}"
-        );
-        assert!(out.contains("mst_route_latency_us_sum{route=\"/solve\"} 60"), "{out}");
-        assert!(out.contains("mst_route_latency_us_count{route=\"/solve\"} 3"), "{out}");
     }
 
     #[test]

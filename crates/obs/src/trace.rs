@@ -233,7 +233,9 @@ pub fn slowest(limit: usize) -> Vec<Trace> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{begin_trace, enter_trace, note_solver, note_tenant, span, take_notes};
+    use crate::span::{
+        begin_trace, enter_trace, note_solver, note_tenant, now_ns, span, take_notes,
+    };
 
     /// The trace table is process-global; serialize the tests that
     /// assert on its eviction/ordering behaviour.
@@ -257,6 +259,9 @@ mod tests {
     fn spans_attach_to_their_trace_and_meta_completes_it() {
         let _serial = test_lock();
         let id = begin_trace();
+        // The wall time is measured, not assumed: a 50µs sleep can
+        // take milliseconds on a loaded box.
+        let start_ns = now_ns();
         {
             let _scope = enter_trace(id);
             note_tenant("acme");
@@ -264,7 +269,7 @@ mod tests {
             let _solve = span(Stage::Solve);
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
-        finish(id, "/solve", 1_000_000);
+        finish(id, "/solve", now_ns() - start_ns);
         let trace = lookup(id).expect("trace recorded");
         assert!(trace.finished);
         assert_eq!(trace.route, "/solve");

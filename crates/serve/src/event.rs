@@ -453,7 +453,7 @@ impl EventLoop {
         Ok(ServeReport {
             connections: self.state.metrics.connections_total.load(Ordering::Relaxed),
             requests: self.state.metrics.requests_total.load(Ordering::Relaxed),
-            solved: self.state.metrics.solved_total.load(Ordering::Relaxed),
+            solved: crate::metrics::tenant_total(&self.state, |s| &s.solved_total),
         })
     }
 
@@ -513,7 +513,7 @@ impl EventLoop {
     /// and drop. The write lands in the socket's send buffer, so a
     /// blocking write is unnecessary (and would stall the loop).
     fn refuse(&mut self, mut stream: TcpStream) {
-        self.state.metrics.connections_rejected.fetch_add(1, Ordering::Relaxed);
+        self.state.metrics.overloaded_total.fetch_add(1, Ordering::Relaxed);
         let _ = stream.set_nonblocking(true);
         let body = error_body(503, "overloaded", "connection limit reached; retry")
             .with_retry_after(1)
@@ -715,7 +715,7 @@ impl EventLoop {
                     Err(mpsc::TrySendError::Full(_job)) => {
                         // Dispatch queue full: refuse loudly (503 +
                         // Retry-After) rather than buffer.
-                        self.state.metrics.connections_rejected.fetch_add(1, Ordering::Relaxed);
+                        self.state.metrics.overloaded_total.fetch_add(1, Ordering::Relaxed);
                         self.state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
                         if let Some(conn) = self.conns.get_mut(slot) {
                             conn.shared = None;

@@ -37,8 +37,9 @@
 //! * `GET /healthz` — liveness and uptime;
 //! * `GET /solvers` — the registry listing (names, topologies, `T_lim`
 //!   support);
-//! * `GET /metrics` — global and per-tenant counters, live queue
-//!   depth, instances/s;
+//! * `GET /metrics` — every counter, gauge and latency summary, built
+//!   once as JSON by [`metrics`]; `?format=prometheus` serves the text
+//!   exposition derived from that document;
 //! * `GET /tenants` — the resolved execution policies (token values
 //!   masked);
 //! * `POST /solve` — one instance, solver selectable by registry name,
@@ -89,14 +90,16 @@
 #[cfg(target_os = "linux")]
 pub mod event;
 pub mod http;
+pub mod metrics;
 pub mod routes;
 pub mod server;
 pub mod service;
 pub mod session;
 
 pub use http::{HttpError, Request, Response};
+pub use metrics::Metrics;
 pub use server::{
-    install_sigint_handler, Metrics, ServeConfig, ServeReport, Server, ServerHandle, ServiceState,
+    install_sigint_handler, ServeConfig, ServeReport, Server, ServerHandle, ServiceState,
     StoreHealth,
 };
 pub use service::{BufferedStream, ResponseBody, StreamWriter};

@@ -5,8 +5,8 @@
 //! |-----------------|---------------------------------------------------|
 //! | `GET /healthz`  | structured liveness: status, uptime, queue depth  |
 //! | `GET /solvers`  | the solver registry (names, topologies, T_lim)    |
-//! | `GET /metrics`  | global + per-tenant counters, live queue depth    |
-//! |                 | (`?format=prometheus` for the text exposition)    |
+//! | `GET /metrics`  | every metric, as JSON or (`?format=prometheus`)   |
+//! |                 | as the text exposition derived from it            |
 //! | `GET /tenants`  | the resolved execution policies (tokens masked)   |
 //! | `GET /history`  | the persistent result store (`--store` servers)   |
 //! | `GET /trace`    | one request's span tree by `?id=` (`X-Trace-Id`)  |
@@ -305,21 +305,11 @@ fn index() -> Response {
 /// `GET /healthz` — structured service state, not just liveness: the
 /// overall `"status"` is `"ok"` or `"store_degraded"` (a broken
 /// persistent store degrades the service, it does not kill it), plus
-/// uptime, the live admission queue depth and the open-session gauge.
-/// Always `200`: a degraded server is still *alive* — orchestrators
-/// keep it running, operators read the body.
+/// uptime, the live admission queue depth and the open-session gauge
+/// ([`crate::metrics::health`]). Always `200`: a degraded server is still
+/// *alive* — orchestrators keep it running, operators read the body.
 fn healthz(state: &ServiceState) -> Response {
-    let degraded = state.store_health.is_degraded();
-    Response::json(
-        200,
-        Json::obj([
-            ("status", Json::str(if degraded { "store_degraded" } else { "ok" })),
-            ("uptime_secs", Json::Num(state.started.elapsed().as_secs_f64())),
-            ("queue_depth", Json::int(state.queue_depth() as i64)),
-            ("sessions_open", Json::int(state.sessions.open_count() as i64)),
-            ("store_degraded", Json::Bool(degraded)),
-        ]),
-    )
+    Response::json(200, crate::metrics::health(state))
 }
 
 fn solvers(request: &Request, state: &ServiceState) -> Response {
@@ -369,188 +359,14 @@ fn select_batch<'a>(body: &Json, state: &'a ServiceState) -> Result<&'a mst_api:
     state.batch_for(selector).ok_or_else(|| unknown_registry(selector.unwrap_or(""), state))
 }
 
-/// `GET /metrics` — global + per-tenant counters as JSON, or the
-/// Prometheus text exposition with `?format=prometheus` (counters,
-/// gauges and the per-route / per-tenant / per-solver-kernel latency
-/// summaries collected by [`mst_obs`]). Both shapes iterate sorted
-/// key sets, so consecutive scrapes diff cleanly.
+/// `GET /metrics` — the [`crate::metrics::document`] as JSON, or with
+/// `?format=prometheus` the text exposition derived from it.
 fn metrics(request: &Request, state: &ServiceState) -> Response {
-    if request.query_param("format") == Some("prometheus") {
-        return prometheus_metrics(state);
+    let document = crate::metrics::document(state);
+    match request.query_param("format") {
+        Some("prometheus") => Response::text(200, crate::metrics::prometheus(&document)),
+        _ => Response::json(200, document),
     }
-    let m = &state.metrics;
-    let load = |c: &std::sync::atomic::AtomicU64| Json::int(c.load(Ordering::Relaxed) as i64);
-    let mut tenants: Vec<(String, Json)> = state
-        .execs()
-        .map(|tenant| {
-            let stats = tenant.stats();
-            (
-                tenant.policy().name.clone(),
-                Json::obj([
-                    ("requests_total", load(&stats.requests_total)),
-                    ("rejected_total", load(&stats.rejected_total)),
-                    ("rate_limited_total", load(&stats.rate_limited_total)),
-                    ("solved_total", load(&stats.solved_total)),
-                    ("failed_total", load(&stats.failed_total)),
-                    ("cancelled_total", load(&stats.cancelled_total)),
-                    ("cache_hits_total", load(&stats.cache_hits_total)),
-                    ("cache_misses_total", load(&stats.cache_misses_total)),
-                    ("cache_entries", Json::int(tenant.cache().len() as i64)),
-                    ("store_records", load(&stats.store_records)),
-                    ("queue_depth", Json::int(tenant.queue_depth() as i64)),
-                    (
-                        "threads",
-                        match tenant.policy().threads {
-                            Some(threads) => Json::int(threads as i64),
-                            None => Json::Null,
-                        },
-                    ),
-                ]),
-            )
-        })
-        .collect();
-    // Config order is an accident of the tenant file; scrape output
-    // must not reshuffle when the file is reordered.
-    tenants.sort_by(|a, b| a.0.cmp(&b.0));
-    Response::json(
-        200,
-        Json::obj([
-            ("uptime_secs", Json::Num(state.started.elapsed().as_secs_f64())),
-            ("connections_total", load(&m.connections_total)),
-            ("connections_rejected", load(&m.connections_rejected)),
-            ("requests_total", load(&m.requests_total)),
-            ("http_errors_total", load(&m.http_errors_total)),
-            ("solved_total", load(&m.solved_total)),
-            ("failed_total", load(&m.failed_total)),
-            ("cancelled_total", load(&m.cancelled_total)),
-            ("solve_secs_total", Json::Num(m.solve_ns_total.load(Ordering::Relaxed) as f64 / 1e9)),
-            ("instances_per_sec", Json::Num(m.instances_per_sec())),
-            ("queue_depth", Json::int(state.queue_depth() as i64)),
-            ("store_records", Json::int(state.store.as_ref().map_or(0, |s| s.len()) as i64)),
-            ("store_degraded", Json::Bool(state.store_health.is_degraded())),
-            ("store_failures_total", Json::int(state.store_health.failures_total() as i64)),
-            ("store_retries_total", Json::int(state.store_health.retries_total() as i64)),
-            ("store_recoveries_total", Json::int(state.store_health.recoveries_total() as i64)),
-            ("sessions_open", Json::int(state.sessions.open_count() as i64)),
-            ("pool_workers", Json::int(state.batch.pool().workers() as i64)),
-            ("pool_jobs_submitted", Json::int(state.batch.pool().jobs_submitted() as i64)),
-            ("tenants", Json::Obj(tenants)),
-        ]),
-    )
-}
-
-/// The Prometheus text exposition behind `GET /metrics?format=prometheus`.
-///
-/// Latency summaries come from the [`mst_obs`] histograms: one
-/// `mst_route_latency_us` family per route label, one
-/// `mst_tenant_latency_us` per tenant, and one
-/// `mst_kernel_latency_us{kernel,solver}` per solver-kernel family
-/// (solve / probe / verify) — all in microseconds, with
-/// p50/p99/p999/max quantile samples plus `_sum` and `_count`. Every
-/// key set iterates a `BTreeMap` (or is pre-sorted), so the scrape is
-/// byte-deterministic for a given counter state.
-fn prometheus_metrics(state: &ServiceState) -> Response {
-    use mst_obs::{write_prom_counter, write_prom_gauge, write_prom_summary};
-    let m = &state.metrics;
-    let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-    let mut out = String::with_capacity(4096);
-    write_prom_gauge(&mut out, "mst_uptime_secs", &[], state.started.elapsed().as_secs_f64());
-    write_prom_counter(&mut out, "mst_connections_total", &[], load(&m.connections_total));
-    write_prom_counter(&mut out, "mst_connections_rejected", &[], load(&m.connections_rejected));
-    write_prom_counter(&mut out, "mst_requests_total", &[], load(&m.requests_total));
-    write_prom_counter(&mut out, "mst_http_errors_total", &[], load(&m.http_errors_total));
-    write_prom_counter(&mut out, "mst_solved_total", &[], load(&m.solved_total));
-    write_prom_counter(&mut out, "mst_failed_total", &[], load(&m.failed_total));
-    write_prom_counter(&mut out, "mst_cancelled_total", &[], load(&m.cancelled_total));
-    write_prom_gauge(
-        &mut out,
-        "mst_solve_secs_total",
-        &[],
-        m.solve_ns_total.load(Ordering::Relaxed) as f64 / 1e9,
-    );
-    write_prom_gauge(&mut out, "mst_instances_per_sec", &[], m.instances_per_sec());
-    write_prom_gauge(&mut out, "mst_queue_depth", &[], state.queue_depth() as f64);
-    write_prom_gauge(
-        &mut out,
-        "mst_store_records",
-        &[],
-        state.store.as_ref().map_or(0, |s| s.len()) as f64,
-    );
-    write_prom_gauge(
-        &mut out,
-        "mst_store_degraded",
-        &[],
-        if state.store_health.is_degraded() { 1.0 } else { 0.0 },
-    );
-    write_prom_gauge(&mut out, "mst_sessions_open", &[], state.sessions.open_count() as f64);
-    write_prom_gauge(&mut out, "mst_pool_workers", &[], state.batch.pool().workers() as f64);
-    write_prom_counter(
-        &mut out,
-        "mst_pool_jobs_submitted",
-        &[],
-        state.batch.pool().jobs_submitted(),
-    );
-    write_prom_counter(&mut out, "mst_obs_dropped_spans_total", &[], mst_obs::dropped_events());
-    if let Some(poll) = state.poll_stats.get() {
-        let (polls, wait_us, events) = poll.snapshot();
-        write_prom_counter(&mut out, "mst_poll_waits_total", &[], polls);
-        write_prom_counter(&mut out, "mst_poll_wait_us_total", &[], wait_us);
-        write_prom_counter(&mut out, "mst_poll_events_total", &[], events);
-    }
-
-    // Per-tenant counters, sorted by tenant name (config order is not
-    // deterministic across restarts with a reordered file).
-    let mut tenants: Vec<&TenantExec> = state.execs().collect();
-    tenants.sort_by(|a, b| a.policy().name.cmp(&b.policy().name));
-    for tenant in tenants {
-        let name = tenant.policy().name.as_str();
-        let stats = tenant.stats();
-        let labels = [("tenant", name)];
-        write_prom_counter(
-            &mut out,
-            "mst_tenant_requests_total",
-            &labels,
-            load(&stats.requests_total),
-        );
-        write_prom_counter(
-            &mut out,
-            "mst_tenant_rejected_total",
-            &labels,
-            load(&stats.rejected_total),
-        );
-        write_prom_counter(&mut out, "mst_tenant_solved_total", &labels, load(&stats.solved_total));
-        write_prom_counter(
-            &mut out,
-            "mst_tenant_cache_hits_total",
-            &labels,
-            load(&stats.cache_hits_total),
-        );
-        write_prom_counter(
-            &mut out,
-            "mst_tenant_cache_misses_total",
-            &labels,
-            load(&stats.cache_misses_total),
-        );
-        write_prom_gauge(&mut out, "mst_tenant_queue_depth", &labels, tenant.queue_depth() as f64);
-    }
-
-    // Latency summaries (µs). Route and tenant histograms are this
-    // server's; kernel histograms are process-global.
-    for (route, snap) in state.obs.route_snapshots() {
-        write_prom_summary(&mut out, "mst_route_latency_us", &[("route", &route)], &snap);
-    }
-    for (tenant, snap) in state.obs.tenant_snapshots() {
-        write_prom_summary(&mut out, "mst_tenant_latency_us", &[("tenant", &tenant)], &snap);
-    }
-    for ((kernel, solver), snap) in mst_obs::kernel_snapshots() {
-        write_prom_summary(
-            &mut out,
-            "mst_kernel_latency_us",
-            &[("kernel", kernel.name()), ("solver", &solver)],
-            &snap,
-        );
-    }
-    Response::text(200, out)
 }
 
 /// `GET /tenants` — the resolved execution policies, for operators.
@@ -590,7 +406,6 @@ fn tenants(state: &ServiceState) -> Response {
                     },
                 ),
                 ("solvers", Json::int(policy.registry.len() as i64)),
-                ("queue_depth", Json::int(tenant.queue_depth() as i64)),
             ])
         })
         .collect();
@@ -698,12 +513,10 @@ fn solve(request: &Request, state: &ServiceState) -> Response {
     let canon = CanonicalInstance::of(&instance, solver_name, deadline);
     let key = CacheKey::of(&canon, solver_name);
     if let Some(cached) = tenant.cache().get(&key) {
-        stats.cache_hits_total.fetch_add(1, Ordering::Relaxed);
         mst_obs::note_cached(true);
         drop(cache_span);
         return render_solution(canon.restore(&cached), &instance, solver_name, check, true);
     }
-    stats.cache_misses_total.fetch_add(1, Ordering::Relaxed);
     mst_obs::note_cached(false);
     drop(cache_span);
     let admit_span = mst_obs::span(mst_obs::Stage::Admit);
@@ -727,8 +540,7 @@ fn solve(request: &Request, state: &ServiceState) -> Response {
     drop(solve_span);
     match result {
         Ok(canonical) => {
-            state.metrics.record_solve(1, 0, 0, elapsed);
-            stats.record(1, 0, 0);
+            stats.record(1, 0, 0, elapsed);
             tenant.cache().insert(key, canonical.clone());
             append_record(
                 state,
@@ -743,8 +555,7 @@ fn solve(request: &Request, state: &ServiceState) -> Response {
         Err(e) => {
             // Errors are never cached: a transient refusal (or a fixed
             // solver) must not be replayed forever.
-            state.metrics.record_solve(0, 1, 0, elapsed);
-            stats.record(0, 1, 0);
+            stats.record(0, 1, 0, elapsed);
             solve_error_response(&e)
         }
     }
@@ -1095,16 +906,14 @@ enum Planned {
 }
 
 /// Canonicalizes every instance of a `/batch` sweep and answers what it
-/// can from the tenant's solution cache, counting hits and misses into
-/// the tenant's stats. Returns the per-instance plan (input order) and
-/// the hit count.
+/// can from the tenant's solution cache. Returns the per-instance plan
+/// (input order) and the hit count.
 fn plan_batch(
     instances: &[Instance],
     solver_name: &str,
     deadline: Option<mst_platform::Time>,
     tenant: &TenantExec,
 ) -> (Vec<Planned>, usize) {
-    let stats = tenant.stats();
     let mut hits = 0usize;
     let jobs = instances
         .iter()
@@ -1120,8 +929,6 @@ fn plan_batch(
             }
         })
         .collect();
-    stats.cache_hits_total.fetch_add(hits as u64, Ordering::Relaxed);
-    stats.cache_misses_total.fetch_add((instances.len() - hits) as u64, Ordering::Relaxed);
     (jobs, hits)
 }
 
@@ -1206,12 +1013,10 @@ fn solve_chunked(
     results
 }
 
-/// Folds one finished sweep into the global and per-tenant metrics and
-/// renders the summary fields **both** `/batch` reply shapes carry —
+/// Folds one finished sweep into the tenant's counters and renders the summary fields **both** `/batch` reply shapes carry —
 /// one definition, so the streamed summary line can never drift from
 /// the buffered body (the buffered path appends makespan statistics
 /// and optional per-instance results on top).
-#[allow(clippy::too_many_arguments)]
 fn finish_sweep(
     instances: &[Instance],
     results: &[Result<Solution, SolveError>],
@@ -1219,7 +1024,6 @@ fn finish_sweep(
     check: bool,
     cache_hits: usize,
     elapsed: std::time::Duration,
-    state: &ServiceState,
     tenant: &TenantExec,
 ) -> (BatchSummary, usize, Vec<(String, Json)>) {
     let mut summary = BatchSummary::of(results);
@@ -1228,16 +1032,11 @@ fn finish_sweep(
     // the solve-throughput metrics count only genuine solves (a
     // cancelled sweep may return fewer Ok hits than were planned,
     // hence the saturation).
-    state.metrics.record_solve(
-        (summary.solved.saturating_sub(cache_hits)) as u64,
-        summary.failed as u64,
-        summary.cancelled as u64,
-        elapsed,
-    );
     tenant.stats().record(
         (summary.solved.saturating_sub(cache_hits)) as u64,
         summary.failed as u64,
         summary.cancelled as u64,
+        elapsed,
     );
     let infeasible = if check {
         let _verify_span = mst_obs::span(mst_obs::Stage::Verify);
@@ -1389,7 +1188,7 @@ fn batch(
         solve_chunked(&engine, &jobs, &cancel, &mut sink, chunk, state, tenant, solver_name);
     let elapsed = started.elapsed();
     let (summary, infeasible, mut reply) =
-        finish_sweep(&instances, &results, solver_name, check, cache_hits, elapsed, state, tenant);
+        finish_sweep(&instances, &results, solver_name, check, cache_hits, elapsed, tenant);
     reply.push(("total_tasks".to_string(), Json::int(summary.total_tasks as i64)));
     reply.push(("mean_makespan".to_string(), Json::Num(summary.mean_makespan())));
     reply.push(("max_makespan".to_string(), Json::int(summary.max_makespan)));
@@ -1455,7 +1254,7 @@ fn stream_batch(
     let results = solve_chunked(engine, jobs, cancel, &mut sink, chunk, state, tenant, solver_name);
     let elapsed = started.elapsed();
     let (_, _, tail) =
-        finish_sweep(instances, &results, solver_name, check, cache_hits, elapsed, state, tenant);
+        finish_sweep(instances, &results, solver_name, check, cache_hits, elapsed, tenant);
     let summary_line = Json::obj([("summary", Json::Obj(tail))]);
     let _ = sink.writer.chunk(format!("{summary_line}\n").as_bytes());
     let _ = sink.writer.end();
@@ -1493,11 +1292,9 @@ fn session_solve(
     let canon = CanonicalInstance::of(instance, solver_name, None);
     let key = CacheKey::of(&canon, solver_name);
     if let Some(cached) = tenant.cache().get(&key) {
-        stats.cache_hits_total.fetch_add(1, Ordering::Relaxed);
         mst_obs::note_cached(true);
         return Ok((canon.restore(&cached), true));
     }
-    stats.cache_misses_total.fetch_add(1, Ordering::Relaxed);
     mst_obs::note_cached(false);
     drop(cache_span);
     let admit_span = mst_obs::span(mst_obs::Stage::Admit);
@@ -1511,8 +1308,7 @@ fn session_solve(
     drop(solve_span);
     match result {
         Ok(canonical) => {
-            state.metrics.record_solve(1, 0, 0, elapsed);
-            stats.record(1, 0, 0);
+            stats.record(1, 0, 0, elapsed);
             tenant.cache().insert(key, canonical.clone());
             append_record(
                 state,
@@ -1525,8 +1321,7 @@ fn session_solve(
             Ok((canon.restore(&canonical), false))
         }
         Err(e) => {
-            state.metrics.record_solve(0, 1, 0, elapsed);
-            stats.record(0, 1, 0);
+            stats.record(0, 1, 0, elapsed);
             Err(solve_error_response(&e))
         }
     }
@@ -1713,13 +1508,7 @@ fn session_fail(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Respo
     drop(repair_span);
     match repaired {
         Ok(repaired) => {
-            state.metrics.record_solve(1, 0, 0, elapsed);
-            stats.record(1, 0, 0);
-            if repaired.cache_hit {
-                stats.cache_hits_total.fetch_add(1, Ordering::Relaxed);
-            } else {
-                stats.cache_misses_total.fetch_add(1, Ordering::Relaxed);
-            }
+            stats.record(1, 0, 0, elapsed);
             let committed = repaired.committed;
             let remaining = repaired.remaining;
             let cache_hit = repaired.cache_hit;
@@ -1754,8 +1543,7 @@ fn session_fail(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Respo
             ),
         ),
         Err(RepairError::Solve(e)) => {
-            state.metrics.record_solve(0, 1, 0, elapsed);
-            stats.record(0, 1, 0);
+            stats.record(0, 1, 0, elapsed);
             solve_error_response(&e)
         }
     }

@@ -28,6 +28,7 @@
 #[cfg(target_os = "linux")]
 use crate::event::run_event;
 use crate::http::Response;
+use crate::metrics::Metrics;
 use mst_api::wire::{solution_from_json, Json};
 use mst_api::{Batch, CacheKey, ExecPolicy, RegistrySet, TenantExec};
 use mst_sim::{shared_pool, WorkerPool};
@@ -227,54 +228,6 @@ impl StoreHealth {
     }
 }
 
-/// Live request/solve counters, served by `GET /metrics`.
-///
-/// All counters are monotone atomics; `instances_per_sec` in the
-/// endpoint's body is derived as `solved_total / solve_secs_total`
-/// (solve wall time only, so idle time does not dilute the number).
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Connections accepted by the listener.
-    pub connections_total: AtomicU64,
-    /// `503` refusals: connections over [`ServeConfig::max_connections`]
-    /// at accept, and requests parsed while the dispatch queue was full.
-    pub connections_rejected: AtomicU64,
-    /// Requests routed (any method, any path).
-    pub requests_total: AtomicU64,
-    /// Responses with a 4xx/5xx status.
-    pub http_errors_total: AtomicU64,
-    /// Instances solved successfully (single solves and batch members).
-    pub solved_total: AtomicU64,
-    /// Instances whose solve returned an error.
-    pub failed_total: AtomicU64,
-    /// Instances skipped by cancellation (deadline budgets, client
-    /// disconnects).
-    pub cancelled_total: AtomicU64,
-    /// Nanoseconds spent inside `Batch`/solver calls.
-    pub solve_ns_total: AtomicU64,
-}
-
-impl Metrics {
-    /// Records one solving run: `solved`/`failed`/`cancelled` instance
-    /// outcomes and the wall time the run took.
-    pub fn record_solve(&self, solved: u64, failed: u64, cancelled: u64, elapsed: Duration) {
-        self.solved_total.fetch_add(solved, Ordering::Relaxed);
-        self.failed_total.fetch_add(failed, Ordering::Relaxed);
-        self.cancelled_total.fetch_add(cancelled, Ordering::Relaxed);
-        self.solve_ns_total.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Solve throughput so far, in instances per second of solve wall
-    /// time (0.0 before the first solve).
-    pub fn instances_per_sec(&self) -> f64 {
-        let ns = self.solve_ns_total.load(Ordering::Relaxed);
-        if ns == 0 {
-            return 0.0;
-        }
-        self.solved_total.load(Ordering::Relaxed) as f64 / (ns as f64 / 1e9)
-    }
-}
-
 /// Shared service state: the per-tenant execution policies, metrics,
 /// caps and the shutdown flag.
 pub struct ServiceState {
@@ -304,7 +257,8 @@ pub struct ServiceState {
     pub store_health: StoreHealth,
     /// Live sessions held by `POST /session` tenants.
     pub sessions: crate::session::SessionTable,
-    /// Live counters.
+    /// The transport's counters (the rest of `/metrics` is counted
+    /// per tenant).
     pub metrics: Metrics,
     /// Per-route and per-tenant latency histograms (`/metrics`,
     /// `mst top`).
@@ -424,7 +378,7 @@ pub struct ServeReport {
     pub connections: u64,
     /// Requests routed.
     pub requests: u64,
-    /// Instances solved.
+    /// Instances solved, summed over tenants.
     pub solved: u64,
 }
 
@@ -942,13 +896,5 @@ mod tests {
 
         handle.shutdown();
         runner.join().expect("runner joins");
-    }
-
-    #[test]
-    fn metrics_throughput_is_zero_before_any_solve() {
-        let metrics = Metrics::default();
-        assert_eq!(metrics.instances_per_sec(), 0.0);
-        metrics.record_solve(100, 0, 0, Duration::from_millis(10));
-        assert!(metrics.instances_per_sec() > 0.0);
     }
 }

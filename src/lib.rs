@@ -16,10 +16,10 @@
 //!   simulator, a bounded model checker and a differential fuzzer
 //!   ([`mst_verify`], re-exported as [`verify`]),
 //! * a dependency-free **observability** layer — request-lifecycle span
-//!   traces, log-linear latency histograms and Prometheus text
-//!   exposition ([`mst_obs`], re-exported as [`obs`]), surfaced live by
-//!   the server's `/metrics`, `/trace` and `/trace/slow` endpoints and
-//!   the `mst top` terminal view.
+//!   traces and log-linear latency histograms ([`mst_obs`], re-exported
+//!   as [`obs`]), surfaced live by the server's `/metrics` (JSON, and
+//!   the Prometheus text derived from it), `/trace` and `/trace/slow`
+//!   endpoints and the `mst top` terminal view.
 //!
 //! Since the unified-API redesign, the primary public surface is
 //! [`mst_api`] (re-exported as [`api`]): any topology, any algorithm,

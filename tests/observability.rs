@@ -3,11 +3,12 @@
 //! span tree of a `/solve` with the full parse → queue → admit → cache
 //! → solve → write lifecycle, `GET /trace/slow` ranks recent traces,
 //! and `GET /metrics?format=prometheus` exposes deterministic
-//! per-route / per-tenant / per-solver-kernel latency summaries while
-//! the default JSON exposition stays unchanged.
+//! per-route / per-tenant / per-solver-kernel latency summaries,
+//! sample for sample the members of the JSON `/metrics` document.
 
 use master_slave_tasking::api::wire::Json;
 use master_slave_tasking::prelude::*;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -178,8 +179,72 @@ fn family_labels(text: &str, family: &str) -> Vec<String> {
         .collect()
 }
 
+/// The Prometheus samples a JSON metrics document maps to, keyed
+/// `name{labels}`, by the three rules of `mst_serve::metrics`: a
+/// top-level number or bool `X` is `mst_X`; `tenants.<T>.X` is
+/// `mst_tenant_X{tenant="T"}`; a summary family `F` is an array of rows
+/// whose strings are labels, whose `p50`/`p99`/`p999`/`max` are
+/// `mst_F{labels,quantile=...}` and whose other numbers `N` are
+/// `mst_F_N{labels}`.
+fn expected_samples(document: &Json) -> BTreeMap<String, f64> {
+    let mut out = BTreeMap::new();
+    for (key, value) in document.as_obj().expect("the metrics document is an object") {
+        match value {
+            Json::Num(n) => {
+                out.insert(format!("mst_{key}"), *n);
+            }
+            Json::Bool(b) => {
+                out.insert(format!("mst_{key}"), if *b { 1.0 } else { 0.0 });
+            }
+            Json::Obj(tenants) => {
+                for (tenant, members) in tenants {
+                    for (name, value) in members.as_obj().expect("a tenant is an object") {
+                        let value = value
+                            .as_f64()
+                            .unwrap_or_else(|| panic!("tenants.{tenant}.{name} is no number"));
+                        out.insert(format!("mst_tenant_{name}{{tenant=\"{tenant}\"}}"), value);
+                    }
+                }
+            }
+            Json::Arr(rows) => {
+                for row in rows {
+                    let members = row.as_obj().expect("a summary row is an object");
+                    let labels: Vec<String> = members
+                        .iter()
+                        .filter_map(|(k, v)| Some(format!("{k}=\"{}\"", v.as_str()?)))
+                        .collect();
+                    let labels = labels.join(",");
+                    for (name, value) in members {
+                        let Some(value) = value.as_f64() else { continue };
+                        let sample = match name.as_str() {
+                            "p50" => format!("mst_{key}{{{labels},quantile=\"0.5\"}}"),
+                            "p99" => format!("mst_{key}{{{labels},quantile=\"0.99\"}}"),
+                            "p999" => format!("mst_{key}{{{labels},quantile=\"0.999\"}}"),
+                            "max" => format!("mst_{key}{{{labels},quantile=\"1\"}}"),
+                            _ => format!("mst_{key}_{name}{{{labels}}}"),
+                        };
+                        out.insert(sample, value);
+                    }
+                }
+            }
+            other => panic!("{key} = {other:?} has no Prometheus shape"),
+        }
+    }
+    out
+}
+
+/// Every sample of a Prometheus text exposition, keyed `name{labels}`.
+fn exposition_samples(text: &str) -> BTreeMap<String, f64> {
+    text.lines()
+        .map(|line| {
+            let (sample, value) = line.rsplit_once(' ').expect("a sample line");
+            (sample.to_string(), value.parse().expect("a numeric sample"))
+        })
+        .collect()
+}
+
 #[test]
-fn prometheus_exposition_is_deterministic_and_json_is_unchanged() {
+fn prometheus_exposition_is_deterministic_and_mirrors_the_json() {
     let (addr, handle, runner) = start_server(None);
 
     let (status, _, _) = post(addr, "/solve", SOLVE_BODY, None);
@@ -192,18 +257,41 @@ fn prometheus_exposition_is_deterministic_and_json_is_unchanged() {
     );
     assert_eq!(status, 200);
 
-    // The default /metrics stays the flat JSON document CI greps.
+    // The default /metrics is the JSON document CI greps. This first
+    // scrape also gives the /metrics route its own latency row.
     let (status, head, body) = get(addr, "/metrics");
     assert_eq!(status, 200);
     assert!(header(&head, "Content-Type").unwrap().contains("application/json"), "{head}");
     let json = Json::parse(&body).expect("JSON metrics parse");
     assert!(json.get("requests_total").is_some(), "{body}");
 
+    let (status, _, body) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    let json = Json::parse(&body).expect("JSON metrics parse");
     let (status, head, first) = get(addr, "/metrics?format=prometheus");
     assert_eq!(status, 200);
     assert!(header(&head, "Content-Type").unwrap().contains("text/plain"), "{head}");
     let (status, _, second) = get(addr, "/metrics?format=prometheus");
     assert_eq!(status, 200);
+
+    // One list, two renderers: every JSON member has its Prometheus
+    // sample and every sample has its JSON member.
+    let expected = expected_samples(&json);
+    let actual = exposition_samples(&first);
+    let missing: Vec<_> = expected.keys().filter(|k| !actual.contains_key(*k)).collect();
+    assert!(missing.is_empty(), "JSON members without a sample: {missing:?}\n{first}");
+    let extra: Vec<_> = actual.keys().filter(|k| !expected.contains_key(*k)).collect();
+    assert!(extra.is_empty(), "samples without a JSON member: {extra:?}\n{body}");
+    // Counters that do not move between the two scrapes agree.
+    for sample in [
+        "mst_solved_total",
+        "mst_tenant_cache_hits_total{tenant=\"default\"}",
+        "mst_tenant_cache_misses_total{tenant=\"default\"}",
+        "mst_tenant_store_records{tenant=\"default\"}",
+    ] {
+        assert_eq!(expected[sample], actual[sample], "{sample}");
+    }
+    assert!(expected["mst_solved_total"] >= 1.0, "the /solve ran a solver");
 
     for text in [&first, &second] {
         assert!(

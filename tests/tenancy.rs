@@ -404,3 +404,72 @@ fn token_routing_rejects_unknown_and_ambiguous_selectors() {
     handle.shutdown();
     runner.join().expect("server joins cleanly");
 }
+
+#[test]
+fn noop_repairs_count_no_cache_miss_and_solve_totals_sum_over_tenants() {
+    let (addr, handle, runner) = start_server();
+    let metrics = || Json::parse(&body_of(&get(addr, "/metrics"))).expect("metrics JSON");
+    let default_misses = |metrics: &Json| {
+        metrics
+            .get("tenants")
+            .and_then(|t| t.get("default"))
+            .and_then(|t| t.get("cache_misses_total"))
+            .and_then(Json::as_i64)
+            .expect("default cache_misses_total")
+    };
+
+    // Both tasks finish on processors 1 and 2 long before processor 3
+    // fails, so the repair has nothing left to look up or re-solve.
+    let reply = post(
+        addr,
+        "/session",
+        None,
+        r#"{"op": "create", "platform": "chain\n1 1\n1 1\n50 50\n", "tasks": 2}"#,
+    );
+    assert_eq!(status_of(&reply), 200, "{reply}");
+    let session = Json::parse(&body_of(&reply))
+        .ok()
+        .and_then(|j| j.get("session").and_then(Json::as_i64))
+        .expect("session id");
+    let misses = default_misses(&metrics());
+    let reply = post(
+        addr,
+        "/session",
+        None,
+        &format!(r#"{{"op": "fail", "session": {session}, "processor": 3, "at": 1000}}"#),
+    );
+    assert_eq!(status_of(&reply), 200, "{reply}");
+    assert!(body_of(&reply).contains("\"event_remaining\":0"), "{reply}");
+    assert_eq!(default_misses(&metrics()), misses, "a repair without a lookup counts no miss");
+
+    // /solve, /batch and /session traffic on several tenants.
+    for token in [None, Some("fast")] {
+        assert_eq!(status_of(&post(addr, "/solve", token, SMALL_SOLVE)), 200);
+        let sweep = r#"{"generate": {"kind": "spider", "count": 20, "size": 3, "tasks": 6}}"#;
+        assert_eq!(status_of(&post(addr, "/batch", token, sweep)), 200);
+    }
+    let reply = post(
+        addr,
+        "/session",
+        Some("slow-key"),
+        r#"{"op": "create", "platform": "chain\n2 3\n3 5\n", "tasks": 4}"#,
+    );
+    assert_eq!(status_of(&reply), 200, "{reply}");
+
+    // The top-level solve counters are sums over the tenants.
+    let metrics = metrics();
+    let tenants = metrics.get("tenants").and_then(Json::as_obj).expect("tenant section");
+    for key in ["solved_total", "failed_total", "cancelled_total"] {
+        let sum: i64 = tenants
+            .iter()
+            .map(|(_, t)| t.get(key).and_then(Json::as_i64).expect("tenant counter"))
+            .sum();
+        assert_eq!(metrics.get(key).and_then(Json::as_i64), Some(sum), "{key}");
+    }
+    let solved = metrics.get("solved_total").and_then(Json::as_i64).expect("solved_total");
+    assert!(solved > 0, "the traffic ran solvers");
+
+    handle.shutdown();
+    let report = runner.join().expect("server joins cleanly");
+    assert_eq!(report.solved, solved as u64, "the serve report reads the same sum");
+}
