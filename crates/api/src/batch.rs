@@ -156,36 +156,6 @@ impl Batch {
         }
     }
 
-    /// [`Batch::solve_all_by_deadline`] with the same cancellation
-    /// checkpoints as [`Batch::solve_all_cancellable`].
-    pub fn solve_all_by_deadline_cancellable(
-        &self,
-        instances: &[Instance],
-        deadline: Time,
-        cancel: &CancelToken,
-    ) -> Vec<Result<Solution, SolveError>> {
-        match self.registry.resolve(&self.solver) {
-            Ok(solver) => {
-                let hist = mst_obs::kernel_hist(mst_obs::Kernel::Probe, &self.solver);
-                self.pool
-                    .run_cancellable(
-                        instances,
-                        |instance| {
-                            let start = std::time::Instant::now();
-                            let result = solver.solve_by_deadline(instance, deadline);
-                            hist.record(start.elapsed().as_micros() as u64);
-                            result
-                        },
-                        cancel,
-                    )
-                    .into_iter()
-                    .map(|slot| slot.unwrap_or(Err(SolveError::Cancelled)))
-                    .collect()
-            }
-            Err(err) => instances.iter().map(|_| Err(err.clone())).collect(),
-        }
-    }
-
     /// Solves `(instance, deadline)` jobs with **per-job** deadlines and
     /// the same cancellation checkpoints as
     /// [`Batch::solve_all_cancellable`]; `None` means a plain makespan
@@ -412,8 +382,10 @@ mod tests {
         // A live token executes everything, bit-identical to solve_all.
         let live = CancelToken::new();
         assert_eq!(batch.solve_all_cancellable(&instances, &live), batch.solve_all(&instances));
+        let deadline_jobs: Vec<(Instance, Option<Time>)> =
+            instances.iter().map(|inst| (inst.clone(), Some(12))).collect();
         assert_eq!(
-            batch.solve_all_by_deadline_cancellable(&instances, 12, &live),
+            batch.solve_each_cancellable(&deadline_jobs, &live),
             batch.solve_all_by_deadline(&instances, 12)
         );
         // A pre-cancelled token skips every instance as Cancelled.

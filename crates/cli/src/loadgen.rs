@@ -189,7 +189,9 @@ pub struct ServerSample {
     /// `mst_requests_total` at scrape time (includes the scrape itself).
     pub requests_total: u64,
     /// `mst_obs_dropped_spans_total` at scrape time — non-zero means
-    /// the span rings overflowed and some traces are incomplete.
+    /// some spans reached no trace (past a trace's span cap, or for a
+    /// trace already evicted from the table), so some traces are
+    /// incomplete.
     pub dropped_spans: u64,
 }
 

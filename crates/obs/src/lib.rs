@@ -2,7 +2,7 @@
 //!
 //! The telemetry layer behind `mst serve`'s `/metrics`, `/trace` and
 //! `mst top`: span tracing and log-linear latency histograms with no
-//! external dependencies and zero allocation on the hot path.
+//! external dependencies.
 //!
 //! ## Spans
 //!
@@ -12,11 +12,13 @@
 //! the client) and rides whichever thread is working on the request
 //! as an ambient thread-local ([`enter_trace`]). Any layer can then
 //! record a **span** — `(trace, stage, start, duration)` — by holding
-//! a [`SpanGuard`] ([`span()`]) or calling [`record_span`]: spans go
-//! into the recording thread's fixed-capacity lock-free ring
-//! (overwrite-oldest, wait-free, allocation-free; [`ring`]), and a
-//! collector drains the rings into a bounded recent-traces table
-//! ([`trace`]) on demand. [`Stage::SEQUENTIAL`] names the stages that
+//! a [`SpanGuard`] ([`span()`]) or calling [`record_span`]. Each span
+//! is stored once, in its trace ([`trace`]): spans of the thread's
+//! current trace wait in a thread-local buffer, and [`finish_trace`]
+//! moves them with the request's metadata into a bounded table of
+//! recent traces under one lock; a span recorded on another thread
+//! (a pool worker) joins its trace when that thread leaves the
+//! trace's scope. [`Stage::SEQUENTIAL`] names the stages that
 //! partition a request's wall time without overlap, so their
 //! durations always sum to ≤ the request total.
 //!
@@ -43,17 +45,15 @@
 #![forbid(unsafe_code)]
 
 pub mod hist;
-pub mod ring;
 pub mod span;
 pub mod trace;
 
 pub use hist::{HistSnapshot, Histogram};
-pub use ring::{dropped_events, SpanEvent};
 pub use span::{
     begin_trace, current_trace, enter_trace, note_cached, note_solver, note_tenant, now_ns,
     record_span, span, take_notes, Notes, SpanGuard, Stage, TraceScope,
 };
-pub use trace::{finish_trace, json_string, lookup, slowest, Trace, TraceMeta};
+pub use trace::{dropped_events, finish_trace, lookup, slowest, Trace, TraceMeta};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -7,10 +7,12 @@
 //! the cache, the worker pool — can attribute work without any
 //! plumbing through their signatures. Each unit of attributable work
 //! is a **span**: `(trace, stage, start, duration)` in nanoseconds
-//! since process start, pushed into the recording thread's lock-free
-//! ring ([`crate::ring`]) either by dropping a [`SpanGuard`] or
-//! explicitly via [`record_span`] (for cross-thread stages like the
-//! dispatch queue wait).
+//! since process start, recorded by dropping a [`SpanGuard`] or
+//! explicitly via [`record_span`] (for stages timed from stored
+//! timestamps, like the dispatch queue wait). A span of the thread's
+//! current trace waits in a thread-local buffer until the thread
+//! finishes the trace or leaves its scope; any other span goes to the
+//! trace table at once ([`crate::trace`]).
 //!
 //! Handlers annotate the in-flight request through the same ambient
 //! channel ([`note_tenant`], [`note_solver`], [`note_cached`]); the
@@ -51,21 +53,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in lifecycle order.
-    pub const ALL: [Stage; 11] = [
-        Stage::Parse,
-        Stage::Queue,
-        Stage::Admit,
-        Stage::Cache,
-        Stage::Solve,
-        Stage::Verify,
-        Stage::Repair,
-        Stage::Store,
-        Stage::Write,
-        Stage::Pool,
-        Stage::Session,
-    ];
-
     /// The stages that partition a request's wall time without
     /// overlap: every other stage is excluded ([`Stage::Pool`] runs
     /// nested inside [`Stage::Solve`] and in parallel across workers;
@@ -99,14 +86,6 @@ impl Stage {
             Stage::Pool => "pool",
             Stage::Session => "session",
         }
-    }
-
-    pub(crate) fn to_u64(self) -> u64 {
-        Stage::ALL.iter().position(|s| *s == self).expect("stage in catalog") as u64
-    }
-
-    pub(crate) fn from_u64(v: u64) -> Option<Stage> {
-        Stage::ALL.get(v as usize).copied()
     }
 }
 
@@ -142,21 +121,31 @@ pub struct TraceScope {
 }
 
 /// Makes `id` the current thread's ambient trace until the returned
-/// guard drops (scopes nest; the previous id is restored).
+/// guard drops (scopes nest; the previous id is restored). Switching
+/// to another trace, either way, hands the spans buffered for the one
+/// left behind to the trace table.
 pub fn enter_trace(id: u64) -> TraceScope {
-    let prev = CURRENT.with(|c| c.replace(id));
-    TraceScope { prev }
+    TraceScope { prev: switch_to(id) }
 }
 
 impl Drop for TraceScope {
     fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
+        switch_to(self.prev);
     }
 }
 
+/// Makes `id` current and returns the previous current trace.
+fn switch_to(id: u64) -> u64 {
+    let prev = current_trace();
+    if prev != id {
+        crate::trace::hand_off(prev);
+        CURRENT.with(|c| c.set(id));
+    }
+    prev
+}
+
 /// An in-flight span: records `(current trace, stage, start, dur)`
-/// into the thread's ring when dropped. A guard opened with no
-/// ambient trace records nothing.
+/// when dropped. A guard opened with no ambient trace records nothing.
 #[derive(Debug)]
 #[must_use = "a span measures the scope it is alive for"]
 pub struct SpanGuard {
@@ -180,11 +169,11 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Records a completed span explicitly (for stages measured across
-/// threads, like the dispatch queue wait). No-op when `trace` is 0.
+/// Records a completed span explicitly (for stages timed from stored
+/// timestamps, like the dispatch queue wait). No-op when `trace` is 0.
 pub fn record_span(trace: u64, stage: Stage, start_ns: u64, dur_ns: u64) {
     if trace != 0 {
-        crate::ring::push(trace, stage, start_ns, dur_ns);
+        crate::trace::store(trace, crate::trace::SpanRec { stage, start_ns, dur_ns });
     }
 }
 
@@ -259,14 +248,6 @@ mod tests {
         assert_eq!(notes.solver.as_deref(), Some("optimal"));
         assert_eq!(notes.cached, Some(true));
         assert!(take_notes().tenant.is_none(), "taking clears");
-    }
-
-    #[test]
-    fn stage_codes_round_trip() {
-        for stage in Stage::ALL {
-            assert_eq!(Stage::from_u64(stage.to_u64()), Some(stage));
-        }
-        assert_eq!(Stage::from_u64(999), None);
     }
 
     #[test]

@@ -1,25 +1,55 @@
-//! The bounded recent-traces table and its JSON surface.
+//! The bounded recent-traces table: the one place spans are stored.
 //!
-//! The collector drains every thread's span ring into this
-//! process-wide table on demand (every lookup and scrape), attaching
-//! span events to their trace by id. A trace becomes *finished* when
-//! the transport reports its metadata ([`finish_trace`]): route,
-//! tenant, solver, status and total wall time. The table is bounded
-//! ([`TRACE_TABLE_CAP`]): oldest traces are evicted first, so memory
-//! stays constant under any load.
+//! A span goes straight into the trace it belongs to. Spans recorded
+//! on the thread that is working under the trace wait in that
+//! thread's buffer; [`finish_trace`] copies them, with the request's
+//! metadata (route, tenant, solver, status, wall time), into the
+//! oldest of [`TRACE_TABLE_CAP`] reused slots under the table's one
+//! lock. A span recorded elsewhere (a pool worker's [`Stage::Pool`]
+//! span) is handed to the table when that thread leaves the trace's
+//! scope, and attaches to its trace whether the trace is still in
+//! flight or already finished. Memory stays constant under any load:
+//! slots are reused oldest first, and each trace keeps at most
+//! [`TRACE_SPAN_CAP`] spans.
+//!
+//! Every span ends in a trace or in [`dropped_events`]: a span past
+//! its trace's cap, a span for a trace the table no longer holds, and
+//! the spans of an in-flight trace whose slot was reused before it
+//! finished are counted there. Readers ([`lookup`], [`slowest`]) only
+//! read, and see finished traces only.
 //!
 //! Trace ids are process-unique, so several servers embedded in one
 //! process (tests) share the table safely — lookups by id never
 //! collide, and the slow list simply spans all of them.
 
-use crate::ring;
-use crate::span::{Notes, Stage};
-use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
-use std::sync::{Mutex, OnceLock};
+use crate::span::{current_trace, Notes, Stage};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Maximum traces held; oldest are evicted beyond this.
+/// Traces held; the oldest slot is reused beyond this.
 pub const TRACE_TABLE_CAP: usize = 512;
+
+/// Spans one trace keeps; later ones are dropped and counted. A
+/// `/batch` on a `--store` server records one store span per miss,
+/// so a large sweep would otherwise grow its trace without bound.
+pub const TRACE_SPAN_CAP: usize = 1024;
+
+static DROPPED: AtomicU64 = AtomicU64::new(0);
+
+/// Spans dropped so far: past their trace's [`TRACE_SPAN_CAP`], for
+/// a trace the table no longer holds, or held by an in-flight trace
+/// whose slot was reused before it finished.
+pub fn dropped_events() -> u64 {
+    DROPPED.load(Ordering::Relaxed)
+}
+
+fn count_dropped(n: usize) {
+    if n > 0 {
+        DROPPED.fetch_add(n as u64, Ordering::Relaxed);
+    }
+}
 
 /// One recorded span of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,60 +96,17 @@ impl Trace {
         self.spans.iter().filter(|s| Stage::SEQUENTIAL.contains(&s.stage)).map(|s| s.dur_ns).sum()
     }
 
-    /// Renders the trace as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.spans.len() * 64);
-        write!(
-            out,
-            "{{\"id\":{},\"route\":{},\"tenant\":{},\"solver\":{},\"status\":{},\"cached\":{},\
-             \"finished\":{},\"start_ns\":{},\"total_ns\":{},\"sequential_ns\":{},\"spans\":[",
-            self.id,
-            json_string(&self.route),
-            json_string(&self.tenant),
-            self.solver.as_deref().map_or_else(|| "null".to_string(), json_string),
-            self.status,
-            self.cached.map_or_else(|| "null".to_string(), |c| c.to_string()),
-            self.finished,
-            self.start_ns,
-            self.total_ns,
-            self.sequential_ns(),
-        )
-        .expect("write to String");
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write!(
-                out,
-                "{{\"stage\":\"{}\",\"start_ns\":{},\"dur_ns\":{}}}",
-                span.stage.name(),
-                span.start_ns,
-                span.dur_ns
-            )
-            .expect("write to String");
-        }
-        out.push_str("]}");
-        out
+    /// Appends `spans` up to [`TRACE_SPAN_CAP`] and restores the
+    /// start-time order. Grows the span list exactly, so a reused slot
+    /// holds no more than the largest trace it has held.
+    fn add_spans(&mut self, spans: &[SpanRec]) {
+        let room = TRACE_SPAN_CAP.saturating_sub(self.spans.len());
+        let kept = &spans[..spans.len().min(room)];
+        count_dropped(spans.len() - kept.len());
+        self.spans.reserve_exact(kept.len());
+        self.spans.extend_from_slice(kept);
+        self.spans.sort_by_key(|s| s.start_ns);
     }
-}
-
-/// Escapes `s` as a JSON string literal (with quotes).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("write to String"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Completion metadata the transport reports when a request's
@@ -140,94 +127,161 @@ pub struct TraceMeta {
     pub notes: Notes,
 }
 
-#[derive(Default)]
+struct Slot {
+    trace: Trace,
+    /// The trace this slot held before `trace`. Its index entry stays
+    /// for one more lap of the table, so a late span for it is known to
+    /// be for an evicted trace rather than an in-flight one.
+    evicted: u64,
+}
+
 struct Table {
-    map: HashMap<u64, Trace>,
-    /// First-seen order, for eviction.
-    order: VecDeque<u64>,
+    /// [`TRACE_TABLE_CAP`] slots, reused in order.
+    slots: Vec<Slot>,
+    /// The slot reused next: the oldest.
+    next: usize,
+    /// Trace id → slot, for every held trace and every trace evicted
+    /// within the last lap.
+    index: HashMap<u64, usize>,
 }
 
 impl Table {
-    fn entry(&mut self, id: u64) -> &mut Trace {
-        if !self.map.contains_key(&id) {
-            self.order.push_back(id);
-            self.map.insert(id, Trace { id, ..Trace::default() });
+    fn new() -> Table {
+        Table {
+            slots: (0..TRACE_TABLE_CAP)
+                .map(|_| Slot { trace: Trace::default(), evicted: 0 })
+                .collect(),
+            next: 0,
+            index: HashMap::with_capacity(2 * TRACE_TABLE_CAP),
         }
-        while self.map.len() > TRACE_TABLE_CAP {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            } else {
-                break;
-            }
-        }
-        self.map.get_mut(&id).expect("just inserted")
     }
 
-    fn drain_rings(&mut self) {
-        let mut events = Vec::new();
-        ring::drain_all(|ev| events.push(ev));
-        let mut touched: Vec<u64> = Vec::new();
-        for ev in events {
-            let trace = self.entry(ev.trace);
-            trace.spans.push(SpanRec { stage: ev.stage, start_ns: ev.start_ns, dur_ns: ev.dur_ns });
-            if touched.last() != Some(&ev.trace) {
-                touched.push(ev.trace);
-            }
+    /// The slot holding trace `id`, if the table still holds it.
+    fn held(&self, id: u64) -> Option<usize> {
+        self.index.get(&id).copied().filter(|&i| self.slots[i].trace.id == id)
+    }
+
+    /// Reuses the oldest slot for trace `id`. An unfinished trace
+    /// evicted here never finishes in the table: its spans are dropped.
+    fn claim(&mut self, id: u64) -> &mut Trace {
+        let i = self.next;
+        self.next = (i + 1) % TRACE_TABLE_CAP;
+        let slot = &mut self.slots[i];
+        if self.index.get(&slot.evicted) == Some(&i) {
+            self.index.remove(&slot.evicted);
         }
-        // Restore the sorted-spans invariant once per touched trace,
-        // not once per event (a trace's events arrive nearly ordered,
-        // so the sorts are cheap, but the n-sorts-of-n-spans pattern
-        // was the collector's hottest path).
-        touched.sort_unstable();
-        touched.dedup();
-        for id in touched {
-            if let Some(trace) = self.map.get_mut(&id) {
-                trace.spans.sort_by_key(|s| s.start_ns);
-            }
+        slot.evicted = slot.trace.id;
+        if !slot.trace.finished {
+            count_dropped(slot.trace.spans.len());
         }
+        let trace = &mut slot.trace;
+        trace.id = id;
+        trace.finished = false;
+        trace.spans.clear();
+        self.index.insert(id, i);
+        trace
+    }
+
+    /// Attaches spans recorded away from the finishing thread: to the
+    /// held trace, to a new in-flight slot for an unknown id, or to
+    /// nothing (dropped) when the trace was evicted.
+    fn attach(&mut self, id: u64, spans: &[SpanRec]) {
+        let trace = match self.held(id) {
+            Some(i) => &mut self.slots[i].trace,
+            None if self.index.contains_key(&id) => return count_dropped(spans.len()),
+            None => self.claim(id),
+        };
+        trace.add_spans(spans);
+    }
+
+    fn finish(&mut self, meta: TraceMeta, spans: &[SpanRec]) {
+        let trace = match self.held(meta.id) {
+            Some(i) => &mut self.slots[i].trace,
+            None => self.claim(meta.id),
+        };
+        trace.route = meta.route;
+        trace.status = meta.status;
+        trace.start_ns = meta.start_ns;
+        trace.total_ns = meta.total_ns;
+        trace.tenant = meta.notes.tenant.unwrap_or_else(|| "default".to_string());
+        trace.solver = meta.notes.solver;
+        trace.cached = meta.notes.cached;
+        trace.finished = true;
+        trace.add_spans(spans);
     }
 }
 
-fn table() -> &'static Mutex<Table> {
+/// The process-wide table. Scope guards hand spans off from `Drop`,
+/// which must not panic, so a poisoned lock is recovered: every update
+/// leaves the table usable, since [`Table::held`] checks each index
+/// entry against its slot.
+fn table() -> MutexGuard<'static, Table> {
     static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(Table::default()))
+    TABLE.get_or_init(|| Mutex::new(Table::new())).lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    /// Spans of this thread's current trace not yet in the table.
+    static PENDING: RefCell<Vec<SpanRec>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Stores one span of trace `id`: buffered while `id` is this thread's
+/// current trace, handed to the table at once otherwise.
+pub(crate) fn store(id: u64, span: SpanRec) {
+    if id != current_trace() {
+        table().attach(id, &[span]);
+        return;
+    }
+    PENDING.with(|pending| {
+        let mut pending = pending.borrow_mut();
+        if pending.len() < TRACE_SPAN_CAP {
+            pending.push(span);
+        } else {
+            count_dropped(1);
+        }
+    });
+}
+
+/// Hands the buffered spans of trace `id`, the current trace, to the
+/// table: the thread is leaving its scope without finishing it.
+pub(crate) fn hand_off(id: u64) {
+    PENDING.with(|pending| {
+        let mut pending = pending.borrow_mut();
+        if !pending.is_empty() {
+            table().attach(id, &pending);
+            pending.clear();
+        }
+    });
 }
 
 /// Reports a request's completion metadata, making its trace
-/// queryable as *finished*.
-///
-/// Deliberately does **not** drain the span rings: finishing runs on
-/// every request's hot path, while draining is the reader's job
-/// ([`lookup`] / [`slowest`] drain on demand). The rings buffer
-/// thousands of events per thread, far more than the table retains.
+/// queryable as *finished*. Called under the trace's scope, it also
+/// moves the spans this thread buffered for it into the table, so a
+/// request takes the table lock once.
 pub fn finish_trace(meta: TraceMeta) {
-    let mut table = table().lock().expect("trace table poisoned");
-    let trace = table.entry(meta.id);
-    trace.route = meta.route;
-    trace.status = meta.status;
-    trace.start_ns = meta.start_ns;
-    trace.total_ns = meta.total_ns;
-    trace.tenant = meta.notes.tenant.unwrap_or_else(|| "default".to_string());
-    trace.solver = meta.notes.solver;
-    trace.cached = meta.notes.cached;
-    trace.finished = true;
+    PENDING.with(|pending| {
+        let mut pending = pending.borrow_mut();
+        let here = meta.id == current_trace();
+        table().finish(meta, if here { &pending[..] } else { &[] });
+        if here {
+            pending.clear();
+        }
+    });
 }
 
-/// Looks up a trace by id (draining pending ring events first).
+/// Looks up a finished trace by id.
 pub fn lookup(id: u64) -> Option<Trace> {
-    let mut table = table().lock().expect("trace table poisoned");
-    table.drain_rings();
-    table.map.get(&id).cloned()
+    let table = table();
+    table.held(id).map(|i| &table.slots[i].trace).filter(|t| t.finished).cloned()
 }
 
 /// The slowest `limit` finished traces, slowest first.
 pub fn slowest(limit: usize) -> Vec<Trace> {
-    let mut table = table().lock().expect("trace table poisoned");
-    table.drain_rings();
-    let mut finished: Vec<Trace> = table.map.values().filter(|t| t.finished).cloned().collect();
+    let table = table();
+    let mut finished: Vec<&Trace> =
+        table.slots.iter().map(|s| &s.trace).filter(|t| t.finished).collect();
     finished.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.id.cmp(&b.id)));
-    finished.truncate(limit);
-    finished
+    finished.into_iter().take(limit).cloned().collect()
 }
 
 #[cfg(test)]
@@ -278,9 +332,6 @@ mod tests {
         let solve = trace.spans.iter().find(|s| s.stage == Stage::Solve).expect("solve span");
         assert!(solve.dur_ns > 0, "non-zero duration");
         assert!(trace.sequential_ns() <= trace.total_ns);
-        let json = trace.to_json();
-        assert!(json.contains("\"stage\":\"solve\""), "{json}");
-        assert!(json.contains("\"route\":\"/solve\""), "{json}");
     }
 
     #[test]
@@ -308,9 +359,94 @@ mod tests {
     }
 
     #[test]
-    fn json_strings_escape_quotes_and_control_bytes() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    fn ten_laps_of_traces_from_eight_threads_keep_the_slowest() {
+        let _serial = test_lock();
+        let dropped = dropped_events();
+        let per_thread = 10 * TRACE_TABLE_CAP / 8;
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..per_thread {
+                        let id = begin_trace();
+                        let _scope = enter_trace(id);
+                        drop(span(Stage::Parse));
+                        drop(span(Stage::Solve));
+                        drop(span(Stage::Write));
+                        finish(id, "/solve", 1_000 + id);
+                    }
+                });
+            }
+        });
+        let slow = slowest(10);
+        assert_eq!(slow.len(), 10, "a table wrapped ten times still lists its slowest");
+        for trace in &slow {
+            assert!(trace.finished);
+            assert_eq!(trace.spans.len(), 3, "trace {} keeps its spans: {trace:?}", trace.id);
+        }
+        assert_eq!(dropped_events() - dropped, 0, "no span was dropped");
+    }
+
+    #[test]
+    fn cross_thread_spans_join_their_trace_before_or_after_it_finishes() {
+        let _serial = test_lock();
+        // Recorded by a pool worker under the submitter's trace, and
+        // handed off when the worker leaves that trace's scope.
+        let worker_span = |id: u64| {
+            std::thread::spawn(move || {
+                let _scope = enter_trace(id);
+                drop(span(Stage::Pool));
+            })
+            .join()
+            .expect("worker thread");
+        };
+        let count =
+            |trace: &Trace, stage: Stage| trace.spans.iter().filter(|s| s.stage == stage).count();
+
+        let early = begin_trace();
+        {
+            let _scope = enter_trace(early);
+            worker_span(early);
+            assert!(lookup(early).is_none(), "an in-flight trace is not listed");
+            drop(span(Stage::Solve));
+            finish(early, "/batch", 1);
+        }
+        let trace = lookup(early).expect("finished trace");
+        assert_eq!((count(&trace, Stage::Pool), count(&trace, Stage::Solve)), (1, 1), "{trace:?}");
+
+        let late = begin_trace();
+        {
+            let _scope = enter_trace(late);
+            drop(span(Stage::Solve));
+            finish(late, "/batch", 1);
+        }
+        worker_span(late);
+        let trace = lookup(late).expect("finished trace");
+        assert_eq!((count(&trace, Stage::Pool), count(&trace, Stage::Solve)), (1, 1), "{trace:?}");
+
+        // Once the table has moved on, a late span has no trace to join.
+        for _ in 0..TRACE_TABLE_CAP {
+            finish(begin_trace(), "/fill", 1);
+        }
+        assert!(lookup(late).is_none(), "evicted");
+        let dropped = dropped_events();
+        worker_span(late);
+        assert_eq!(dropped_events() - dropped, 1, "the late span is counted as dropped");
+        assert!(lookup(late).is_none(), "and does not bring its trace back");
+    }
+
+    #[test]
+    fn a_trace_keeps_at_most_its_span_cap() {
+        let _serial = test_lock();
+        let dropped = dropped_events();
+        let id = begin_trace();
+        {
+            let _scope = enter_trace(id);
+            for _ in 0..TRACE_SPAN_CAP + 5 {
+                drop(span(Stage::Store));
+            }
+            finish(id, "/batch", 1);
+        }
+        assert_eq!(lookup(id).expect("finished").spans.len(), TRACE_SPAN_CAP);
+        assert_eq!(dropped_events() - dropped, 5);
     }
 }

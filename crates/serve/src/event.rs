@@ -29,13 +29,14 @@
 //!   when [`crate::ServeConfig::max_connections`] sockets are already open,
 //!   and at dispatch time when the bounded hand-off queue
 //!   ([`crate::ServeConfig::backlog`]) is full;
-//! * **shutdown** stops accepting, closes idle connections, lets
+//! * **shutdown** accepts the connections already queued on the
+//!   listener, closes the listener and every idle connection, lets
 //!   in-flight requests finish (bounded by their own timers), then
 //!   joins the dispatch pool.
 
 use crate::http::{self, Parsed, Request, Response};
-use crate::routes;
-use crate::server::{error_body, ServeReport, ServiceState};
+use crate::routes::{self, error_response};
+use crate::server::{ServeReport, ServiceState};
 use crate::service::{ResponseBody, StreamWriter};
 use mst_net::{Interest, Poller, Slab, TimerWheel, Token, Waker};
 use std::io::{self, Read, Write};
@@ -272,6 +273,15 @@ fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<Job>>>, state: Arc<ServiceState>
 
 fn handle_job(job: Job, state: &ServiceState) {
     let Job { request, shared, may_keep, trace, start_ns, parsed_ns } = job;
+    // The whole request runs under its trace, so its spans, the finish
+    // record included, reach the trace table under one lock.
+    let _scope = mst_obs::enter_trace(trace);
+    mst_obs::record_span(
+        trace,
+        mst_obs::Stage::Parse,
+        start_ns,
+        parsed_ns.saturating_sub(start_ns),
+    );
     let queue_end = mst_obs::now_ns();
     mst_obs::record_span(
         trace,
@@ -280,55 +290,36 @@ fn handle_job(job: Job, state: &ServiceState) {
         queue_end.saturating_sub(parsed_ns),
     );
     let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _scope = mst_obs::enter_trace(trace);
         let mut writer = EventWriter { shared: &shared };
         routes::route_on(&request, state, Some(&mut writer))
     }));
     // The handler ran on this thread: harvest its ambient annotations.
     let notes = mst_obs::take_notes();
     let route = routes::route_label(&request.method, &request.path);
-    match routed {
+    let (response, status, keep) = match routed {
         Ok(ResponseBody::Full(response)) => {
-            let keep = may_keep && !state.shutdown_requested();
             let status = response.status;
-            if status >= 400 {
-                state.metrics.http_errors_total.fetch_add(1, Ordering::Relaxed);
-            }
-            // The write span covers serialization + the mailbox handoff
-            // (including any backpressure wait); the socket flush itself
-            // happens later on the loop thread.
-            let write_start = mst_obs::now_ns();
-            let _ = shared.push(&response.with_trace_id(trace).to_bytes(keep), true);
-            mst_obs::record_span(
-                trace,
-                mst_obs::Stage::Write,
-                write_start,
-                mst_obs::now_ns().saturating_sub(write_start),
-            );
-            crate::server::finish_request(state, trace, start_ns, status, notes, route);
-            shared.finish(keep);
+            (Some(response), status, may_keep && !state.shutdown_requested())
         }
         // Streamed responses wrote their own head and always close.
-        Ok(ResponseBody::Streamed) => {
-            crate::server::finish_request(state, trace, start_ns, 200, notes, route);
-            shared.finish(false);
-        }
+        Ok(ResponseBody::Streamed) => (None, 200, false),
         Err(_) => {
-            state.metrics.http_errors_total.fetch_add(1, Ordering::Relaxed);
-            let response =
-                error_body(500, "internal-error", "request handler panicked; see server logs");
-            let write_start = mst_obs::now_ns();
-            let _ = shared.push(&response.with_trace_id(trace).to_bytes(false), true);
-            mst_obs::record_span(
-                trace,
-                mst_obs::Stage::Write,
-                write_start,
-                mst_obs::now_ns().saturating_sub(write_start),
-            );
-            crate::server::finish_request(state, trace, start_ns, 500, notes, route);
-            shared.finish(false);
+            let message = "request handler panicked; see server logs";
+            (Some(error_response(500, "internal-error", message)), 500, false)
         }
+    };
+    if status >= 400 {
+        state.metrics.http_errors_total.fetch_add(1, Ordering::Relaxed);
     }
+    if let Some(response) = response {
+        // The write span covers serialization + the mailbox handoff
+        // (including any backpressure wait); the socket flush itself
+        // happens later on the loop thread.
+        let _write_span = mst_obs::span(mst_obs::Stage::Write);
+        let _ = shared.push(&response.with_trace_id(trace).to_bytes(keep), true);
+    }
+    crate::server::finish_request(state, trace, start_ns, status, notes, route);
+    shared.finish(keep);
 }
 
 /// Runs the event transport until shutdown. Called by
@@ -358,7 +349,7 @@ pub(crate) fn run_event(
         .collect();
 
     let mut el = EventLoop {
-        listener,
+        listener: Some(listener),
         poller,
         waker,
         timers: TimerWheel::new(TICK, WHEEL_SLOTS),
@@ -385,7 +376,8 @@ pub(crate) fn run_event(
 }
 
 struct EventLoop {
-    listener: TcpListener,
+    /// Closed (`None`) once shutdown begins.
+    listener: Option<TcpListener>,
     poller: Poller,
     waker: Waker,
     timers: TimerWheel,
@@ -458,10 +450,15 @@ impl EventLoop {
     }
 
     /// Stop accepting; idle connections close now, in-flight ones
-    /// drain (each bounded by its own timer).
+    /// drain (each bounded by its own timer). Closing a listener resets
+    /// the connections still queued on it, so the queue is accepted
+    /// first and those connections close like any idle one.
     fn begin_shutdown(&mut self) {
+        let _ = self.accept_ready();
         self.shutting_down = true;
-        let _ = self.poller.delete(self.listener.as_raw_fd());
+        if let Some(listener) = self.listener.take() {
+            let _ = self.poller.delete(listener.as_raw_fd());
+        }
         for slot in self.conns.keys() {
             let idle = matches!(
                 self.conns.get(slot),
@@ -475,10 +472,8 @@ impl EventLoop {
 
     fn accept_ready(&mut self) -> io::Result<()> {
         loop {
-            if self.shutting_down {
-                return Ok(());
-            }
-            match self.listener.accept() {
+            let Some(listener) = &self.listener else { return Ok(()) };
+            match listener.accept() {
                 Ok((stream, _peer)) => {
                     self.state.metrics.connections_total.fetch_add(1, Ordering::Relaxed);
                     if self.conns.len() >= self.state.config.max_connections {
@@ -515,7 +510,7 @@ impl EventLoop {
     fn refuse(&mut self, mut stream: TcpStream) {
         self.state.metrics.overloaded_total.fetch_add(1, Ordering::Relaxed);
         let _ = stream.set_nonblocking(true);
-        let body = error_body(503, "overloaded", "connection limit reached; retry")
+        let body = error_response(503, "overloaded", "connection limit reached; retry")
             .with_retry_after(1)
             .to_bytes(false);
         let _ = stream.write(&body);
@@ -557,7 +552,7 @@ impl EventLoop {
                     self.state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
                     self.queue_response(
                         slot,
-                        error_body(408, "bad-request", "request timed out"),
+                        error_response(408, "bad-request", "request timed out"),
                         false,
                     );
                 }
@@ -655,7 +650,7 @@ impl EventLoop {
                 self.state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
                 self.queue_response(
                     slot,
-                    error_body(400, "bad-request", "truncated request"),
+                    error_response(400, "bad-request", "truncated request"),
                     false,
                 );
             }
@@ -685,12 +680,6 @@ impl EventLoop {
                     conn.req_start_ns = Some(parsed_ns);
                 }
                 let trace = mst_obs::begin_trace();
-                mst_obs::record_span(
-                    trace,
-                    mst_obs::Stage::Parse,
-                    start_ns,
-                    parsed_ns.saturating_sub(start_ns),
-                );
                 let may_keep = request.keep_alive
                     && conn.served < self.state.config.max_requests_per_connection.max(1)
                     && !conn.read_closed
@@ -722,7 +711,7 @@ impl EventLoop {
                         }
                         self.queue_response(
                             slot,
-                            error_body(503, "overloaded", "dispatch queue is full; retry")
+                            error_response(503, "overloaded", "dispatch queue is full; retry")
                                 .with_retry_after(1),
                             false,
                         );
@@ -734,7 +723,7 @@ impl EventLoop {
                 self.state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
                 self.queue_response(
                     slot,
-                    error_body(e.status(), "bad-request", &e.message()),
+                    error_response(e.status(), "bad-request", &e.message()),
                     false,
                 );
             }

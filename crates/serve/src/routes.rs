@@ -55,9 +55,9 @@ use mst_api::repair::{FailureEvent, RepairError};
 use mst_api::wire::{error_to_json, instance_from_json, solution_to_json, Json};
 use mst_api::{
     verify, Batch, BatchSummary, CacheKey, CanonicalInstance, Instance, Solution, SolveError,
-    TopologyKind,
+    SolverRegistry, TopologyKind,
 };
-use mst_platform::HeterogeneityProfile;
+use mst_platform::{HeterogeneityProfile, Time};
 use mst_sim::CancelToken;
 use mst_store::Record;
 use std::sync::atomic::Ordering;
@@ -135,12 +135,13 @@ pub fn route_label(_method: &str, path: &str) -> &'static str {
     }
 }
 
-/// `GET /trace?id=N` — the full span tree of one recent request, as
-/// collected by [`mst_obs`]: metadata (route, tenant, solver, status,
-/// cache outcome) plus every recorded `(stage, start_ns, dur_ns)`
-/// span sorted by start time. The id is the `X-Trace-Id` header every
-/// response carries. Traces are held in a bounded table; an evicted
-/// or unknown id answers 404.
+/// `GET /trace?id=N` — the full span tree of one recent finished
+/// request, as collected by [`mst_obs`]: metadata (route, tenant,
+/// solver, status, cache outcome) plus every recorded `(stage,
+/// start_ns, dur_ns)` span sorted by start time. The id is the
+/// `X-Trace-Id` header every response carries. Traces are held in a
+/// bounded table; an id still in flight, evicted or unknown answers
+/// 404.
 fn trace_lookup(request: &Request) -> Response {
     let Some(raw) = request.query_param("id") else {
         return error_response(400, "bad-request", "\"id\" query parameter is required");
@@ -153,7 +154,7 @@ fn trace_lookup(request: &Request) -> Response {
         None => error_response(
             404,
             "unknown-trace",
-            &format!("no trace {id} is held (it may have been evicted)"),
+            &format!("no finished trace {id} is held (it may be in flight or evicted)"),
         ),
     }
 }
@@ -182,16 +183,38 @@ fn trace_slow(request: &Request) -> Response {
     )
 }
 
-/// Re-parses a trace's self-rendered JSON into the wire [`Json`] type
-/// so it composes with the rest of the response body. The trace JSON
-/// is machine-generated and always valid; every number in it fits an
+/// One trace as its `/trace` JSON object. Every number in it fits an
 /// `f64` exactly until ~104 days of process uptime.
 fn rendered_trace(trace: &mst_obs::Trace) -> Json {
-    Json::parse(&trace.to_json()).unwrap_or(Json::Null)
+    let ns = |v: u64| Json::int(v as i64);
+    let spans = trace
+        .spans
+        .iter()
+        .map(|s| {
+            Json::obj([
+                ("stage", Json::str(s.stage.name())),
+                ("start_ns", ns(s.start_ns)),
+                ("dur_ns", ns(s.dur_ns)),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("id", ns(trace.id)),
+        ("route", Json::str(trace.route.as_str())),
+        ("tenant", Json::str(trace.tenant.as_str())),
+        ("solver", trace.solver.as_deref().map_or(Json::Null, Json::str)),
+        ("status", Json::int(trace.status.into())),
+        ("cached", trace.cached.map_or(Json::Null, Json::Bool)),
+        ("finished", Json::Bool(trace.finished)),
+        ("start_ns", ns(trace.start_ns)),
+        ("total_ns", ns(trace.total_ns)),
+        ("sequential_ns", ns(trace.sequential_ns())),
+        ("spans", Json::Arr(spans)),
+    ])
 }
 
 /// A structured error response: `{"error": {"kind", "message"}}`.
-fn error_response(status: u16, kind: &str, message: &str) -> Response {
+pub(crate) fn error_response(status: u16, kind: &str, message: &str) -> Response {
     Response::json(
         status,
         Json::obj([(
@@ -506,58 +529,9 @@ fn solve(request: &Request, state: &ServiceState) -> Response {
             Err(response) => return response,
         }
     };
-    let registry = batch.registry();
-    let stats = tenant.stats();
-    mst_obs::note_solver(solver_name);
-    let cache_span = mst_obs::span(mst_obs::Stage::Cache);
-    let canon = CanonicalInstance::of(&instance, solver_name, deadline);
-    let key = CacheKey::of(&canon, solver_name);
-    if let Some(cached) = tenant.cache().get(&key) {
-        mst_obs::note_cached(true);
-        drop(cache_span);
-        return render_solution(canon.restore(&cached), &instance, solver_name, check, true);
-    }
-    mst_obs::note_cached(false);
-    drop(cache_span);
-    let admit_span = mst_obs::span(mst_obs::Stage::Admit);
-    let _slot = match tenant.admit() {
-        Ok(slot) => slot,
-        Err(e) => return admission_response(tenant, &e),
-    };
-    drop(admit_span);
-    let kernel = match canon.deadline() {
-        Some(_) => mst_obs::Kernel::Probe,
-        None => mst_obs::Kernel::Solve,
-    };
-    let solve_span = mst_obs::span(mst_obs::Stage::Solve);
-    let started = Instant::now();
-    let result = match canon.deadline() {
-        Some(t) => registry.solve_by_deadline(solver_name, canon.instance(), t),
-        None => registry.solve(solver_name, canon.instance()),
-    };
-    let elapsed = started.elapsed();
-    mst_obs::kernel_observe(kernel, solver_name, elapsed.as_micros() as u64);
-    drop(solve_span);
-    match result {
-        Ok(canonical) => {
-            stats.record(1, 0, 0, elapsed);
-            tenant.cache().insert(key, canonical.clone());
-            append_record(
-                state,
-                tenant,
-                solver_name,
-                &canon,
-                &canonical,
-                elapsed.as_micros() as u64,
-            );
-            render_solution(canon.restore(&canonical), &instance, solver_name, check, false)
-        }
-        Err(e) => {
-            // Errors are never cached: a transient refusal (or a fixed
-            // solver) must not be replayed forever.
-            stats.record(0, 1, 0, elapsed);
-            solve_error_response(&e)
-        }
+    match cached_solve(state, tenant, batch.registry(), solver_name, &instance, deadline) {
+        Ok((solution, cached)) => render_solution(solution, &instance, solver_name, check, cached),
+        Err(response) => response,
     }
 }
 
@@ -911,7 +885,7 @@ enum Planned {
 fn plan_batch(
     instances: &[Instance],
     solver_name: &str,
-    deadline: Option<mst_platform::Time>,
+    deadline: Option<Time>,
     tenant: &TenantExec,
 ) -> (Vec<Planned>, usize) {
     let mut hits = 0usize;
@@ -965,7 +939,7 @@ fn solve_chunked(
             results.extend((results.len()..jobs.len()).map(|_| Err(SolveError::Cancelled)));
             break;
         }
-        let miss_jobs: Vec<(Instance, Option<mst_platform::Time>)> = slice
+        let miss_jobs: Vec<(Instance, Option<Time>)> = slice
             .iter()
             .filter_map(|job| match job {
                 Planned::Miss(canon, _) => Some((canon.instance().clone(), canon.deadline())),
@@ -1274,25 +1248,28 @@ fn unknown_session(id: i64) -> Response {
     error_response(404, "unknown-session", &format!("no open session {id} for this tenant"))
 }
 
-/// One solve on behalf of a session, with the same cache / admission /
-/// store plumbing as `POST /solve`: the tenant's solution cache is
-/// consulted first (a hit takes no admission slot), a miss admits,
-/// solves the canonical instance, memoises and records it. Returns the
-/// restored solution and whether it was a cache hit.
-fn session_solve(
+/// One cache-fronted solve, shared by `/solve` and the `/session` ops:
+/// the tenant's solution cache is consulted first (a hit takes no
+/// admission slot), a miss admits, solves the canonical instance
+/// (under its canonical deadline when one is set), memoises and
+/// records it. Returns the restored solution and whether it was a
+/// cache hit.
+fn cached_solve(
     state: &ServiceState,
     tenant: &TenantExec,
+    registry: &SolverRegistry,
     solver_name: &str,
     instance: &Instance,
+    deadline: Option<Time>,
 ) -> Result<(Solution, bool), Response> {
-    let registry = tenant.batch().registry();
     let stats = tenant.stats();
     mst_obs::note_solver(solver_name);
     let cache_span = mst_obs::span(mst_obs::Stage::Cache);
-    let canon = CanonicalInstance::of(instance, solver_name, None);
+    let canon = CanonicalInstance::of(instance, solver_name, deadline);
     let key = CacheKey::of(&canon, solver_name);
     if let Some(cached) = tenant.cache().get(&key) {
         mst_obs::note_cached(true);
+        drop(cache_span);
         return Ok((canon.restore(&cached), true));
     }
     mst_obs::note_cached(false);
@@ -1302,9 +1279,14 @@ fn session_solve(
     drop(admit_span);
     let solve_span = mst_obs::span(mst_obs::Stage::Solve);
     let started = Instant::now();
-    let result = registry.solve(solver_name, canon.instance());
+    let (result, kernel) = match canon.deadline() {
+        Some(t) => {
+            (registry.solve_by_deadline(solver_name, canon.instance(), t), mst_obs::Kernel::Probe)
+        }
+        None => (registry.solve(solver_name, canon.instance()), mst_obs::Kernel::Solve),
+    };
     let elapsed = started.elapsed();
-    mst_obs::kernel_observe(mst_obs::Kernel::Solve, solver_name, elapsed.as_micros() as u64);
+    mst_obs::kernel_observe(kernel, solver_name, elapsed.as_micros() as u64);
     drop(solve_span);
     match result {
         Ok(canonical) => {
@@ -1321,6 +1303,8 @@ fn session_solve(
             Ok((canon.restore(&canonical), false))
         }
         Err(e) => {
+            // Errors are never cached: a transient refusal (or a fixed
+            // solver) must not be replayed forever.
             stats.record(0, 1, 0, elapsed);
             Err(solve_error_response(&e))
         }
@@ -1409,7 +1393,14 @@ fn session_create(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Res
     if let Err(e) = tenant.batch().registry().resolve(solver_name) {
         return solve_error_response(&e);
     }
-    let (solution, cached) = match session_solve(state, tenant, solver_name, &instance) {
+    let (solution, cached) = match cached_solve(
+        state,
+        tenant,
+        tenant.batch().registry(),
+        solver_name,
+        &instance,
+        None,
+    ) {
         Ok(solved) => solved,
         Err(response) => return response,
     };
@@ -1454,10 +1445,11 @@ fn session_arrive(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Res
     if let Err(response) = check_task_budget(&grown, state) {
         return response;
     }
-    let (solution, cached) = match session_solve(state, tenant, &solver, &grown) {
-        Ok(solved) => solved,
-        Err(response) => return response,
-    };
+    let (solution, cached) =
+        match cached_solve(state, tenant, tenant.batch().registry(), &solver, &grown, None) {
+            Ok(solved) => solved,
+            Err(response) => return response,
+        };
     let _session_span = mst_obs::span(mst_obs::Stage::Session);
     state
         .sessions
@@ -1570,5 +1562,47 @@ fn session_close(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Resp
     match state.sessions.close(tenant.policy().name.as_str(), id as u64) {
         Some(closed) => session_reply(&closed, vec![("closed".to_string(), Json::Bool(true))]),
         None => unknown_session(id),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mst_obs::trace::SpanRec;
+    use mst_obs::{Stage, Trace};
+
+    #[test]
+    fn traces_render_their_members_in_order() {
+        let span = |stage, start_ns, dur_ns| SpanRec { stage, start_ns, dur_ns };
+        let mut trace = Trace {
+            id: 7,
+            route: "/solve".to_string(),
+            tenant: "a\"b\\c\n\u{1}".to_string(),
+            solver: Some("optimal".to_string()),
+            cached: None,
+            status: 200,
+            start_ns: 10,
+            total_ns: 900,
+            finished: true,
+            spans: vec![
+                span(Stage::Parse, 10, 100),
+                span(Stage::Solve, 150, 500),
+                span(Stage::Pool, 200, 300),
+            ],
+        };
+        assert_eq!(
+            rendered_trace(&trace).to_string(),
+            concat!(
+                r#"{"id":7,"route":"/solve","tenant":"a\"b\\c\n\u0001","solver":"optimal","#,
+                r#""status":200,"cached":null,"finished":true,"start_ns":10,"total_ns":900,"#,
+                r#""sequential_ns":600,"spans":[{"stage":"parse","start_ns":10,"dur_ns":100},"#,
+                r#"{"stage":"solve","start_ns":150,"dur_ns":500},"#,
+                r#"{"stage":"pool","start_ns":200,"dur_ns":300}]}"#,
+            )
+        );
+        trace.solver = None;
+        trace.cached = Some(true);
+        let json = rendered_trace(&trace).to_string();
+        assert!(json.contains(r#""solver":null,"status":200,"cached":true,"#), "{json}");
     }
 }

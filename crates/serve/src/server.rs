@@ -27,9 +27,8 @@
 
 #[cfg(target_os = "linux")]
 use crate::event::run_event;
-use crate::http::Response;
 use crate::metrics::Metrics;
-use mst_api::wire::{solution_from_json, Json};
+use mst_api::wire::solution_from_json;
 use mst_api::{Batch, CacheKey, ExecPolicy, RegistrySet, TenantExec};
 use mst_sim::{shared_pool, WorkerPool};
 use mst_store::{FileStore, StoreBackend};
@@ -532,7 +531,9 @@ fn warm_start(store: &dyn StoreBackend, default_exec: &TenantExec, tenants: &[Te
 }
 
 /// Completes a request's observability bookkeeping: latency histograms
-/// (route + tenant, µs) and the trace table's finish record.
+/// (route + tenant, µs) and the trace table's finish record. Called
+/// under the request's trace scope, so the record carries the spans
+/// this thread buffered for it.
 pub(crate) fn finish_request(
     state: &ServiceState,
     trace: u64,
@@ -553,17 +554,6 @@ pub(crate) fn finish_request(
         total_ns,
         notes,
     });
-}
-
-/// A structured `{"error": {"kind", "message"}}` response.
-pub(crate) fn error_body(status: u16, kind: &str, message: &str) -> Response {
-    Response::json(
-        status,
-        Json::obj([(
-            "error",
-            Json::obj([("kind", Json::str(kind)), ("message", Json::str(message))]),
-        )]),
-    )
 }
 
 /// Installs a SIGINT (ctrl-c) handler that gracefully stops every

@@ -378,3 +378,28 @@ fn graceful_shutdown_sweeps_idle_connections() {
         assert!(rest.is_empty(), "conn {i} got unexpected bytes: {rest:?}");
     }
 }
+
+/// Connections still in the listen backlog when shutdown begins are
+/// accepted and closed cleanly: closing the listener with them queued
+/// would reset every one of them.
+#[test]
+fn shutdown_closes_backlogged_connections_cleanly() {
+    let config = ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() };
+    let server = Server::bind(config).expect("bind ephemeral port");
+    let addr = server.addr();
+    // The loop is not running yet, so these connections stay queued.
+    let queued: Vec<TcpStream> = (0..3)
+        .map(|i| {
+            let stream = TcpStream::connect(addr).unwrap_or_else(|e| panic!("conn {i}: {e}"));
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            stream
+        })
+        .collect();
+    server.handle().shutdown();
+    server.run().expect("server run");
+    for (i, mut stream) in queued.into_iter().enumerate() {
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap_or_else(|e| panic!("conn {i}: {e}"));
+        assert!(rest.is_empty(), "conn {i} got unexpected bytes: {rest:?}");
+    }
+}
