@@ -8,7 +8,10 @@
 //! * [`Json`] — a parsed JSON value with a strict recursive-descent
 //!   parser ([`Json::parse`], depth-capped so adversarial nesting cannot
 //!   blow the stack) and a compact serializer (`to_string()`, via
-//!   [`fmt::Display`]);
+//!   [`fmt::Display`]). Both are one pass, linear in the input: strings
+//!   are copied run by run (each stretch between escapes is validated
+//!   and copied once, in either direction), and plain integers skip
+//!   float parsing and formatting;
 //! * [`instance_to_json`] / [`instance_from_json`] — an instance travels
 //!   as `{"platform": "<instance text format>", "tasks": N}`, reusing
 //!   the existing [`crate::Platform::parse`]/[`crate::Platform::to_text`]
@@ -197,7 +200,7 @@ impl fmt::Display for Json {
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-                    write!(f, "{}", *n as i64)
+                    write_int(f, *n as i64)
                 } else {
                     write!(f, "{n}")
                 }
@@ -229,19 +232,53 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for ch in s.chars() {
-        match ch {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Writes `n` in decimal from a stack buffer: the bytes `write!` would
+/// give, without going through the formatting machinery.
+fn write_int(f: &mut fmt::Formatter<'_>, n: i64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if n < 0 {
+        i -= 1;
+        buf[i] = b'-';
+    }
+    f.write_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"))
+}
+
+/// Whether a string byte must be escaped on the wire. Every such byte is
+/// ASCII, so the runs between them end on scalar boundaries.
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'"' | b'\\' | 0..=0x1f)
+}
+
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    // Start of the unescaped run not yet written.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -341,6 +378,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
     {
         *pos += 1;
     }
+    if let Some(n) = parse_small_int(&bytes[start..*pos]) {
+        return Ok(Json::Num(n));
+    }
     let text =
         std::str::from_utf8(&bytes[start..*pos]).map_err(|_| WireError::new("non-UTF-8 number"))?;
     let n: f64 =
@@ -351,6 +391,22 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
     Ok(Json::Num(n))
 }
 
+/// The value of a `-?[0-9]{1,15}` literal, bit for bit what
+/// `str::parse::<f64>` gives (`-0` included): fifteen digits stay below
+/// 2^53, so the integer converts to `f64` exactly. `None` for any other
+/// token, which takes the general path.
+fn parse_small_int(token: &[u8]) -> Option<f64> {
+    let (negative, digits) = match token.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        _ => (false, token),
+    };
+    if digits.is_empty() || digits.len() > 15 || !digits.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    let value = digits.iter().fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0')) as f64;
+    Some(if negative { -value } else { value })
+}
+
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
     if bytes.get(*pos) != Some(&b'"') {
         return Err(WireError::new(format!("expected string at byte {pos}")));
@@ -358,6 +414,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next byte that needs escaping in one go,
+        // validating only that run.
+        let run = *pos;
+        while *pos < bytes.len() && !needs_escape(bytes[*pos]) {
+            *pos += 1;
+        }
+        out.push_str(
+            std::str::from_utf8(&bytes[run..*pos])
+                .map_err(|_| WireError::new("non-UTF-8 string content"))?,
+        );
         match bytes.get(*pos) {
             None => return Err(WireError::new("unterminated string")),
             Some(b'"') => {
@@ -395,17 +461,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
                 }
                 *pos += 1;
             }
-            Some(&c) if c < 0x20 => {
-                return Err(WireError::new("unescaped control character in string"));
-            }
-            Some(_) => {
-                // Copy one UTF-8 scalar (1..=4 bytes) verbatim.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| WireError::new("non-UTF-8 string content"))?;
-                let ch = rest.chars().next().expect("non-empty by the match above");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+            Some(_) => return Err(WireError::new("unescaped control character in string")),
         }
     }
 }
@@ -865,6 +921,10 @@ mod tests {
             "--3",
             "\"\\u12\"",
             "\u{7}",
+            // A raw control byte right after a multi-byte scalar.
+            "\"caf\u{e9}\u{1}\"",
+            // An unterminated string ending in a multi-byte scalar.
+            "\"ab\u{1f600}",
         ];
         for case in cases {
             assert!(Json::parse(case).is_err(), "{case:?} must fail to parse");

@@ -322,12 +322,26 @@ fn decode_frame(bytes: &[u8]) -> Option<(Record, usize)> {
     Some((record, 4 + len as usize))
 }
 
-fn encode_frame(record: &Record) -> Vec<u8> {
+/// Encodes one record as a frame. A payload over [`MAX_FRAME_BYTES`] is
+/// refused with [`io::ErrorKind::InvalidInput`]: [`decode_frame`] would
+/// read it as corruption, and opening the log would truncate it there,
+/// losing that record and every record appended after it.
+fn encode_frame(record: &Record) -> io::Result<Vec<u8>> {
     let payload = record.to_json().to_string().into_bytes();
+    let len = match u32::try_from(payload.len()) {
+        Ok(len) if len <= MAX_FRAME_BYTES => len,
+        _ => {
+            let message = format!(
+                "a {}-byte record exceeds the {MAX_FRAME_BYTES}-byte frame limit",
+                payload.len()
+            );
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+        }
+    };
     let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&len.to_le_bytes());
     frame.extend_from_slice(&payload);
-    frame
+    Ok(frame)
 }
 
 impl StoreBackend for FileStore {
@@ -339,9 +353,11 @@ impl StoreBackend for FileStore {
         if records.is_empty() {
             return Ok(());
         }
+        // Every frame is encoded, and its length checked, before any
+        // byte is written: a refused record leaves the log untouched.
         let mut buffer = Vec::new();
         for record in records {
-            buffer.extend_from_slice(&encode_frame(record));
+            buffer.extend_from_slice(&encode_frame(record)?);
         }
         let mut inner = self.inner.lock().expect("store poisoned");
         inner.file.write_all(&buffer)?;
@@ -501,7 +517,7 @@ mod tests {
             // And a record after it that recovery must NOT resurrect
             // (the log is append-only; once a frame is bad, everything
             // after it is unreachable).
-            file.write_all(&encode_frame(&sample("b", "exact", 4))).unwrap();
+            file.write_all(&encode_frame(&sample("b", "exact", 4)).unwrap()).unwrap();
         }
         let recovered = FileStore::open(&path).unwrap();
         assert_eq!(recovered.len(), 1);
@@ -522,7 +538,7 @@ mod tests {
             store.append_all(&[sample("a", "optimal", 3), sample("a", "optimal", 4)]).unwrap();
         }
         let base = std::fs::read(&path).unwrap();
-        let frame = encode_frame(&sample("b", "exact", 5));
+        let frame = encode_frame(&sample("b", "exact", 5)).unwrap();
         for cut in 0..frame.len() {
             let mut torn = base.clone();
             torn.extend_from_slice(&frame[..cut]);
@@ -547,6 +563,27 @@ mod tests {
         whole.extend_from_slice(&frame);
         std::fs::write(&path, &whole).unwrap();
         assert_eq!(FileStore::open(&path).unwrap().len(), 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn oversize_records_are_refused_before_any_byte_is_written() {
+        // The reader treats a frame over MAX_FRAME_BYTES as corruption,
+        // so writing one would cost it and every record after it.
+        let path = tmp("oversize");
+        let store = FileStore::open(&path).unwrap();
+        store.append(&sample("a", "optimal", 3)).unwrap();
+        let mut oversize = sample("a", "optimal", 4);
+        oversize.platform = "x".repeat(MAX_FRAME_BYTES as usize);
+        let err = store.append(&oversize).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        drop(oversize);
+        store.append(&sample("b", "exact", 5)).unwrap();
+        assert_eq!(store.len(), 2);
+        drop(store);
+        let reopened = FileStore::open(&path).unwrap();
+        assert_eq!(reopened.len(), 2, "the records on both sides of the refusal survive");
+        assert_eq!(reopened.records()[1].tenant, "b");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,7 +1,9 @@
 //! Regression coverage for the hot-path overhaul: the persistent worker
-//! pool, the merging fork expansion and the incremental deadline search
-//! must be **behaviour-preserving** — same results, fewer cycles.
+//! pool, the merging fork expansion, the incremental deadline search and
+//! the one-pass wire codec must be **behaviour-preserving** — same
+//! results, fewer cycles.
 
+use master_slave_tasking::api::wire::Json;
 use master_slave_tasking::prelude::*;
 use mst_fork::{
     count_tasks_fork_by_deadline, expand_fork, expand_fork_sorted, max_tasks_fork_by_deadline,
@@ -126,6 +128,68 @@ proptest! {
             prop_assert_eq!(result, serial);
         }
     }
+}
+
+/// The largest integer magnitude the wire writes without a fraction.
+const MAX_EXACT: i64 = (1 << 53) - 1;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Strings copied run by run round-trip through the codec: letters,
+    /// every control byte, the escaped `"` and `\`, and 2-, 3- and 4-byte
+    /// scalars, as a value, as an object key and inside an array. The
+    /// encoding never carries a raw control byte, and the parser rejects
+    /// one inside a string.
+    #[test]
+    fn wire_strings_round_trip(s in "[a-zA-Z\u{0}-\u{1f}\"\\/é€😀]{0,24}") {
+        for value in [
+            Json::Str(s.clone()),
+            Json::Obj(vec![(s.clone(), Json::Str(s.clone()))]),
+            Json::Arr(vec![Json::Str(s.clone()), Json::int(1), Json::Str(s.clone())]),
+        ] {
+            let text = value.to_string();
+            prop_assert!(!text.chars().any(|c| c < ' '), "raw control byte in {:?}", text);
+            prop_assert_eq!(Json::parse(&text).unwrap(), value, "{:?}", text);
+        }
+        if s.chars().any(|c| c < ' ') {
+            prop_assert!(Json::parse(&format!("\"{s}\"")).is_err(), "{:?}", s);
+        }
+    }
+
+    /// Integers written from the stack buffer are `i64`'s own digits and
+    /// parse back exactly; `n % 1000` adds a small one of either sign.
+    #[test]
+    fn wire_integers_round_trip(n in -MAX_EXACT..=MAX_EXACT) {
+        for n in [n, n % 1000] {
+            let text = Json::int(n).to_string();
+            prop_assert_eq!(&text, &n.to_string());
+            prop_assert_eq!(Json::parse(&text).unwrap().as_i64(), Some(n));
+        }
+    }
+
+    /// Integer literals of 1–17 digits, leading zeros allowed, with and
+    /// without `-`, parse to the bits `str::parse::<f64>` gives: the
+    /// short ones take the integer path, the long ones the float path.
+    #[test]
+    fn wire_integer_literals_parse_like_str_parse(
+        digits in "[0-9]{1,17}",
+        negative in 0u8..=1,
+    ) {
+        let literal = if negative == 1 { format!("-{digits}") } else { digits };
+        let parsed = Json::parse(&literal).unwrap().as_f64().unwrap();
+        prop_assert_eq!(parsed.to_bits(), literal.parse::<f64>().unwrap().to_bits(), "{}", literal);
+    }
+}
+
+/// `-0` keeps its sign bit when parsed and writes as `0`, both as before.
+#[test]
+fn wire_negative_zero_keeps_its_bits_and_bytes() {
+    for literal in ["-0", "-000"] {
+        let parsed = Json::parse(literal).unwrap().as_f64().unwrap();
+        assert_eq!(parsed.to_bits(), (-0.0f64).to_bits(), "{literal}");
+    }
+    assert_eq!(Json::Num(-0.0).to_string(), "0");
 }
 
 /// One `Batch`, three consecutive `solve_all` calls: identical results,
