@@ -19,6 +19,14 @@
 //!   ops, unknown paths — every one must come back as a structured
 //!   `{"error": {"kind", ...}}`, and none may kill the handler.
 //!
+//! Once per run, after the plan's laps so that every seed keeps its
+//! schedule, a **burst** opens [`BURST_CONNECTIONS`] keep-alive
+//! connections and writes `GET /healthz` on each before reading any
+//! reply. A burst of that size is legal load: it must wait for the
+//! dispatch threads, so any reply other than `200`, and any socket
+//! dropped before its reply, is a violation. The report's
+//! `burst_requests` counts the requests the burst wrote.
+//!
 //! After each action the harness re-probes `/healthz`; any unreachable
 //! server, unparseable reply or 5xx (outside the documented
 //! `infeasible-solution`/`internal-error` contract, which would itself
@@ -32,7 +40,9 @@
 //! (see `.github/workflows/ci.yml`), which wraps two `mst chaos` runs
 //! around a SIGKILL + restart of the same `--store` server.
 
+use crate::loadgen::read_one_response;
 use mst_sim::{FaultEvent, FaultKind, FaultPlan};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -41,6 +51,9 @@ use std::time::{Duration, Instant};
 /// How long any single request may take before the harness calls the
 /// server unavailable.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Connections in the once-per-run burst, one request each.
+const BURST_CONNECTIONS: usize = 512;
 
 /// Counters and violations of one chaos run; rendered as JSON.
 #[derive(Debug, Default)]
@@ -52,6 +65,7 @@ pub struct ChaosReport {
     connections_dropped: u64,
     poison_pills: u64,
     health_checks: u64,
+    burst_requests: u64,
     violations: Vec<String>,
 }
 
@@ -69,7 +83,7 @@ impl ChaosReport {
             "{{\"chaos\": {{\"seed\": {}, \"elapsed_secs\": {:.3}, \
              \"sessions_driven\": {}, \"store_probes\": {}, \
              \"connections_dropped\": {}, \"poison_pills\": {}, \
-             \"health_checks\": {}, \"violations\": [",
+             \"health_checks\": {}, \"burst_requests\": {}, \"violations\": [",
             self.seed,
             self.elapsed_secs,
             self.sessions_driven,
@@ -77,6 +91,7 @@ impl ChaosReport {
             self.connections_dropped,
             self.poison_pills,
             self.health_checks,
+            self.burst_requests,
         )
         .unwrap();
         for (i, violation) in self.violations.iter().enumerate() {
@@ -284,6 +299,42 @@ fn poison(addr: SocketAddr, salt: u64, report: &mut ChaosReport) {
     );
 }
 
+/// The burst invariant (see the module docs): one violation per kind
+/// of failure, with its count and its first connection.
+fn burst(addr: SocketAddr, report: &mut ChaosReport) {
+    let mut failures: BTreeMap<String, (usize, String)> = BTreeMap::new();
+    let mut fail = |kind: String, detail: String| {
+        failures.entry(kind).or_insert((0, detail)).0 += 1;
+    };
+    let mut open = Vec::with_capacity(BURST_CONNECTIONS);
+    for conn in 0..BURST_CONNECTIONS {
+        let sent = TcpStream::connect_timeout(&addr, REQUEST_TIMEOUT).and_then(|mut stream| {
+            stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
+            stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n")?;
+            Ok(stream)
+        });
+        match sent {
+            Ok(stream) => {
+                report.burst_requests += 1;
+                open.push((conn, stream));
+            }
+            Err(e) => fail("requests unsent".into(), format!("conn {conn}: {e}")),
+        }
+    }
+    for (conn, mut stream) in open {
+        match read_one_response(&mut stream) {
+            Ok((200, ..)) => {}
+            Ok((status, ..)) => fail(format!("replies were {status}"), format!("conn {conn}")),
+            Err(e) => fail("sockets dropped".into(), format!("conn {conn}: {e}")),
+        }
+    }
+    for (kind, (count, first)) in failures {
+        report
+            .violations
+            .push(format!("burst: {count} of {BURST_CONNECTIONS} {kind} (first: {first})"));
+    }
+}
+
 /// Runs the chaos sweep against `addr` for roughly `minutes`, cycling
 /// a fresh seeded [`FaultPlan`] per lap. Returns the report; the
 /// caller turns a violating report into a non-zero exit.
@@ -330,6 +381,10 @@ pub fn run_chaos(addr: &str, seed: u64, minutes: f64) -> ChaosReport {
         }
         lap += 1;
     }
+    // After the laps, so that their schedule and timing do not depend on
+    // how long the burst takes.
+    burst(addr, &mut report);
+    check_health(addr, &mut report, "burst");
     report.elapsed_secs = started.elapsed().as_secs_f64();
     report
 }
@@ -387,6 +442,34 @@ mod tests {
         );
         assert!(report.sessions_driven + report.store_probes + report.poison_pills > 0);
         assert!(report.health_checks > 0);
+        assert_eq!(report.burst_requests, BURST_CONNECTIONS as u64);
+        assert!(report.to_json().contains("\"burst_requests\": 512,"));
+        handle.shutdown();
+        runner.join().expect("runner joins");
+    }
+
+    #[test]
+    fn a_burst_the_server_refuses_is_a_violation() {
+        // A connection cap below the burst: the connections past it are
+        // refused (or reset), and the burst must say so.
+        let server = mst_serve::Server::bind(mst_serve::ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            max_connections: 64,
+            keep_alive_timeout: Duration::from_secs(30),
+            ..mst_serve::ServeConfig::default()
+        })
+        .expect("bind");
+        let handle = server.handle();
+        let addr = server.addr();
+        let runner = std::thread::spawn(move || server.run().expect("run"));
+        let mut report = ChaosReport::default();
+        burst(addr, &mut report);
+        assert!(!report.ok(), "a refused burst must be a violation");
+        assert!(
+            report.violations.iter().all(|v| v.starts_with("burst: ")),
+            "{:?}",
+            report.violations
+        );
         handle.shutdown();
         runner.join().expect("runner joins");
     }

@@ -89,14 +89,14 @@ USAGE:
         one-line progress ticker shows on stderr when it is a
         terminal. --solvers-config authenticates the workers with the
         named tenants' real X-Api-Token values from the same config
-        mst serve loads. --server-metrics scrapes the target's
-        Prometheus exposition after the run and adds server-side
+        mst serve loads. --server-metrics reads the target's JSON
+        /metrics document after the run and adds server-side
         /solve quantiles plus client-overhead attribution to the
         report. With --check it becomes a gate: non-zero exit on any
         error, on throughput below baseline*(1-tolerance), or on p99
         over the limit.
     mst top [--addr HOST:PORT] [--interval-ms N] [--iterations K]
-        Live top(1)-style view over a serve instance's /metrics:
+        Live top(1)-style view over a serve instance's JSON /metrics:
         per-route, per-solver-kernel and per-tenant latency summaries
         (count, p50/p99/p999/max) refreshed every interval. Redraws in
         place at a terminal; redirected output prints one plain frame

@@ -38,7 +38,7 @@
 //!   serve` loads and spreads the workers across the named tenants'
 //!   real `X-Api-Token` values, so per-tenant admission, quotas, and
 //!   the per-tenant latency histograms all see authenticated traffic.
-//! * `--server-metrics` scrapes `GET /metrics?format=prometheus` after
+//! * `--server-metrics` reads the JSON `GET /metrics` document after
 //!   the run and attributes latency: the report gains the server-side
 //!   `/solve` p50/p99 (from the in-server `mst-obs` histograms) next
 //!   to the client-observed quantiles, so "is the time in the server
@@ -172,8 +172,8 @@ pub struct LoadReport {
     pub server: Option<ServerSample>,
 }
 
-/// Server-side latency attribution, scraped from the target's
-/// `GET /metrics?format=prometheus` exposition after the run.
+/// Server-side latency attribution, read from the target's JSON
+/// `GET /metrics` document after the run.
 ///
 /// The server quantiles come from the in-process `mst-obs` route
 /// histogram for `/solve` (measured parse-to-write inside the server),
@@ -186,9 +186,9 @@ pub struct ServerSample {
     pub solve_p50_ms: f64,
     /// Server-side `/solve` 99th-percentile latency, milliseconds.
     pub solve_p99_ms: f64,
-    /// `mst_requests_total` at scrape time (includes the scrape itself).
+    /// `requests_total` at scrape time (includes the scrape itself).
     pub requests_total: u64,
-    /// `mst_obs_dropped_spans_total` at scrape time — non-zero means
+    /// `obs_dropped_spans_total` at scrape time — non-zero means
     /// some spans reached no trace (past a trace's span cap, or for a
     /// trace already evicted from the table), so some traces are
     /// incomplete.
@@ -233,80 +233,51 @@ impl LoadReport {
     }
 }
 
-/// Fetches the raw Prometheus text exposition from a live server
+/// Fetches the JSON `GET /metrics` document from a live server
 /// (shared by the attribution scrape and `mst top`).
-pub(crate) fn fetch_metrics_text(addr: &str) -> Result<String, String> {
+pub(crate) fn fetch_metrics(addr: &str) -> Result<Json, String> {
     let resolved: SocketAddr = addr
         .to_socket_addrs()
         .map_err(|e| format!("cannot resolve {addr}: {e}"))?
         .next()
         .ok_or_else(|| format!("{addr} resolves to nothing"))?;
     let mut conn = TenantConn { addr: resolved, stream: None };
-    let raw = b"GET /metrics?format=prometheus HTTP/1.1\r\nHost: loadgen\r\n\r\n".to_vec();
+    let raw = b"GET /metrics HTTP/1.1\r\nHost: loadgen\r\n\r\n".to_vec();
     let (status, body) =
         conn.exchange(&raw).map_err(|e| format!("metrics scrape of {addr} failed: {e}"))?;
     if !(200..300).contains(&status) {
         return Err(format!("metrics scrape of {addr} answered {status}"));
     }
-    Ok(String::from_utf8_lossy(&body).to_string())
+    Json::parse(&String::from_utf8_lossy(&body))
+        .map_err(|e| format!("metrics scrape of {addr} is not JSON: {e}"))
 }
 
-/// One parsed Prometheus sample: `(name, labels, value)`.
-type Sample<'a> = (&'a str, Vec<(&'a str, &'a str)>, f64);
-
-/// Splits one Prometheus sample line into `(name, labels, value)`.
-/// Label values in this exposition never contain commas or escaped
-/// quotes (routes, tenant names, solver names), so a flat split is
-/// exact.
-pub(crate) fn parse_sample(line: &str) -> Option<Sample<'_>> {
-    let (rest, value) = line.rsplit_once(' ')?;
-    let value: f64 = value.trim().parse().ok()?;
-    match rest.split_once('{') {
-        None => Some((rest, Vec::new(), value)),
-        Some((name, labels)) => {
-            let labels = labels.strip_suffix('}')?;
-            let mut pairs = Vec::new();
-            for part in labels.split(',') {
-                let (key, quoted) = part.split_once("=\"")?;
-                pairs.push((key, quoted.strip_suffix('"')?));
-            }
-            Some((name, pairs, value))
-        }
-    }
-}
-
-/// The value of the first sample named exactly `name` whose labels
-/// include every `(key, value)` pair of `labels`.
-pub(crate) fn sample_value(text: &str, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-    text.lines().find_map(|line| {
-        let (sample_name, sample_labels, value) = parse_sample(line)?;
-        (sample_name == name && labels.iter().all(|pair| sample_labels.contains(pair)))
-            .then_some(value)
+/// Reads the target's metrics document and extracts the server-side
+/// `/solve` latency quantiles for the attribution report.
+pub fn fetch_server_sample(addr: &str) -> Result<ServerSample, String> {
+    server_sample(&fetch_metrics(addr)?).ok_or_else(|| {
+        format!(
+            "metrics scrape of {addr} carries no /solve latency summary (did any /solve \
+             requests land?)"
+        )
     })
 }
 
-/// Scrapes the target's Prometheus exposition and extracts the
-/// server-side `/solve` latency quantiles for the attribution report.
-pub fn fetch_server_sample(addr: &str) -> Result<ServerSample, String> {
-    let text = fetch_metrics_text(addr)?;
-    // Histogram quantiles are recorded in microseconds server-side.
-    let p50_us =
-        sample_value(&text, "mst_route_latency_us", &[("route", "/solve"), ("quantile", "0.5")]);
-    let p99_us =
-        sample_value(&text, "mst_route_latency_us", &[("route", "/solve"), ("quantile", "0.99")]);
-    match (p50_us, p99_us) {
-        (Some(p50), Some(p99)) => Ok(ServerSample {
-            solve_p50_ms: p50 / 1e3,
-            solve_p99_ms: p99 / 1e3,
-            requests_total: sample_value(&text, "mst_requests_total", &[]).unwrap_or(0.0) as u64,
-            dropped_spans: sample_value(&text, "mst_obs_dropped_spans_total", &[]).unwrap_or(0.0)
-                as u64,
-        }),
-        _ => Err(format!(
-            "metrics scrape of {addr} carries no /solve latency summary (did any /solve \
-             requests land?)"
-        )),
-    }
+/// The attribution a metrics document carries: the `/solve` row of
+/// `route_latency_us` (recorded in µs) and two top-level counters.
+fn server_sample(document: &Json) -> Option<ServerSample> {
+    let number = |json: &Json, name: &str| json.get(name).and_then(Json::as_f64);
+    let solve = document
+        .get("route_latency_us")?
+        .as_arr()?
+        .iter()
+        .find(|row| row.get("route").and_then(Json::as_str) == Some("/solve"))?;
+    Some(ServerSample {
+        solve_p50_ms: number(solve, "p50")? / 1e3,
+        solve_p99_ms: number(solve, "p99")? / 1e3,
+        requests_total: number(document, "requests_total").unwrap_or(0.0) as u64,
+        dropped_spans: number(document, "obs_dropped_spans_total").unwrap_or(0.0) as u64,
+    })
 }
 
 /// Why a `--check` gate failed; empty means the gate passed.
@@ -394,7 +365,7 @@ impl TenantConn {
 /// Reads exactly one HTTP/1.1 response off a keep-alive stream:
 /// headers, then a `Content-Length` (or chunked) body. Returns
 /// `(status, body, server_wants_close)`.
-fn read_one_response(stream: &mut TcpStream) -> std::io::Result<(u16, Vec<u8>, bool)> {
+pub(crate) fn read_one_response(stream: &mut TcpStream) -> std::io::Result<(u16, Vec<u8>, bool)> {
     let mut buf = Vec::with_capacity(1024);
     let mut scratch = [0u8; 4096];
     let head_end = loop {
@@ -590,7 +561,7 @@ pub fn run_load_with(
                     let scheduled = start_at + Duration::from_micros(arrival.offset_us);
                     // Open loop: sleep only until the *scheduled*
                     // arrival; once behind, fire back-to-back and let
-                    // the backlog show up in the latency numbers.
+                    // the queueing delay show up in the latency numbers.
                     if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
                         std::thread::sleep(wait);
                     }
@@ -867,43 +838,6 @@ mod tests {
         assert_eq!(json.get("client_overhead_p99_ms").and_then(Json::as_f64), Some(2.5));
         assert_eq!(json.get("server_requests_total").and_then(Json::as_i64), Some(251));
         assert_eq!(json.get("server_dropped_spans").and_then(Json::as_i64), Some(0));
-    }
-
-    #[test]
-    fn samples_parse_names_labels_and_values() {
-        assert_eq!(parse_sample("mst_uptime_secs 12"), Some(("mst_uptime_secs", vec![], 12.0)));
-        let (name, labels, value) =
-            parse_sample("mst_kernel_latency_us{kernel=\"solve\",solver=\"optimal\"} 400")
-                .expect("labelled line parses");
-        assert_eq!(name, "mst_kernel_latency_us");
-        assert_eq!(labels, vec![("kernel", "solve"), ("solver", "optimal")]);
-        assert_eq!(value, 400.0);
-        assert_eq!(parse_sample("# HELP not a sample"), None);
-    }
-
-    #[test]
-    fn sample_value_matches_exact_names_and_label_subsets() {
-        let text = "mst_requests_total 42\n\
-                    mst_route_latency_us{route=\"/solve\",quantile=\"0.5\"} 750\n\
-                    mst_route_latency_us{route=\"/solve\",quantile=\"0.99\"} 6000\n\
-                    mst_route_latency_us{route=\"/batch\",quantile=\"0.5\"} 9000\n\
-                    mst_route_latency_us_sum{route=\"/solve\"} 123456\n";
-        assert_eq!(sample_value(text, "mst_requests_total", &[]), Some(42.0));
-        assert_eq!(
-            sample_value(text, "mst_route_latency_us", &[("route", "/solve"), ("quantile", "0.5")]),
-            Some(750.0)
-        );
-        assert_eq!(
-            sample_value(text, "mst_route_latency_us", &[("route", "/batch"), ("quantile", "0.5")]),
-            Some(9000.0)
-        );
-        // `_sum` is a longer metric name, not a label variant of the base.
-        assert_eq!(
-            sample_value(text, "mst_route_latency_us_sum", &[("route", "/solve")]),
-            Some(123456.0)
-        );
-        assert_eq!(sample_value(text, "mst_route_latency", &[]), None);
-        assert_eq!(sample_value(text, "mst_missing_total", &[]), None);
     }
 
     #[test]

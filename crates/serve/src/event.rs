@@ -25,10 +25,15 @@
 //!   [`crate::ServeConfig::keep_alive_timeout`], and a client that stops
 //!   reading its response is torn down once the write side makes no
 //!   progress for an `io_timeout`;
-//! * **overload** answers `503` + `Retry-After: 1` — at accept time
-//!   when [`crate::ServeConfig::max_connections`] sockets are already open,
-//!   and at dispatch time when the bounded hand-off queue
-//!   ([`crate::ServeConfig::backlog`]) is full;
+//! * **overload** has one bound, [`crate::ServeConfig::max_connections`].
+//!   A connection past it is answered `503` + `Retry-After: 1` at accept
+//!   time. The hand-off queue to the dispatch pool holds as many
+//!   requests, and a connection parses its next request only once its
+//!   reply is complete, so open connections never fill it: a burst
+//!   waits for a dispatch thread instead of being refused. Only
+//!   requests whose clients left while queued (a torn-down connection's
+//!   slot takes a new connection at once) can fill it; a request parsed
+//!   then gets the same `503`;
 //! * **shutdown** accepts the connections already queued on the
 //!   listener, closes the listener and every idle connection, lets
 //!   in-flight requests finish (bounded by their own timers), then
@@ -160,7 +165,7 @@ struct ConnShared {
     read_closed: AtomicBool,
     out: Mutex<SharedOut>,
     cond: Condvar,
-    ready: Mutex<mpsc::Sender<(usize, u64)>>,
+    ready: mpsc::Sender<(usize, u64)>,
     waker: Waker,
     high_water: usize,
 }
@@ -194,8 +199,7 @@ impl ConnShared {
 
     /// Tells the loop this mailbox has news, and wakes it.
     fn notify(&self) {
-        let _ =
-            self.ready.lock().unwrap_or_else(|e| e.into_inner()).send((self.slot, self.generation));
+        let _ = self.ready.send((self.slot, self.generation));
         self.waker.wake();
     }
 
@@ -261,11 +265,11 @@ struct Job {
 }
 
 /// Dispatch-pool worker: routes jobs through [`routes::route_on`].
-fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<Job>>>, state: Arc<ServiceState>) {
+fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<Box<Job>>>>, state: Arc<ServiceState>) {
     loop {
         let job = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
         match job {
-            Ok(job) => handle_job(job, &state),
+            Ok(job) => handle_job(*job, &state),
             Err(_) => return, // queue closed: shutdown
         }
     }
@@ -335,7 +339,10 @@ pub(crate) fn run_event(
     poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
     let waker = Waker::new(&poller, WAKER)?;
     let (ready_tx, ready_rx) = mpsc::channel();
-    let (dispatch_tx, dispatch_rx) = mpsc::sync_channel(state.config.backlog.max(1));
+    // The queue allocates and initialises its `max_connections` slots at
+    // start-up, so jobs travel boxed: a slot is then one pointer, not a
+    // whole `Job` (unboxed, the default 10,000 slots take about 2 MB).
+    let (dispatch_tx, dispatch_rx) = mpsc::sync_channel(state.config.max_connections.max(1));
     let dispatch_rx = Arc::new(Mutex::new(dispatch_rx));
     let workers: Vec<_> = (0..state.config.conn_threads.max(1))
         .map(|_| {
@@ -389,7 +396,7 @@ struct EventLoop {
     /// mailbox messages addressed to a previous occupant fail to match.
     gens: Vec<u64>,
     state: Arc<ServiceState>,
-    dispatch: mpsc::SyncSender<Job>,
+    dispatch: mpsc::SyncSender<Box<Job>>,
     ready_tx: mpsc::Sender<(usize, u64)>,
     ready_rx: mpsc::Receiver<(usize, u64)>,
     shutting_down: bool,
@@ -661,7 +668,7 @@ impl EventLoop {
 
     /// Feeds buffered bytes to the incremental parser; a complete
     /// request goes to the dispatch pool (or is refused `503` when the
-    /// hand-off queue is full).
+    /// hand-off queue is full of requests whose clients left).
     fn parse_ready(&mut self, slot: usize) {
         let max_body = self.state.config.max_body_bytes;
         let Some(conn) = self.conns.get_mut(slot) else { return };
@@ -691,7 +698,7 @@ impl EventLoop {
                     read_closed: AtomicBool::new(conn.read_closed),
                     out: Mutex::new(SharedOut::default()),
                     cond: Condvar::new(),
-                    ready: Mutex::new(self.ready_tx.clone()),
+                    ready: self.ready_tx.clone(),
                     waker: self.waker.clone(),
                     high_water: self.state.config.stream_high_water.max(1),
                 });
@@ -699,11 +706,13 @@ impl EventLoop {
                 conn.shared = Some(Arc::clone(&shared));
                 self.disarm(slot);
                 let job = Job { request, shared, may_keep, trace, start_ns, parsed_ns };
-                match self.dispatch.try_send(job) {
+                match self.dispatch.try_send(Box::new(job)) {
                     Ok(()) => {}
                     Err(mpsc::TrySendError::Full(_job)) => {
-                        // Dispatch queue full: refuse loudly (503 +
-                        // Retry-After) rather than buffer.
+                        // `max_connections` requests are queued, so
+                        // some belong to connections torn down since:
+                        // refuse loudly (503 + Retry-After) rather than
+                        // queue without bound.
                         self.state.metrics.overloaded_total.fetch_add(1, Ordering::Relaxed);
                         self.state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
                         if let Some(conn) = self.conns.get_mut(slot) {

@@ -39,7 +39,9 @@ pub struct Metrics {
     pub connections_total: AtomicU64,
     /// `503 overloaded` answers: connections refused at
     /// [`ServeConfig::max_connections`](crate::ServeConfig::max_connections),
-    /// and requests parsed while the dispatch queue was full.
+    /// and requests refused because the dispatch queue already held
+    /// `max_connections` requests, which happens only when clients
+    /// left while their requests were queued.
     pub overloaded_total: AtomicU64,
     /// Requests routed (any method, any path).
     pub requests_total: AtomicU64,

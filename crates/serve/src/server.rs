@@ -7,8 +7,8 @@
 //! * one **loop thread** owns the listener and every client socket via
 //!   [`mst_net::Poller`]; parked keep-alive connections cost bytes, not
 //!   threads, and handlers run on a small **dispatch pool** of
-//!   [`ServeConfig::conn_threads`] threads fed through a bounded
-//!   hand-off queue ([`ServeConfig::backlog`]);
+//!   [`ServeConfig::conn_threads`] threads fed through a hand-off queue
+//!   that [`ServeConfig::max_connections`] bounds, like the sockets;
 //! * connections are **persistent** (HTTP/1.1 keep-alive) up to
 //!   [`ServeConfig::max_requests_per_connection`], so a client sweeping
 //!   many instances pays the TCP handshake once;
@@ -50,10 +50,6 @@ pub struct ServeConfig {
     /// Dispatch threads: the pool that runs the handlers for requests
     /// the event loop has parsed.
     pub conn_threads: usize,
-    /// Bound of the hand-off queue between the event loop and the
-    /// dispatch threads; a request parsed while the queue is full is
-    /// answered `503` + `Retry-After: 1`.
-    pub backlog: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
     /// Largest instance count a single `/batch` request may solve.
@@ -108,7 +104,11 @@ pub struct ServeConfig {
     pub store_backend: Option<Arc<dyn StoreBackend>>,
     /// Most connections the event loop holds open at once; beyond it,
     /// new connections are answered `503` + `Retry-After: 1` at accept.
-    /// The server raises `RLIMIT_NOFILE` toward this at startup.
+    /// It also bounds the requests queued for the dispatch threads: each
+    /// open connection has at most one there, so the queue fills only
+    /// with requests whose clients left while queued, and a request
+    /// parsed while it is full gets the same `503`. The server raises
+    /// `RLIMIT_NOFILE` toward this at startup.
     pub max_connections: usize,
     /// Per-connection outbound high-water mark, in bytes. A streaming
     /// handler that outruns its client blocks once this much output is
@@ -122,7 +122,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:8080".to_string(),
             threads: None,
             conn_threads: 8,
-            backlog: 64,
             max_body_bytes: 1024 * 1024,
             max_batch_instances: 100_000,
             max_tasks_per_instance: 1_000_000,
@@ -790,7 +789,11 @@ mod tests {
 
     #[test]
     fn a_failing_store_degrades_the_service_instead_of_failing_solves() {
-        let flaky = Arc::new(mst_store::FlakyStore::new(Arc::new(mst_store::MemoryStore::new())));
+        let path = std::env::temp_dir()
+            .join(format!("mst-serve-test-{}-flaky-store.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let file = FileStore::open(&path).expect("open the temp store");
+        let flaky = Arc::new(mst_store::FlakyStore::new(Arc::new(file)));
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".into(),
             store_backend: Some(flaky.clone() as Arc<dyn StoreBackend>),
@@ -839,6 +842,7 @@ mod tests {
 
         handle.shutdown();
         runner.join().expect("runner joins");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

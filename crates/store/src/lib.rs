@@ -5,19 +5,16 @@
 //! to warm-start the in-memory solution cache of `mst-serve` after a
 //! restart and to answer `GET /history` / `mst history` queries offline.
 //!
-//! Two zero-dependency backends implement one [`StoreBackend`] trait:
+//! One zero-dependency backend implements the [`StoreBackend`] trait:
+//! [`FileStore`], an append-only file log of length-prefixed JSON frames
+//! (`[u32 LE length][record JSON]`). Opening a log validates it frame by
+//! frame and **truncates the torn tail** left by a crash or `SIGKILL`
+//! mid-append, so recovery is automatic: everything before the first bad
+//! byte survives, everything after it is dropped.
 //!
-//! * [`MemoryStore`] — a mutex-guarded vector, for tests and embedders;
-//! * [`FileStore`] — an append-only file log of length-prefixed JSON
-//!   frames (`[u32 LE length][record JSON]`). Opening a log validates it
-//!   frame by frame and **truncates the torn tail** left by a crash or
-//!   `SIGKILL` mid-append, so recovery is automatic: everything before
-//!   the first bad byte survives, everything after it is dropped.
-//!
-//! [`FlakyStore`] wraps either backend with a toggleable write-failure
-//! injection point, so degraded-mode tests and the chaos harness can
-//! force the append path to fail deterministically and watch the service
-//! keep serving.
+//! [`FlakyStore`] wraps any backend with a toggleable write-failure
+//! injection point, so degraded-mode tests can force the append path to
+//! fail deterministically and watch the service keep serving.
 //!
 //! Records store the *canonical* form of each instance (see
 //! `mst_api::canon`): the platform text and deadline are
@@ -171,34 +168,6 @@ pub fn query<'a>(
         .filter(|r| solver.is_none_or(|s| r.solver == s))
         .take(limit)
         .collect()
-}
-
-/// The in-memory backend: a mutex-guarded vector.
-#[derive(Debug, Default)]
-pub struct MemoryStore {
-    records: Mutex<Vec<Record>>,
-}
-
-impl MemoryStore {
-    /// An empty in-memory store.
-    pub fn new() -> MemoryStore {
-        MemoryStore::default()
-    }
-}
-
-impl StoreBackend for MemoryStore {
-    fn append(&self, record: &Record) -> io::Result<()> {
-        self.records.lock().expect("store poisoned").push(record.clone());
-        Ok(())
-    }
-
-    fn records(&self) -> Vec<Record> {
-        self.records.lock().expect("store poisoned").clone()
-    }
-
-    fn len(&self) -> usize {
-        self.records.lock().expect("store poisoned").len()
-    }
 }
 
 /// A fault-injection wrapper around any backend: while
@@ -440,8 +409,9 @@ mod tests {
     }
 
     #[test]
-    fn memory_store_appends_and_queries() {
-        let store = MemoryStore::new();
+    fn file_store_appends_and_queries() {
+        let path = tmp("query");
+        let store = FileStore::open(&path).unwrap();
         store.append(&sample("a", "optimal", 3)).unwrap();
         store.append(&sample("b", "exact", 4)).unwrap();
         store.append(&sample("a", "optimal", 5)).unwrap();
@@ -454,6 +424,7 @@ mod tests {
         assert_eq!(exact.len(), 1);
         assert_eq!(query(&records, None, None, 2).len(), 2);
         assert!(query(&records, Some("nope"), None, 10).is_empty());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -589,7 +560,8 @@ mod tests {
 
     #[test]
     fn flaky_store_injects_and_clears_write_failures() {
-        let inner = std::sync::Arc::new(MemoryStore::new());
+        let path = tmp("flaky");
+        let inner = std::sync::Arc::new(FileStore::open(&path).unwrap());
         let store = FlakyStore::new(inner.clone());
         store.append(&sample("a", "optimal", 3)).unwrap();
         store.set_failing(true);
@@ -600,6 +572,7 @@ mod tests {
         store.set_failing(false);
         store.append(&sample("b", "exact", 6)).unwrap();
         assert_eq!(inner.len(), 2, "recovery resumes persisting");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -84,5 +84,5 @@ pub mod prelude {
     pub use mst_serve::{ServeConfig, Server, ServerHandle};
     pub use mst_sim::{run_parallel, shared_pool, CancelToken, WorkerPool};
     pub use mst_spider::{schedule_spider, schedule_spider_by_deadline};
-    pub use mst_store::{FileStore, MemoryStore, Record, StoreBackend};
+    pub use mst_store::{FileStore, Record, StoreBackend};
 }

@@ -2,8 +2,8 @@
 //! keep-alive connections must cost nothing, hostile clients
 //! (slowloris header drips, one-byte writers, half-closed and vanished
 //! sockets) must be contained by policy rather than by luck, and the
-//! accept-loop overflow / streamed-batch backpressure behaviors must
-//! survive any rebuild of the serving core.
+//! accept-loop overflow / dispatch-queue bound / streamed-batch
+//! backpressure behaviors must survive any rebuild of the serving core.
 
 use master_slave_tasking::api::wire::Json;
 use master_slave_tasking::prelude::*;
@@ -319,6 +319,119 @@ fn the_connection_cap_answers_503_with_retry_after_and_recovers() {
     }
 
     drop(holders);
+    handle.shutdown();
+    runner.join().unwrap();
+}
+
+/// The overload tests' server: one dispatch thread, a tiny streaming
+/// high-water mark, and an io budget long enough that the write
+/// watchdog never frees a stalled thread during a test.
+fn stalled_config(c: &mut ServeConfig) {
+    c.conn_threads = 1;
+    c.stream_high_water = 4 * 1024;
+    c.io_timeout = Duration::from_secs(30);
+}
+
+/// Occupies the only dispatch thread: a streamed `/batch` far larger
+/// than the socket buffers, whose client reads the first bytes and then
+/// stops reading. Dropping the returned stream frees the thread.
+fn stall_the_dispatch_thread(addr: SocketAddr) -> TcpStream {
+    let body = r#"{"generate": {"kind": "chain", "count": 100000, "size": 4, "tasks": 50},
+                   "stream": true}"#;
+    let raw =
+        format!("POST /batch HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+    let mut staller = TcpStream::connect(addr).expect("connect the staller");
+    staller.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    staller.write_all(raw.as_bytes()).unwrap();
+    let mut first = [0u8; 64];
+    let n = staller.read(&mut first).expect("the stream began");
+    assert!(n > 0, "the stream began");
+    staller
+}
+
+/// A burst of requests past a stalled dispatch thread waits in the
+/// hand-off queue for the thread instead of being refused: the queue
+/// holds `max_connections` requests, and each open connection has at
+/// most one in it.
+#[test]
+fn a_burst_past_a_stalled_dispatch_thread_is_queued_not_refused() {
+    let (addr, handle, runner) = start_with(stalled_config);
+    let staller = stall_the_dispatch_thread(addr);
+
+    // Every request is written before any reply is read.
+    let mut burst: Vec<TcpStream> = (0..100)
+        .map(|i| {
+            let mut stream = TcpStream::connect(addr).unwrap_or_else(|e| panic!("conn {i}: {e}"));
+            stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+            stream.write_all(KEEP_ALIVE_HEALTHZ).unwrap_or_else(|e| panic!("conn {i}: {e}"));
+            stream
+        })
+        .collect();
+    // Let the loop parse the whole burst while the thread is still held.
+    std::thread::sleep(Duration::from_millis(200));
+    drop(staller);
+
+    // `read_one_response` panics on a socket closed before its reply.
+    for (i, stream) in burst.iter_mut().enumerate() {
+        let (status, head, body) = read_one_response(stream);
+        assert_eq!(status, 200, "conn {i}: {head}{body}");
+        assert!(head.contains("Connection: keep-alive"), "conn {i}: {head}");
+    }
+    let mut probe = TcpStream::connect(addr).expect("connect");
+    probe.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    probe.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let (status, _, body) = read_one_response(&mut probe);
+    assert_eq!(status, 200, "{body}");
+    let overloaded = Json::parse(&body).unwrap().get("overloaded_total").and_then(Json::as_i64);
+    assert_eq!(overloaded, Some(0), "nothing was refused");
+
+    drop(burst);
+    handle.shutdown();
+    runner.join().unwrap();
+}
+
+/// A torn-down connection frees its slot while its request may still
+/// be queued, so the queue's bound is the only cap on such orphans:
+/// once `max_connections` of them fill it, the next request is
+/// refused `503` instead of queued.
+#[test]
+fn abandoned_queued_requests_stay_bounded() {
+    let (addr, handle, runner) = start_with(|c| {
+        stalled_config(c);
+        c.max_connections = 3;
+        c.max_body_bytes = 1024;
+    });
+    let staller = stall_the_dispatch_thread(addr);
+
+    let mut refusal = None;
+    for attempt in 1..=8 {
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client.write_all(KEEP_ALIVE_HEALTHZ).unwrap();
+        // Wait about 100 ms for the request to be queued, or refused.
+        client.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+        let mut first = [0u8; 1];
+        let answered = matches!(client.read(&mut first), Ok(1));
+        client.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        if answered {
+            let mut rest = Vec::new();
+            client.read_to_end(&mut rest).expect("refusal then close");
+            refusal =
+                Some((attempt, String::from_utf8_lossy(&[&first[..], &rest].concat()).to_string()));
+            break;
+        }
+        // Queued: now overflow the read buffer. The server tears the
+        // connection down and leaves its request in the queue.
+        let _ = client.write_all(&vec![b'x'; 80 * 1024]);
+        let mut rest = Vec::new();
+        let _ = client.read_to_end(&mut rest); // EOF or reset: torn down
+        assert!(rest.is_empty(), "attempt {attempt}: {}", String::from_utf8_lossy(&rest));
+    }
+    let (attempt, reply) = refusal.expect("8 abandoned requests were queued without a refusal");
+    assert!(reply.starts_with("HTTP/1.1 503"), "attempt {attempt}: {reply}");
+    assert!(reply.contains("Retry-After: 1"), "attempt {attempt}: {reply}");
+    assert!(reply.contains("\"kind\":\"overloaded\""), "attempt {attempt}: {reply}");
+
+    drop(staller);
     handle.shutdown();
     runner.join().unwrap();
 }
