@@ -57,6 +57,7 @@ use mst_schedule::{
     ChainSchedule, CommVector, SpiderSchedule, SpiderTask, TaskAssignment, TreeSchedule, TreeTask,
 };
 use std::fmt;
+use std::ops::Range;
 
 /// Deepest permitted nesting while parsing — adversarial `[[[[...]]]]`
 /// bodies fail fast instead of exhausting the stack.
@@ -118,6 +119,21 @@ impl Json {
             return Err(WireError::new(format!("trailing data at byte {pos}")));
         }
         Ok(value)
+    }
+
+    /// Checks that [`Json::parse`] would accept `text`, in one pass that
+    /// builds nothing and, on valid input, allocates nothing. It is a
+    /// separate scan of the same grammar: the same depth cap, the same
+    /// number and escape rules, and the same trailing-data check.
+    pub fn validate(text: &str) -> Result<(), WireError> {
+        let bytes = text.as_bytes();
+        let mut pos = 0;
+        skip_value(bytes, &mut pos, 0)?;
+        skip_whitespace(bytes, &mut pos);
+        if pos != bytes.len() {
+            return Err(WireError::new(format!("trailing data at byte {pos}")));
+        }
+        Ok(())
     }
 
     /// The string payload, if this is a string.
@@ -295,9 +311,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wire
     skip_whitespace(bytes, pos);
     match bytes.get(*pos) {
         None => Err(WireError::new("unexpected end of input")),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
+        Some(b'n') => expect_literal(bytes, pos, "null").map(|()| Json::Null),
+        Some(b't') => expect_literal(bytes, pos, "true").map(|()| Json::Bool(true)),
+        Some(b'f') => expect_literal(bytes, pos, "false").map(|()| Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
@@ -349,26 +365,25 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wire
                 }
             }
         }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(c) => Err(WireError::new(format!("unexpected byte {:?} at {pos}", *c as char))),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos).map(Json::Num),
+        Some(c) => Err(unexpected_byte(*c, *pos)),
     }
 }
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Json,
-) -> Result<Json, WireError> {
+fn unexpected_byte(c: u8, pos: usize) -> WireError {
+    WireError::new(format!("unexpected byte {:?} at {pos}", c as char))
+}
+
+fn expect_literal(bytes: &[u8], pos: &mut usize, literal: &str) -> Result<(), WireError> {
     if bytes[*pos..].starts_with(literal.as_bytes()) {
         *pos += literal.len();
-        Ok(value)
+        Ok(())
     } else {
         Err(WireError::new(format!("invalid literal at byte {pos}")))
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, WireError> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -379,7 +394,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
         *pos += 1;
     }
     if let Some(n) = parse_small_int(&bytes[start..*pos]) {
-        return Ok(Json::Num(n));
+        return Ok(n);
     }
     let text =
         std::str::from_utf8(&bytes[start..*pos]).map_err(|_| WireError::new("non-UTF-8 number"))?;
@@ -388,7 +403,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
     if !n.is_finite() {
         return Err(WireError::new(format!("non-finite number {text:?}")));
     }
-    Ok(Json::Num(n))
+    Ok(n)
 }
 
 /// The value of a `-?[0-9]{1,15}` literal, bit for bit what
@@ -430,40 +445,187 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(b'\\') => out.push(parse_escape(bytes, pos)?),
+            Some(_) => return Err(WireError::new("unescaped control character in string")),
+        }
+    }
+}
+
+/// Decodes the escape whose `\` is under `pos`, and moves `pos` past
+/// it.
+fn parse_escape(bytes: &[u8], pos: &mut usize) -> Result<char, WireError> {
+    *pos += 1;
+    let ch = match bytes.get(*pos) {
+        Some(b'"') => '"',
+        Some(b'\\') => '\\',
+        Some(b'/') => '/',
+        Some(b'b') => '\u{8}',
+        Some(b'f') => '\u{c}',
+        Some(b'n') => '\n',
+        Some(b'r') => '\r',
+        Some(b't') => '\t',
+        Some(b'u') => {
+            let hex = bytes
+                .get(*pos + 1..*pos + 5)
+                .ok_or_else(|| WireError::new("truncated \\u escape"))?;
+            let hex = std::str::from_utf8(hex).map_err(|_| WireError::new("invalid \\u escape"))?;
+            let code = u32::from_str_radix(hex, 16)
+                .map_err(|_| WireError::new(format!("invalid \\u escape {hex:?}")))?;
+            // Surrogates are not paired up — the wire format never emits
+            // them; reject rather than mangle.
+            let ch = char::from_u32(code)
+                .ok_or_else(|| WireError::new(format!("invalid codepoint {code:#x}")))?;
+            *pos += 4;
+            ch
+        }
+        _ => return Err(WireError::new(format!("invalid escape at byte {pos}"))),
+    };
+    *pos += 1;
+    Ok(ch)
+}
+
+/// [`parse_value`] without the value: the same checks in the same order,
+/// building nothing.
+fn skip_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), WireError> {
+    if depth > MAX_DEPTH {
+        return Err(WireError::new("JSON nested too deeply"));
+    }
+    skip_whitespace(bytes, pos);
+    match bytes.get(*pos) {
+        None => Err(WireError::new("unexpected end of input")),
+        Some(b'n') => expect_literal(bytes, pos, "null"),
+        Some(b't') => expect_literal(bytes, pos, "true"),
+        Some(b'f') => expect_literal(bytes, pos, "false"),
+        Some(b'"') => skip_string(bytes, pos),
+        Some(b'[') => {
+            *pos += 1;
+            skip_whitespace(bytes, pos);
+            if bytes.get(*pos) == Some(&b']') {
                 *pos += 1;
+                return Ok(());
+            }
+            loop {
+                skip_value(bytes, pos, depth + 1)?;
+                skip_whitespace(bytes, pos);
                 match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| WireError::new("truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| WireError::new("invalid \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| WireError::new(format!("invalid \\u escape {hex:?}")))?;
-                        // Surrogates are not paired up — the wire format
-                        // never emits them; reject rather than mangle.
-                        let ch = char::from_u32(code).ok_or_else(|| {
-                            WireError::new(format!("invalid codepoint {code:#x}"))
-                        })?;
-                        out.push(ch);
-                        *pos += 4;
+                    Some(b',') => *pos += 1,
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(());
                     }
-                    _ => return Err(WireError::new(format!("invalid escape at byte {pos}"))),
+                    _ => return Err(WireError::new(format!("expected ',' or ']' at byte {pos}"))),
                 }
+            }
+        }
+        Some(b'{') => skip_members(bytes, pos, depth, |_, _| {}),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos).map(drop),
+        Some(c) => Err(unexpected_byte(*c, *pos)),
+    }
+}
+
+/// Skips the object under `pos` (at nesting `depth`), handing `member`
+/// the byte ranges of each key's literal and of its value.
+fn skip_members(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    mut member: impl FnMut(Range<usize>, Range<usize>),
+) -> Result<(), WireError> {
+    *pos += 1;
+    skip_whitespace(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        skip_whitespace(bytes, pos);
+        let key = *pos;
+        skip_string(bytes, pos)?;
+        let key = key..*pos;
+        skip_whitespace(bytes, pos);
+        if bytes.get(*pos) != Some(&b':') {
+            return Err(WireError::new(format!("expected ':' at byte {pos}")));
+        }
+        *pos += 1;
+        skip_whitespace(bytes, pos);
+        let value = *pos;
+        skip_value(bytes, pos, depth + 1)?;
+        member(key, value..*pos);
+        skip_whitespace(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
                 *pos += 1;
+                return Ok(());
+            }
+            _ => return Err(WireError::new(format!("expected ',' or '}}' at byte {pos}"))),
+        }
+    }
+}
+
+/// [`parse_string`] without the string. Every byte that ends a run is
+/// ASCII, so on `&str` input each run is whole scalars and needs no UTF-8
+/// check.
+fn skip_string(bytes: &[u8], pos: &mut usize) -> Result<(), WireError> {
+    if bytes.get(*pos) != Some(&b'"') {
+        return Err(WireError::new(format!("expected string at byte {pos}")));
+    }
+    *pos += 1;
+    loop {
+        while *pos < bytes.len() && !needs_escape(bytes[*pos]) {
+            *pos += 1;
+        }
+        match bytes.get(*pos) {
+            None => return Err(WireError::new("unterminated string")),
+            Some(b'"') => {
+                *pos += 1;
+                return Ok(());
+            }
+            Some(b'\\') => {
+                parse_escape(bytes, pos)?;
             }
             Some(_) => return Err(WireError::new("unescaped control character in string")),
         }
     }
+}
+
+/// The members of the JSON object `text`, in order: each key decoded, and
+/// the byte range of its value left as text, for readers that decode only
+/// some members. Accepts exactly the objects [`Json::parse`] accepts; the
+/// values are checked by [`Json::validate`]'s scan, so none is built.
+pub fn object_members(text: &str) -> Result<Vec<(String, Range<usize>)>, WireError> {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    skip_whitespace(bytes, &mut pos);
+    match bytes.get(pos) {
+        Some(b'{') => {}
+        Some(c) => {
+            return Err(WireError::new(format!("expected an object, found {:?}", *c as char)))
+        }
+        None => return Err(WireError::new("unexpected end of input")),
+    }
+    let mut members = Vec::new();
+    skip_members(bytes, &mut pos, 0, |key, value| members.push((key, value)))?;
+    skip_whitespace(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(WireError::new(format!("trailing data at byte {pos}")));
+    }
+    members
+        .into_iter()
+        .map(|(key, value)| Ok((parse_string(&bytes[key], &mut 0)?, value)))
+        .collect()
+}
+
+/// `s` as a JSON string literal, escaped as [`Json::Str`] writes it: for
+/// writers that stream a body instead of building a [`Json`] tree.
+pub fn quoted(s: &str) -> impl fmt::Display + '_ {
+    struct Quoted<'a>(&'a str);
+    impl fmt::Display for Quoted<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write_escaped(f, self.0)
+        }
+    }
+    Quoted(s)
 }
 
 // ---------------------------------------------------------------------------
@@ -903,35 +1065,70 @@ mod tests {
         }
     }
 
+    /// Texts [`Json::parse`] must reject.
+    const MALFORMED: [&str; 17] = [
+        "",
+        "{",
+        "[1,",
+        "{\"a\":}",
+        "{\"a\" 1}",
+        "tru",
+        "\"unterminated",
+        "01x",
+        "{\"a\":1}trailing",
+        "\"bad \\q escape\"",
+        "1e999",
+        "nan",
+        "--3",
+        "\"\\u12\"",
+        "\u{7}",
+        // A raw control byte right after a multi-byte scalar.
+        "\"caf\u{e9}\u{1}\"",
+        // An unterminated string ending in a multi-byte scalar.
+        "\"ab\u{1f600}",
+    ];
+
     #[test]
     fn malformed_bodies_error_not_panic() {
-        let cases = [
-            "",
-            "{",
-            "[1,",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "tru",
-            "\"unterminated",
-            "01x",
-            "{\"a\":1}trailing",
-            "\"bad \\q escape\"",
-            "1e999",
-            "nan",
-            "--3",
-            "\"\\u12\"",
-            "\u{7}",
-            // A raw control byte right after a multi-byte scalar.
-            "\"caf\u{e9}\u{1}\"",
-            // An unterminated string ending in a multi-byte scalar.
-            "\"ab\u{1f600}",
-        ];
-        for case in cases {
+        for case in MALFORMED {
             assert!(Json::parse(case).is_err(), "{case:?} must fail to parse");
         }
         // Depth bombing fails cleanly instead of recursing without bound.
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn validate_accepts_exactly_what_parse_accepts() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"k\":".repeat(depth) + "0" + &"}".repeat(depth);
+        let mut cases: Vec<String> = MALFORMED.iter().map(|c| c.to_string()).collect();
+        cases.extend(
+            ["null", " [1, {\"x\": [true, false]}] ", "-0.5e3", "\"\\u00e9\\/\""].map(String::from),
+        );
+        cases.extend(
+            ["\"\\u+0e9\"", "\"\\ud800\"", "-.5", "1.", "[1,]", "{\"a\":1,}"].map(String::from),
+        );
+        for depth in [63, 64, 65, 66, 10_000] {
+            cases.push(nested(depth));
+            cases.push(objects(depth));
+        }
+        for case in &cases {
+            assert_eq!(Json::validate(case).is_ok(), Json::parse(case).is_ok(), "{case:?}");
+        }
+    }
+
+    #[test]
+    fn object_members_leave_values_as_text() {
+        let text = " {\"a\": 1, \"b\\n\":[1, {\"c\": \"x\"}] ,\"a\":null} ";
+        let members = object_members(text).unwrap();
+        let got: Vec<(&str, &str)> =
+            members.iter().map(|(k, v)| (k.as_str(), &text[v.clone()])).collect();
+        assert_eq!(got, [("a", "1"), ("b\n", "[1, {\"c\": \"x\"}]"), ("a", "null")]);
+        assert_eq!(object_members("{}").unwrap(), []);
+        for bad in ["[1]", "{\"a\":1} x", "{\"a\" 1}", "{\"a\":[}", "", "7"] {
+            assert!(object_members(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

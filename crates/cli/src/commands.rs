@@ -493,17 +493,25 @@ fn cmd_fuzz(args: &Args) -> Result<String, String> {
 /// `mst history <store>` — inspect a `--store` record log offline:
 /// which instances were solved, by which tenant and solver, how fast.
 fn cmd_history(args: &Args) -> Result<String, String> {
-    use mst_store::StoreBackend as _;
     let path = args.pos(0, "store")?;
     if !std::path::Path::new(path).is_file() {
         return Err(format!("no result store at {path} (start one with mst serve --store {path})"));
     }
     let store = mst_store::FileStore::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    history_table(&store, path, args)
+}
+
+/// The `mst history` listing of an open store: the newest `--limit`
+/// records that pass the filters, read from the store's index alone.
+fn history_table(
+    store: &dyn mst_store::StoreBackend,
+    path: &str,
+    args: &Args,
+) -> Result<String, String> {
     let limit = positive_opt(args, "limit", 50)? as usize;
-    let records = store.records();
-    let page = mst_store::query(&records, args.opt("tenant"), args.opt("solver"), limit);
+    let page = store.history(args.opt("tenant"), args.opt("solver"), limit);
     let mut out = String::new();
-    writeln!(out, "{} record(s) in {path} ({} shown, newest first)", records.len(), page.len())
+    writeln!(out, "{} record(s) in {path} ({} shown, newest first)", store.len(), page.len())
         .unwrap();
     writeln!(
         out,
@@ -1061,6 +1069,42 @@ mod tests {
         assert!(!out.contains("acme"), "filtered out:\n{out}");
         // Newest first: the limit-1 page shows the 7-task record.
         assert!(out.lines().any(|l| l.contains("optimal") && l.contains(" 7 ")), "{out}");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn history_listing_reads_no_solution() {
+        use mst_store::StoreBackend as _;
+        let path =
+            std::env::temp_dir().join(format!("mst-cli-history-index-{}.log", std::process::id()));
+        let _ = fs::remove_file(&path);
+        let instance = Instance::new(Platform::parse("chain\n2 3\n3 5\n").unwrap(), 5);
+        let solution = SolverRegistry::global().solve("optimal", &instance).unwrap();
+        let records: Vec<mst_store::Record> = (0..10_000usize)
+            .map(|i| mst_store::Record {
+                tenant: "default".into(),
+                solver: "optimal".into(),
+                platform: instance.platform.to_text(),
+                tasks: 5,
+                deadline: None,
+                canon_hash: format!("{i:032x}"),
+                makespan: solution.makespan(),
+                scheduled: solution.n(),
+                elapsed_us: i as u64,
+                solution: mst_api::wire::solution_to_json(&solution),
+            })
+            .collect();
+        let store = mst_store::FileStore::open(&path).unwrap();
+        store.append_all(&records).unwrap();
+        let shown = path.display().to_string();
+        let args = Args::parse(["--limit", "1"].map(String::from));
+        let out = history_table(&store, &shown, &args).unwrap();
+        assert!(out.contains("10000 record(s)"), "{out}");
+        assert!(out.contains("(1 shown"), "{out}");
+        assert!(out.lines().any(|l| l.contains(" 9999  chain")), "newest first:\n{out}");
+        assert_eq!(store.frames_read(), 0, "the listing reads no solution back");
+        drop(store);
+        assert_eq!(run_line(&format!("history {shown} --limit 1")).unwrap(), out);
         let _ = fs::remove_file(&path);
     }
 

@@ -632,8 +632,10 @@ fn append_record(
 /// Query params: `tenant=` and `solver=` filter by equality, `limit=`
 /// bounds the page (default 100). Solutions themselves are not echoed
 /// (a history page should stay a page); `POST /solve` the instance
-/// again to get one — it will be a cache hit. Servers started without
-/// `--store` answer 404 `no-store`.
+/// again to get one — it will be a cache hit. The page comes from the
+/// store's in-memory index and reads no solution, so an unfiltered page
+/// costs its `limit`, not the store. Servers started without `--store`
+/// answer 404 `no-store`.
 fn history(request: &Request, state: &ServiceState) -> Response {
     let Some(store) = &state.store else {
         return error_response(
@@ -655,33 +657,28 @@ fn history(request: &Request, state: &ServiceState) -> Response {
             }
         },
     };
-    let records = store.records();
-    let page: Vec<Json> = mst_store::query(
-        &records,
-        request.query_param("tenant"),
-        request.query_param("solver"),
-        limit,
-    )
-    .into_iter()
-    .map(|r| {
-        Json::obj([
-            ("tenant", Json::str(r.tenant.clone())),
-            ("solver", Json::str(r.solver.clone())),
-            ("platform", Json::str(r.platform.clone())),
-            ("tasks", Json::int(r.tasks as i64)),
-            ("deadline", r.deadline.map(Json::int).unwrap_or(Json::Null)),
-            ("canon_hash", Json::str(r.canon_hash.clone())),
-            ("makespan", Json::int(r.makespan)),
-            ("scheduled", Json::int(r.scheduled as i64)),
-            ("elapsed_us", Json::int(r.elapsed_us as i64)),
-        ])
-    })
-    .collect();
+    let page: Vec<Json> = store
+        .history(request.query_param("tenant"), request.query_param("solver"), limit)
+        .into_iter()
+        .map(|r| {
+            Json::obj([
+                ("tenant", Json::str(r.tenant)),
+                ("solver", Json::str(r.solver)),
+                ("platform", Json::str(r.platform)),
+                ("tasks", Json::int(r.tasks as i64)),
+                ("deadline", r.deadline.map(Json::int).unwrap_or(Json::Null)),
+                ("canon_hash", Json::str(r.canon_hash)),
+                ("makespan", Json::int(r.makespan)),
+                ("scheduled", Json::int(r.scheduled as i64)),
+                ("elapsed_us", Json::int(r.elapsed_us as i64)),
+            ])
+        })
+        .collect();
     Response::json(
         200,
         Json::obj([
             ("count", Json::int(page.len() as i64)),
-            ("total", Json::int(records.len() as i64)),
+            ("total", Json::int(store.len() as i64)),
             ("records", Json::Arr(page)),
         ]),
     )

@@ -28,8 +28,7 @@
 #[cfg(target_os = "linux")]
 use crate::event::run_event;
 use crate::metrics::Metrics;
-use mst_api::wire::solution_from_json;
-use mst_api::{Batch, CacheKey, ExecPolicy, RegistrySet, TenantExec};
+use mst_api::{Batch, ExecPolicy, RegistrySet, TenantExec};
 use mst_sim::{shared_pool, WorkerPool};
 use mst_store::{FileStore, StoreBackend};
 use std::io;
@@ -458,7 +457,7 @@ impl Server {
             (None, None) => None,
         };
         if let Some(store) = &store {
-            warm_start(store.as_ref(), &default_exec, &tenants);
+            warm_start(store.as_ref(), &default_exec, &tenants)?;
         }
         let state = Arc::new(ServiceState {
             batch,
@@ -502,31 +501,31 @@ fn run_event(_listener: TcpListener, _state: Arc<ServiceState>) -> io::Result<Se
     Err(io::Error::new(io::ErrorKind::Unsupported, "mst-serve requires Linux epoll"))
 }
 
-/// Preloads every tenant's solution cache from the persistent store's
-/// records, so a restarted server answers repeated instances from cache
-/// on its **first** request. Records are replayed oldest-first (the
-/// store's order), so when a cache is smaller than the history its LRU
-/// keeps the newest entries. Records for tenants that no longer exist
-/// in the config, or with undecodable payloads (a store written by a
-/// newer build), are skipped — warm start is best-effort by design.
-fn warm_start(store: &dyn StoreBackend, default_exec: &TenantExec, tenants: &[TenantExec]) {
-    for record in store.records() {
-        let tenant = if record.tenant == default_exec.policy().name {
-            default_exec
-        } else {
-            match tenants.iter().find(|t| t.policy().name == record.tenant) {
-                Some(tenant) => tenant,
-                None => continue,
-            }
-        };
+/// Preloads every tenant's solution cache from the persistent store, so
+/// a restarted server answers repeated instances from cache on its
+/// **first** request. The store reads back the records of the configured
+/// tenants, oldest first (the log's order), and decodes each solution
+/// once, so when a cache is smaller than the history its LRU keeps the
+/// newest entries, exactly as if the records were solved again in order.
+/// Each tenant's `store_records` gauge counts its records. Records of
+/// tenants no longer in the config are not read, and records whose hash
+/// or solution this build cannot decode (a store written by a newer
+/// build) are counted but not cached. An I/O error while reading the
+/// log fails the boot.
+fn warm_start(
+    store: &dyn StoreBackend,
+    default_exec: &TenantExec,
+    tenants: &[TenantExec],
+) -> io::Result<()> {
+    let execs: Vec<&TenantExec> = std::iter::once(default_exec).chain(tenants).collect();
+    let names: Vec<&str> = execs.iter().map(|t| t.policy().name.as_str()).collect();
+    store.replay(&names, &mut |tenant, solved| {
+        let tenant = execs[tenant];
         tenant.stats().store_records.fetch_add(1, Ordering::Relaxed);
-        let Ok(hash) = u128::from_str_radix(&record.canon_hash, 16) else { continue };
-        let Ok(solution) = solution_from_json(&record.solution) else { continue };
-        tenant.cache().insert(
-            CacheKey { hash, solver: record.solver.clone(), deadline: record.deadline },
-            solution,
-        );
-    }
+        if let Some((key, solution)) = solved {
+            tenant.cache().insert(key, solution);
+        }
+    })
 }
 
 /// Completes a request's observability bookkeeping: latency histograms

@@ -3,7 +3,7 @@
 //! the one-pass wire codec must be **behaviour-preserving** — same
 //! results, fewer cycles.
 
-use master_slave_tasking::api::wire::Json;
+use master_slave_tasking::api::wire::{object_members, Json};
 use master_slave_tasking::prelude::*;
 use mst_fork::{
     count_tasks_fork_by_deadline, expand_fork, expand_fork_sorted, max_tasks_fork_by_deadline,
@@ -179,6 +179,87 @@ proptest! {
         let literal = if negative == 1 { format!("-{digits}") } else { digits };
         let parsed = Json::parse(&literal).unwrap().as_f64().unwrap();
         prop_assert_eq!(parsed.to_bits(), literal.parse::<f64>().unwrap().to_bits(), "{}", literal);
+    }
+}
+
+/// Pieces of string bodies: good, bad, truncated and surrogate escapes,
+/// the escaped and raw `"` and `\`, raw control bytes, and 1–4-byte
+/// scalars.
+const STRING_PIECES: [&str; 16] = [
+    "\\u00e9", "\\u+0e9", "\\ud800", "\\u12", "\\uD83D", "\\q", "\\n", "\\\"", "\\\\", "\\/", "\\",
+    "\"", "\u{1}", "a", "é€", "😀",
+];
+
+/// What a mutation may write over one character of a valid text.
+const MUTATIONS: [char; 17] =
+    ['{', '}', '[', ']', ':', ',', '"', '\\', ' ', '0', '-', 'e', '.', 'n', '\u{1}', 'é', '😀'];
+
+/// The object checks of [`object_members`]: it accepts exactly the texts
+/// `Json::parse` reads as an object, and each value's range is the text
+/// of the value `Json::parse` gives.
+fn members_match_parse(text: &str) {
+    let parsed = Json::parse(text);
+    match (object_members(text), parsed) {
+        (Ok(members), Ok(Json::Obj(expected))) => {
+            let got: Vec<(String, Json)> = members
+                .into_iter()
+                .map(|(key, value)| (key, Json::parse(&text[value]).unwrap()))
+                .collect();
+            assert_eq!(got, expected, "{text:?}");
+        }
+        (Err(_), Ok(Json::Obj(_))) => panic!("object_members rejects the object {text:?}"),
+        (Ok(_), _) => panic!("object_members accepts the non-object {text:?}"),
+        (Err(_), _) => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The store's validating scan accepts and rejects exactly what
+    /// `Json::parse` does: on the string, escape and integer generators
+    /// above, on number-like tokens, and on a valid document cut short
+    /// or with one character overwritten.
+    #[test]
+    fn wire_validate_agrees_with_parse(
+        s in "[a-zA-Z\u{0}-\u{1f}\"\\/é€😀]{0,24}",
+        pieces in prop::collection::vec(0usize..STRING_PIECES.len(), 0..=8),
+        digits in "[0-9]{1,17}",
+        token in "[0-9eE.+-]{1,8}",
+        cut in 0usize..100_000,
+        mutation in (0usize..100_000, 0usize..MUTATIONS.len()),
+    ) {
+        let escapes: String = pieces.iter().map(|&i| STRING_PIECES[i]).collect();
+        let literal = Json::parse(&digits).unwrap();
+        let doc = Json::Obj(vec![
+            (s.clone(), Json::Arr(vec![Json::Str(s.clone()), literal, Json::Null, Json::Bool(true)])),
+            ("é".to_string(), Json::Obj(vec![("k".to_string(), Json::int(-7))])),
+        ])
+        .to_string();
+        let mut end = cut % (doc.len() + 1);
+        while !doc.is_char_boundary(end) {
+            end -= 1;
+        }
+        let mut chars: Vec<char> = doc.chars().collect();
+        let at = mutation.0 % chars.len();
+        chars[at] = MUTATIONS[mutation.1];
+        let texts = [
+            format!("\"{s}\""),
+            format!("\"{escapes}\""),
+            escapes.clone(),
+            digits.clone(),
+            format!("-{digits}"),
+            token.clone(),
+            format!("[{token}, {digits}]"),
+            doc.clone(),
+            doc[..end].to_string(),
+            chars.into_iter().collect(),
+        ];
+        for text in &texts {
+            prop_assert_eq!(Json::validate(text).is_ok(), Json::parse(text).is_ok(), "{:?}", text);
+            members_match_parse(text);
+            members_match_parse(&format!("{{\"k\":{text},\"z\":{text}}}"));
+        }
     }
 }
 
