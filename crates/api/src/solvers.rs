@@ -16,7 +16,8 @@ use mst_platform::{NodeId, Spider, Time, Tree};
 use mst_schedule::{CommVector, SpiderSchedule, SpiderTask};
 use mst_sim::{simulate_online, OnlinePolicy};
 use mst_spider::{schedule_spider, schedule_spider_by_deadline};
-use mst_tree::{best_cover_schedule, cover_tree, tree_schedule_from_sequence, PathStrategy};
+use mst_tree::{best_cover_schedule, distinct_covers, tree_schedule_from_sequence, PathStrategy};
+use std::cmp::Reverse;
 
 /// The dispatching optimal solver: routes every topology to the
 /// strongest algorithm the workspace has for it.
@@ -89,21 +90,25 @@ impl Solver for OptimalSolver {
 
 /// Deadline variant of the spider-cover heuristic: tries every covering
 /// strategy and keeps the cover fitting the most tasks (ties: earliest
-/// finish).
+/// finish; remaining ties: the last strategy in [`PathStrategy::ALL`]
+/// order).
+///
+/// Each distinct cover is scheduled once. To keep the last of the tied
+/// covers, the strategies are scanned backwards, each cover kept at its
+/// last occurrence, and the first best one wins.
 fn best_cover_by_deadline(
     solver: &'static str,
     tree: &Tree,
     cap: usize,
     deadline: Time,
 ) -> Solution {
-    PathStrategy::ALL
-        .iter()
-        .map(|&strategy| {
-            let cover = cover_tree(tree, strategy);
+    distinct_covers(tree, PathStrategy::ALL.into_iter().rev())
+        .into_iter()
+        .map(|cover| {
             let schedule = schedule_spider_by_deadline(&cover.spider, cap, deadline);
             Solution::from_cover(solver, cover.spider, schedule)
         })
-        .max_by_key(|s| (s.n(), -s.makespan()))
+        .min_by_key(|s| (Reverse(s.n()), s.makespan()))
         .expect("at least one covering strategy")
 }
 
@@ -717,6 +722,39 @@ mod tests {
             let cover = OptimalSolver.solve_by_deadline(&tree, deadline).unwrap();
             assert!(verify(&tree, &cover).unwrap().is_feasible());
             assert!(cover.makespan() <= deadline.max(0));
+        }
+    }
+
+    #[test]
+    fn deadline_cover_scan_matches_the_four_strategy_reference() {
+        use crate::wire::solution_to_json;
+        use mst_platform::{GeneratorConfig, HeterogeneityProfile};
+        // Every strategy's cover scheduled, and the last best one kept,
+        // as `max_by_key` keeps the last maximum.
+        let reference = |tree: &Tree, cap: usize, deadline: Time| {
+            PathStrategy::ALL
+                .iter()
+                .map(|&strategy| {
+                    let cover = mst_tree::cover_tree(tree, strategy);
+                    let schedule = schedule_spider_by_deadline(&cover.spider, cap, deadline);
+                    Solution::from_cover("optimal", cover.spider, schedule)
+                })
+                .max_by_key(|s| (s.n(), -s.makespan()))
+                .expect("four strategies")
+        };
+        let json = |s: &Solution| solution_to_json(s).to_string();
+        for seed in 0..1_000u64 {
+            let g = GeneratorConfig::new(HeterogeneityProfile::ALL[(seed % 5) as usize], seed);
+            let tree = g.tree(2 + (seed % 7) as usize);
+            let cap = 1 + (seed % 12) as usize;
+            let m = best_cover_schedule(&tree, cap).makespan;
+            for deadline in [m / 2, m - 1, m, m + 1, 2 * m] {
+                assert_eq!(
+                    json(&best_cover_by_deadline("optimal", &tree, cap, deadline)),
+                    json(&reference(&tree, cap, deadline)),
+                    "seed {seed}, cap {cap}, deadline {deadline}: {tree}"
+                );
+            }
         }
     }
 }

@@ -38,18 +38,9 @@ fn div_ceil_i64(a: Time, b: Time) -> Time {
 
 /// Lower bound for a spider: every task occupies the master's out-port
 /// for at least the smallest first-link latency, and the last task still
-/// needs the cheapest completion tail.
+/// needs the cheapest completion tail ([`Spider::makespan_lower_bound`]).
 pub fn spider_lower_bound(spider: &Spider, n: usize) -> Time {
-    let min_c1 = spider.legs().iter().map(|l| l.c(1)).min().expect("legs");
-    let min_tail = spider
-        .legs()
-        .iter()
-        .map(|l| {
-            (1..=l.len()).map(|k| l.travel_time(k) - l.c(1) + l.w(k)).min().expect("leg non-empty")
-        })
-        .min()
-        .expect("legs");
-    n as Time * min_c1 + min_tail
+    spider.makespan_lower_bound(n)
 }
 
 /// Aggregate steady-state throughput (tasks per tick) of a spider under
@@ -86,7 +77,9 @@ pub fn spider_steady_state_rate(spider: &Spider) -> f64 {
 mod tests {
     use super::*;
     use crate::exact::{optimal_chain_makespan, optimal_spider_makespan};
+    use mst_fork::{max_tasks_fork_by_deadline, schedule_fork};
     use mst_platform::{GeneratorConfig, HeterogeneityProfile};
+    use mst_spider::{schedule_spider, schedule_spider_by_deadline};
 
     #[test]
     fn chain_bound_is_sound_on_small_instances() {
@@ -109,6 +102,28 @@ mod tests {
             let lb = spider_lower_bound(&spider, n);
             let opt = optimal_spider_makespan(&spider, n);
             assert!(lb <= opt, "spider bound {lb} exceeds optimum {opt} (seed {seed})");
+        }
+        // Medium shapes (4-8 legs or slaves, 16-64 tasks), past the exact
+        // search. The kernels' searches start at these lower bounds, so
+        // each bound is also checked by one count-only probe just below
+        // it, which no search floor touches: it must fit fewer than `n`.
+        for seed in 0..1_000u64 {
+            let g = GeneratorConfig::new(HeterogeneityProfile::ALL[(seed % 5) as usize], seed);
+            let size = 4 + (seed % 5) as usize;
+            let n = 16 + (seed % 49) as usize;
+
+            let spider = g.spider(size, 1, 3);
+            let (lb, ub) = (spider_lower_bound(&spider, n), spider.makespan_upper_bound(n));
+            let m = schedule_spider(&spider, n).0;
+            assert!(lb <= m && m <= ub, "spider: {lb} <= {m} <= {ub} fails (seed {seed})");
+            assert!(schedule_spider_by_deadline(&spider, n, lb - 1).n() < n, "seed {seed}");
+
+            let fork = g.fork(size);
+            let (lb, ub) = (fork.makespan_lower_bound(n), fork.makespan_upper_bound(n));
+            let m = schedule_fork(&fork, n).0;
+            assert!(lb <= m && m <= ub, "fork: {lb} <= {m} <= {ub} fails (seed {seed})");
+            assert!(max_tasks_fork_by_deadline(&fork, n, lb - 1).n() < n, "seed {seed}");
+            assert_eq!(schedule_spider(&Spider::from_fork(&fork), n).0, m, "seed {seed}");
         }
     }
 

@@ -145,8 +145,10 @@ fn realise(fork: &Fork, selected: &[(VirtualSlave, Time)], deadline: Time) -> Sp
 /// search over the deadline. Returns `(makespan, outcome)`.
 ///
 /// The task count achievable by a deadline is non-decreasing in the
-/// deadline, so the binary search is exact; the upper bound seeds from
-/// running everything on the best single slave.
+/// deadline, so the binary search is exact. It runs over `[LB, UB]`: the
+/// one-port lower bound [`Fork::makespan_lower_bound`], which every
+/// schedule meets, and the upper bound [`Fork::makespan_upper_bound`],
+/// which runs everything on the best single slave.
 ///
 /// ```
 /// use mst_platform::Fork;
@@ -159,10 +161,9 @@ fn realise(fork: &Fork, selected: &[(VirtualSlave, Time)], deadline: Time) -> Sp
 pub fn schedule_fork(fork: &Fork, n: usize) -> (Time, ForkOutcome) {
     assert!(n >= 1, "schedule_fork requires at least one task");
     SCRATCH.with_borrow_mut(|scratch| {
-        // lo = 1: no task can finish by tick 0 (c, w >= 1).
-        let (makespan, cached) = search_min_deadline(1, fork.makespan_upper_bound(n), n, |d| {
-            count_tasks_fork_by_deadline(fork, n, d, scratch)
-        });
+        let (lo, hi) = (fork.makespan_lower_bound(n), fork.makespan_upper_bound(n));
+        let (makespan, cached) =
+            search_min_deadline(lo, hi, n, |d| count_tasks_fork_by_deadline(fork, n, d, scratch));
         if !cached {
             count_tasks_fork_by_deadline(fork, n, makespan, scratch);
         }
@@ -178,8 +179,9 @@ pub fn schedule_fork(fork: &Fork, n: usize) -> (Time, ForkOutcome) {
 /// state; the returned flag says whether the **final** probe ran at the
 /// returned deadline (the caller can then materialise its witness from
 /// the scratch without re-probing). The probe count must be
-/// non-decreasing in the deadline, and `hi` must be feasible (asserted
-/// in debug builds).
+/// non-decreasing in the deadline, `lo` must not exceed the smallest
+/// feasible deadline (a lower bound on the makespan), and `hi` must be
+/// feasible (asserted in debug builds).
 pub fn search_min_deadline(
     mut lo: Time,
     mut hi: Time,

@@ -27,7 +27,13 @@
 //! The result converts back to an executable star schedule
 //! (a [`SpiderSchedule`](mst_schedule::SpiderSchedule) on legs of
 //! length 1) and, by binary search on `T_lim`, to a makespan-optimal
-//! schedule for `n` tasks ([`algorithm::schedule_fork`]).
+//! schedule for `n` tasks ([`algorithm::schedule_fork`]). The search
+//! runs over `[LB, UB]`: the one-port lower bound `n · min c + min w`
+//! ([`Fork::makespan_lower_bound`](mst_platform::Fork::makespan_lower_bound)),
+//! which every schedule meets, and the best single slave's makespan
+//! ([`Fork::makespan_upper_bound`](mst_platform::Fork::makespan_upper_bound)).
+//! [`search_min_deadline`] is that search, shared with `mst-spider`,
+//! whose `schedule_spider_below` also caps it at a caller's bound.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -98,6 +98,17 @@ impl Fork {
             .min()
             .expect("fork is non-empty")
     }
+
+    /// The one-port makespan lower bound for `n` tasks,
+    /// `n · min c + min w`: the master emits one task at a time, so the
+    /// last emission ends no earlier than `n · min c`, and that task
+    /// still needs at least `min w` to compute.
+    pub fn makespan_lower_bound(&self, n: usize) -> Time {
+        assert!(n >= 1);
+        let min_c = self.slaves.iter().map(|p| p.comm).min().expect("fork is non-empty");
+        let min_w = self.slaves.iter().map(|p| p.work).min().expect("fork is non-empty");
+        n as Time * min_c + min_w
+    }
 }
 
 impl fmt::Display for Fork {
@@ -134,6 +145,16 @@ mod tests {
         // slave 1: 1 + (n-1)*10 + 10 ; slave 2: 2 + (n-1)*3 + 3
         assert_eq!(f.makespan_upper_bound(1), 5); // slave 2: 2 + 3
         assert_eq!(f.makespan_upper_bound(4), 2 + 9 + 3); // slave 2 wins
+    }
+
+    #[test]
+    fn lower_bound_takes_the_cheapest_link_and_cpu_apart() {
+        let f = Fork::from_pairs(&[(1, 10), (2, 3)]).unwrap();
+        assert_eq!(f.makespan_lower_bound(1), 1 + 3);
+        assert_eq!(f.makespan_lower_bound(4), 4 + 3);
+        for n in 1..20 {
+            assert!(f.makespan_lower_bound(n) <= f.makespan_upper_bound(n));
+        }
     }
 
     #[test]

@@ -116,6 +116,30 @@ impl Spider {
         self.legs.iter().map(|c| c.t_infinity(n)).min().expect("spider is non-empty")
     }
 
+    /// The one-port makespan lower bound for `n` tasks: the master
+    /// emits one task at a time over some first link, so the last
+    /// emission ends no earlier than `n · min c_1`, and that task still
+    /// needs the cheapest tail past its first link,
+    /// `min (c_2 + .. + c_k + w_k)` over every node of every leg. Every
+    /// feasible schedule of `n` tasks meets it, so a deadline search
+    /// may start here.
+    pub fn makespan_lower_bound(&self, n: usize) -> Time {
+        assert!(n >= 1);
+        let min_c1 = self.legs.iter().map(|l| l.c(1)).min().expect("spider is non-empty");
+        let min_tail = self
+            .legs
+            .iter()
+            .map(|l| {
+                (1..=l.len())
+                    .map(|k| l.travel_time(k) - l.c(1) + l.w(k))
+                    .min()
+                    .expect("leg non-empty")
+            })
+            .min()
+            .expect("spider is non-empty");
+        n as Time * min_c1 + min_tail
+    }
+
     /// `true` iff the spider degenerates to a single chain.
     #[inline]
     pub fn is_chain(&self) -> bool {
@@ -198,6 +222,17 @@ mod tests {
         let s = Spider::from_fork(&f);
         assert!(s.is_fork());
         assert_eq!(s.head_fork(), f);
+    }
+
+    #[test]
+    fn lower_bound_mixes_the_cheapest_link_and_the_cheapest_tail() {
+        let s = sample();
+        // min c1 = 1 (leg 1); cheapest tail: leg 2's first node, w = 2.
+        assert_eq!(s.makespan_lower_bound(1), 1 + 2);
+        assert_eq!(s.makespan_lower_bound(5), 5 + 2);
+        for n in 1..20 {
+            assert!(s.makespan_lower_bound(n) <= s.makespan_upper_bound(n));
+        }
     }
 
     #[test]

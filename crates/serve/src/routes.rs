@@ -489,8 +489,8 @@ fn opt_flag(body: &Json, key: &str) -> Result<bool, Response> {
 /// slots, registry); quota exhaustion answers 429 with `Retry-After`.
 /// With `"verify": true` the solution is checked by the [`verify`]
 /// oracle before it is returned and the response carries
-/// `"feasible": true` — an infeasible witness would be a solver bug
-/// and answers 500.
+/// `"feasible": true` — an infeasible witness, or one ending past the
+/// request's `deadline`, would be a solver bug and answers 500.
 ///
 /// The tenant's solution cache is consulted **before** admission: a
 /// hit answers immediately with `"cached": true`, takes no admission
@@ -530,7 +530,9 @@ fn solve(request: &Request, state: &ServiceState) -> Response {
         }
     };
     match cached_solve(state, tenant, batch.registry(), solver_name, &instance, deadline) {
-        Ok((solution, cached)) => render_solution(solution, &instance, solver_name, check, cached),
+        Ok((solution, cached)) => {
+            render_solution(solution, &instance, deadline, solver_name, check, cached)
+        }
         Err(response) => response,
     }
 }
@@ -539,9 +541,12 @@ fn solve(request: &Request, state: &ServiceState) -> Response {
 /// for cache hits, and the `"feasible"` flag when verification was
 /// requested (the oracle runs against the **original** instance, so a
 /// mis-restored cached solution would fail here, not pass silently).
+/// A deadline request is verified against its deadline too: a witness
+/// ending past it answers 500, as an oracle rejection does.
 fn render_solution(
     solution: Solution,
     instance: &Instance,
+    deadline: Option<Time>,
     solver_name: &str,
     check: bool,
     cached: bool,
@@ -563,9 +568,20 @@ fn render_solution(
             verify_start.elapsed().as_micros() as u64,
         );
         match report {
-            Ok(report) if report.is_feasible() => {
-                reply.push(("feasible".to_string(), Json::Bool(true)));
-            }
+            Ok(report) if report.is_feasible() => match deadline {
+                Some(t) if report.makespan > t => {
+                    return error_response(
+                        500,
+                        "infeasible-solution",
+                        &format!(
+                            "solver {solver_name} produced a schedule ending at {}, past the \
+                             deadline {t}",
+                            report.makespan
+                        ),
+                    );
+                }
+                _ => reply.push(("feasible".to_string(), Json::Bool(true))),
+            },
             Ok(report) => {
                 return error_response(
                     500,
@@ -1567,6 +1583,53 @@ mod tests {
     use super::*;
     use mst_obs::trace::SpanRec;
     use mst_obs::{Stage, Trace};
+    use mst_platform::Chain;
+
+    /// `optimal`, except that its deadline variant schedules every task
+    /// whatever the deadline.
+    struct IgnoresDeadline;
+
+    impl mst_api::Solver for IgnoresDeadline {
+        fn name(&self) -> &'static str {
+            "ignores-deadline"
+        }
+        fn description(&self) -> &'static str {
+            "optimal, deadline ignored"
+        }
+        fn supports(&self, _: TopologyKind) -> bool {
+            true
+        }
+        fn by_deadline(&self) -> bool {
+            true
+        }
+        fn solve(&self, instance: &Instance) -> Result<Solution, SolveError> {
+            SolverRegistry::global().solve("optimal", instance)
+        }
+        fn solve_by_deadline(&self, instance: &Instance, _: Time) -> Result<Solution, SolveError> {
+            self.solve(instance)
+        }
+    }
+
+    #[test]
+    fn verified_deadline_replies_are_held_to_the_deadline() {
+        let mut registry = SolverRegistry::global().overlay();
+        registry.register(IgnoresDeadline);
+        let instance = Instance::new(Chain::paper_figure2(), 5);
+        let deadline = 10; // the five tasks need 14
+        let late = registry.solve_by_deadline("ignores-deadline", &instance, deadline).unwrap();
+        assert_eq!(late.makespan(), 14);
+        let refused =
+            render_solution(late, &instance, Some(deadline), "ignores-deadline", true, false);
+        assert_eq!(refused.status, 500, "{}", refused.body);
+        assert!(refused.body.contains("\"infeasible-solution\""), "{}", refused.body);
+        assert!(refused.body.contains("past the deadline 10"), "{}", refused.body);
+
+        let on_time = registry.solve_by_deadline("optimal", &instance, deadline).unwrap();
+        assert!(on_time.makespan() <= deadline);
+        let served = render_solution(on_time, &instance, Some(deadline), "optimal", true, false);
+        assert_eq!(served.status, 200, "{}", served.body);
+        assert!(served.body.contains("\"feasible\":true"), "{}", served.body);
+    }
 
     #[test]
     fn traces_render_their_members_in_order() {

@@ -4,7 +4,8 @@
 //! selection (steps (1)–(4)) through a reusable `SpiderScratch`
 //! without materialising a witness, and step (5)'s revert runs **once**,
 //! on the final deadline — the same hot-path structure as
-//! `mst_fork::schedule_fork`.
+//! `mst_fork::schedule_fork`. Probes start at the one-port lower bound,
+//! not at `T = 1`.
 
 use crate::transform::{transform_leg_into, ChainVirtualSlave};
 use mst_core::schedule_chain_by_deadline;
@@ -120,8 +121,10 @@ pub fn schedule_spider_by_deadline(
 /// `(makespan, schedule)`.
 ///
 /// Monotonicity of the optimal task count in the deadline (Theorem 3)
-/// makes the binary search exact; the upper bound runs everything on the
-/// best single leg.
+/// makes the binary search exact. It runs over `[LB, UB]`: the one-port
+/// lower bound [`Spider::makespan_lower_bound`], which every schedule
+/// meets, and the upper bound [`Spider::makespan_upper_bound`], which
+/// runs everything on the best single leg.
 ///
 /// ```
 /// use mst_platform::Spider;
@@ -133,15 +136,40 @@ pub fn schedule_spider_by_deadline(
 /// assert!(makespan <= 14);
 /// ```
 pub fn schedule_spider(spider: &Spider, n: usize) -> (Time, SpiderSchedule) {
+    schedule_spider_below(spider, n, Time::MAX).expect("the upper bound is always feasible")
+}
+
+/// [`schedule_spider`] for a caller that only wants a makespan of at
+/// most `bound`: `None` when no schedule of `n` tasks ends by `bound`.
+///
+/// When `bound` is below the upper bound, one count-only probe at
+/// `bound`, with no revert, tells whether any schedule meets it; a
+/// caller holding an incumbent of makespan `m` passes `m - 1` and
+/// rejects a losing spider in that one probe. Otherwise the search runs
+/// over `[LB, min(bound, UB)]` and returns the same makespan and
+/// schedule as [`schedule_spider`]. A `bound` at or above the upper
+/// bound costs no extra probe.
+pub fn schedule_spider_below(
+    spider: &Spider,
+    n: usize,
+    bound: Time,
+) -> Option<(Time, SpiderSchedule)> {
     assert!(n >= 1, "schedule_spider requires at least one task");
     SCRATCH.with_borrow_mut(|scratch| {
-        let (makespan, cached) = search_min_deadline(1, spider.makespan_upper_bound(n), n, |d| {
-            select_into(spider, n, d, scratch)
-        });
+        let mut hi = spider.makespan_upper_bound(n);
+        if bound < hi {
+            if select_into(spider, n, bound, scratch) < n {
+                return None;
+            }
+            hi = bound;
+        }
+        let lo = spider.makespan_lower_bound(n);
+        let (makespan, cached) =
+            search_min_deadline(lo, hi, n, |d| select_into(spider, n, d, scratch));
         if !cached {
             select_into(spider, n, makespan, scratch);
         }
-        (makespan, revert(scratch))
+        Some((makespan, revert(scratch)))
     })
 }
 
@@ -197,6 +225,33 @@ mod tests {
             let exact = optimal_spider_makespan(&spider, n);
             assert_eq!(makespan, exact, "seed {seed}, n {n}, {spider}");
             assert_eq!(s.makespan(), makespan, "schedule must realise the searched deadline");
+        }
+    }
+
+    #[test]
+    fn bounded_search_matches_a_full_range_search() {
+        // The reference: the first deadline from 1 up whose probe fits
+        // `n`, selected and reverted, with no bound on either side.
+        let full_range = |spider: &Spider, n: usize| {
+            SCRATCH.with_borrow_mut(|scratch| {
+                let m = (1..).find(|&d| select_into(spider, n, d, scratch) >= n).unwrap();
+                (m, revert(scratch))
+            })
+        };
+        for seed in 0..200u64 {
+            let g = GeneratorConfig::new(HeterogeneityProfile::ALL[(seed % 5) as usize], seed);
+            let spider = g.spider(1 + (seed % 5) as usize, 1, 3);
+            let n = 1 + (seed % 16) as usize;
+            let expected = full_range(&spider, n);
+            assert_eq!(schedule_spider(&spider, n), expected, "seed {seed}");
+            let m = expected.0;
+            for bound in [0, m - 2, m - 1] {
+                assert_eq!(schedule_spider_below(&spider, n, bound), None, "seed {seed}, {bound}");
+            }
+            for bound in [m, m + 1, spider.makespan_upper_bound(n), Time::MAX] {
+                let got = schedule_spider_below(&spider, n, bound);
+                assert_eq!(got.as_ref(), Some(&expected), "seed {seed}, bound {bound}");
+            }
         }
     }
 

@@ -22,7 +22,16 @@
 //! [`schedule_spider_by_deadline`] implements steps 1–4 (optimal task
 //! count by Theorem 3); [`schedule_spider`] wraps a binary search over
 //! `T_lim` to obtain the minimum makespan for exactly `n` tasks, in
-//! `O(n^2 p^2 log)` overall.
+//! `O(n^2 p^2 log)` overall. The search runs over `[LB, UB]`: the
+//! one-port lower bound `n · min c_1 + cheapest tail`
+//! ([`Spider::makespan_lower_bound`](mst_platform::Spider::makespan_lower_bound)),
+//! which every schedule meets, and the best single leg's makespan
+//! ([`Spider::makespan_upper_bound`](mst_platform::Spider::makespan_upper_bound)).
+//! [`schedule_spider_below`] does the same for a caller that only wants
+//! a makespan of at most some bound: one count-only probe at the bound
+//! rejects a spider that cannot meet it, and otherwise the search runs
+//! over `[LB, min(bound, UB)]`. Tree covers use it to drop a cover that
+//! cannot beat the best one found so far.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,5 +39,5 @@
 pub mod algorithm;
 pub mod transform;
 
-pub use algorithm::{schedule_spider, schedule_spider_by_deadline};
+pub use algorithm::{schedule_spider, schedule_spider_below, schedule_spider_by_deadline};
 pub use transform::{transform_leg, transform_leg_into, ChainVirtualSlave};

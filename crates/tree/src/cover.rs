@@ -129,6 +129,24 @@ pub fn cover_tree(tree: &Tree, strategy: PathStrategy) -> SpiderCover {
     SpiderCover { spider: Spider::new(legs).expect("master has at least one child"), node_map }
 }
 
+/// The covers `strategies` give `tree`, in order, with each distinct
+/// cover (by `node_map`) kept at its first occurrence only. Distinct
+/// strategies often pick the same paths; a caller scanning the list
+/// schedules each cover once.
+pub fn distinct_covers(
+    tree: &Tree,
+    strategies: impl IntoIterator<Item = PathStrategy>,
+) -> Vec<SpiderCover> {
+    let mut covers: Vec<SpiderCover> = Vec::new();
+    for strategy in strategies {
+        let cover = cover_tree(tree, strategy);
+        if covers.iter().all(|c| c.node_map != cover.node_map) {
+            covers.push(cover);
+        }
+    }
+    covers
+}
+
 /// Enumerates **every** spider cover of the tree (the Cartesian product
 /// of per-head path choices). Exponential; for the small trees of the
 /// covering experiments only.

@@ -32,6 +32,6 @@ pub mod cover;
 pub mod schedule;
 pub mod witness;
 
-pub use cover::{all_covers, cover_tree, PathStrategy, SpiderCover};
+pub use cover::{all_covers, cover_tree, distinct_covers, PathStrategy, SpiderCover};
 pub use schedule::{best_cover_schedule, schedule_tree, TreeScheduleOutcome};
 pub use witness::tree_schedule_from_sequence;

@@ -46,6 +46,8 @@ pub struct FuzzReport {
     pub solves: usize,
     /// Mutated schedules cross-checked oracle-vs-simulator.
     pub mutations: usize,
+    /// Deadline-duality checks run (see [`crate::props`]).
+    pub duality_checks: usize,
     /// Instances where branch-and-bound ground truth was applied.
     pub bnb_instances: usize,
     /// Corpus entries replayed before fuzzing.
@@ -71,6 +73,7 @@ impl FuzzReport {
             ("iterations", Json::int(self.iterations as i64)),
             ("solves", Json::int(self.solves as i64)),
             ("mutations", Json::int(self.mutations as i64)),
+            ("duality_checks", Json::int(self.duality_checks as i64)),
             ("bnb_instances", Json::int(self.bnb_instances as i64)),
             ("corpus_replayed", Json::int(self.corpus_replayed as i64)),
             ("ok", Json::Bool(self.ok())),
@@ -209,6 +212,7 @@ fn record(
 ) {
     report.solves += outcome.solves;
     report.mutations += outcome.mutations;
+    report.duality_checks += outcome.duality_checks;
     if outcome.bnb_checked {
         report.bnb_instances += 1;
     }
@@ -282,6 +286,7 @@ pub fn run(registry: &SolverRegistry, config: &FuzzConfig) -> FuzzReport {
         iterations: 0,
         solves: 0,
         mutations: 0,
+        duality_checks: 0,
         bnb_instances: 0,
         corpus_replayed: 0,
         violations: Vec::new(),
@@ -332,6 +337,7 @@ mod tests {
         assert!(report.ok(), "{:?}", report.violations);
         assert!(report.iterations > 0);
         assert!(report.solves > 0);
+        assert!(report.duality_checks > 0);
     }
 
     #[test]

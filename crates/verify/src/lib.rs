@@ -20,7 +20,9 @@
 //!   makespan is at least the exact branch-and-bound's, the oracle and
 //!   the simulator return the same verdict on every witness *and* on
 //!   every mutation of it, `verify()` is total over the enumeration,
-//!   and canonical-form `restore()` round-trips feasibility.
+//!   canonical-form `restore()` round-trips feasibility, and every
+//!   deadline variant is dual to its makespan variant
+//!   (`deadline-duality`, see [`props`]).
 //! * [`fuzz`] — a **differential fuzzer** (`mst fuzz`). It generates
 //!   seeded random instances and mutated witnesses far beyond the model
 //!   checker's bounds, cross-checks oracle vs simulator vs

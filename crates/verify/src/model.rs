@@ -49,6 +49,8 @@ pub struct ModelReport {
     pub solves: usize,
     /// Mutated schedules cross-checked oracle-vs-simulator.
     pub mutations: usize,
+    /// Deadline-duality checks run (see [`crate::props`]).
+    pub duality_checks: usize,
     /// Instances where the branch-and-bound ground truth was applied.
     pub bnb_instances: usize,
     /// Every property violation found (empty means the gate holds).
@@ -79,6 +81,7 @@ impl ModelReport {
             ("instances", Json::int(self.instances as i64)),
             ("solves", Json::int(self.solves as i64)),
             ("mutations", Json::int(self.mutations as i64)),
+            ("duality_checks", Json::int(self.duality_checks as i64)),
             ("bnb_instances", Json::int(self.bnb_instances as i64)),
             ("ok", Json::Bool(self.ok())),
             ("violations_total", Json::int(self.violations.len() as i64)),
@@ -200,6 +203,7 @@ pub fn check_model(registry: &SolverRegistry, bounds: &ModelBounds) -> ModelRepo
         instances: 0,
         solves: 0,
         mutations: 0,
+        duality_checks: 0,
         bnb_instances: 0,
         violations: Vec::new(),
     };
@@ -217,6 +221,7 @@ pub fn check_model(registry: &SolverRegistry, bounds: &ModelBounds) -> ModelRepo
     }
     report.solves = total.solves;
     report.mutations = total.mutations;
+    report.duality_checks = total.duality_checks;
     report.bnb_instances = bnb;
     report.violations = total.violations;
     report
@@ -254,6 +259,7 @@ mod tests {
         assert_eq!(report.instances, report.platforms * 2);
         assert!(report.solves > 0);
         assert!(report.mutations > 0);
+        assert!(report.duality_checks > 0);
         assert!(report.bnb_instances == report.instances);
         let json = report.to_json();
         assert!(json.contains("\"ok\":true"));

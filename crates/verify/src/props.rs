@@ -9,6 +9,16 @@
 //!   branch-and-bound makespan (soundness of the search space);
 //! * **optimal-not-exact** — the provably optimal algorithms (chain,
 //!   fork, spider; Theorems 1 and 3) match branch-and-bound exactly;
+//! * **deadline-duality** — every solver with a deadline variant
+//!   (`by_deadline()`: `optimal`, `chain-optimal`, `fork-optimal`,
+//!   `spider-optimal`, `tree-cover`) is dual to its makespan variant: if
+//!   the makespan variant reaches `M` for `n` tasks, the deadline variant
+//!   fits all `n` by `M`, finishing by `M`, and fewer than `n` by `M - 1`.
+//!   For the optimal solvers this is Theorem 3's monotone task count; the
+//!   tree heuristic owes it too, since both of its variants scan the same
+//!   strategy covers. It holds at every size, so it extends the
+//!   optimality evidence past the branch-and-bound bounds, where a
+//!   deadline search that starts too high would otherwise go unseen;
 //! * **verify-total / oracle-rejects-witness / makespan-mismatch** —
 //!   `verify()` accepts every produced witness and recomputes its
 //!   claimed makespan;
@@ -27,7 +37,7 @@
 use crate::sim::{embed_chain, embed_spider, simulate, tree_witness};
 use mst_api::wire::Json;
 use mst_api::{verify, CanonicalInstance, Instance, ScheduleRepr, SolverRegistry, TopologyKind};
-use mst_platform::Tree;
+use mst_platform::{Time, Tree};
 use mst_schedule::{check_chain, check_spider, check_tree, mutate};
 
 /// Branch-and-bound comparisons are gated to instances this small (the
@@ -71,6 +81,9 @@ pub struct Outcome {
     pub solves: usize,
     /// Mutated schedules cross-checked oracle-vs-simulator.
     pub mutations: usize,
+    /// Deadline-duality checks run (one per solver with a deadline
+    /// variant).
+    pub duality_checks: usize,
     /// Whether the exact branch-and-bound bound was applied.
     pub bnb_checked: bool,
     /// Every property violation found.
@@ -82,6 +95,7 @@ impl Outcome {
     pub fn absorb(&mut self, other: Outcome) {
         self.solves += other.solves;
         self.mutations += other.mutations;
+        self.duality_checks += other.duality_checks;
         self.bnb_checked |= other.bnb_checked;
         self.violations.extend(other.violations);
     }
@@ -97,6 +111,40 @@ fn proven_optimal(kind: TopologyKind, solver: &str) -> bool {
         TopologyKind::Fork => matches!(solver, "optimal" | "fork-optimal" | "spider-optimal"),
         TopologyKind::Spider => matches!(solver, "optimal" | "spider-optimal"),
         TopologyKind::Tree => false,
+    }
+}
+
+/// The deadline-duality property for `solver`, whose makespan variant
+/// reached `makespan` on `instance`: `None` when it holds, otherwise
+/// what broke.
+fn deadline_duality(
+    registry: &SolverRegistry,
+    solver: &str,
+    instance: &Instance,
+    makespan: Time,
+) -> Option<String> {
+    let n = instance.tasks;
+    match registry.solve_by_deadline(solver, instance, makespan) {
+        Ok(at) if at.n() == n && at.makespan() <= makespan => {}
+        Ok(at) => {
+            return Some(format!(
+                "by its makespan {makespan} the deadline variant fits {} of {n} task(s), \
+                 finishing at {}",
+                at.n(),
+                at.makespan()
+            ))
+        }
+        Err(e) => return Some(format!("deadline {makespan} errored: {e}")),
+    }
+    match registry.solve_by_deadline(solver, instance, makespan - 1) {
+        Ok(below) if below.n() < n => None,
+        Ok(below) => Some(format!(
+            "makespan {makespan}, yet the deadline variant fits all {n} task(s) by {}, \
+             finishing at {}",
+            makespan - 1,
+            below.makespan()
+        )),
+        Err(e) => Some(format!("deadline {} errored: {e}", makespan - 1)),
     }
 }
 
@@ -134,8 +182,9 @@ pub fn check_instance(registry: &SolverRegistry, instance: &Instance) -> Outcome
         None
     };
 
-    let names: Vec<&'static str> = registry.supporting(kind).iter().map(|s| s.name()).collect();
-    for name in names {
+    let names: Vec<(&'static str, bool)> =
+        registry.supporting(kind).iter().map(|s| (s.name(), s.by_deadline())).collect();
+    for (name, by_deadline) in names {
         let sol = match registry.solve(name, instance) {
             Ok(sol) => sol,
             Err(e) => {
@@ -163,6 +212,13 @@ pub fn check_instance(registry: &SolverRegistry, instance: &Instance) -> Outcome
                     name,
                     format!("claims optimality but got {} vs exact {exact}", sol.makespan()),
                 );
+            }
+        }
+
+        if by_deadline {
+            out.duality_checks += 1;
+            if let Some(detail) = deadline_duality(registry, name, instance, sol.makespan()) {
+                fail(&mut out, "deadline-duality", name, detail);
             }
         }
 
@@ -371,8 +427,53 @@ mod tests {
             assert!(out.violations.is_empty(), "{instance}: {:?}", out.violations);
             assert!(out.solves > 0);
             assert!(out.mutations > 0);
+            assert!(out.duality_checks > 0);
             assert!(out.bnb_checked);
         }
+    }
+
+    #[test]
+    fn a_deadline_variant_that_ignores_the_deadline_breaks_duality() {
+        use mst_api::{Solution, SolveError, Solver};
+        /// `optimal`, except that its deadline variant schedules every
+        /// task whatever the deadline.
+        struct IgnoresDeadline;
+        impl Solver for IgnoresDeadline {
+            fn name(&self) -> &'static str {
+                "ignores-deadline"
+            }
+            fn description(&self) -> &'static str {
+                "optimal, deadline ignored"
+            }
+            fn supports(&self, _: TopologyKind) -> bool {
+                true
+            }
+            fn by_deadline(&self) -> bool {
+                true
+            }
+            fn solve(&self, instance: &Instance) -> Result<Solution, SolveError> {
+                SolverRegistry::global().solve("optimal", instance)
+            }
+            fn solve_by_deadline(
+                &self,
+                instance: &Instance,
+                _: Time,
+            ) -> Result<Solution, SolveError> {
+                self.solve(instance)
+            }
+        }
+        let mut registry = SolverRegistry::global().overlay();
+        registry.register(IgnoresDeadline);
+        let instance =
+            Instance::new(Spider::from_legs(&[&[(2, 3)], &[(1, 1), (2, 2)]]).unwrap(), 3);
+        let out = check_instance(&registry, &instance);
+        let broken: Vec<&str> = out
+            .violations
+            .iter()
+            .filter(|v| v.property == "deadline-duality")
+            .map(|v| v.solver.as_str())
+            .collect();
+        assert_eq!(broken, ["ignores-deadline"], "{:?}", out.violations);
     }
 
     #[test]
