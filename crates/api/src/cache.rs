@@ -15,7 +15,7 @@ use crate::instance::Instance;
 use crate::registry::SolverRegistry;
 use crate::solution::Solution;
 use mst_platform::Time;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -49,13 +49,26 @@ impl CacheKey {
 #[derive(Debug, Default)]
 struct Shard {
     entries: HashMap<CacheKey, (u64, Solution)>,
+    /// Every entry's key by its LRU stamp, oldest first. Stamps are
+    /// unique, so the first entry is the eviction victim.
+    by_stamp: BTreeMap<u64, CacheKey>,
+}
+
+impl Shard {
+    /// Moves `key`'s index entry from stamp `old` to `new`.
+    fn restamp(&mut self, old: u64, new: u64) {
+        let key = self.by_stamp.remove(&old).expect("every entry is indexed by its stamp");
+        self.by_stamp.insert(new, key);
+    }
 }
 
 /// A sharded LRU memo of canonical solutions.
 ///
 /// Eviction is least-recently-*used* per shard, tracked by a global
-/// monotonic stamp; with `capacity == 0` the cache is disabled (every
-/// lookup misses, inserts are dropped).
+/// monotonic stamp. Each shard indexes its keys by stamp, so an
+/// eviction takes the index's first key instead of scanning the shard.
+/// With `capacity == 0` the cache is disabled (every lookup misses,
+/// inserts are dropped).
 #[derive(Debug)]
 pub struct SolutionCache {
     shards: Vec<Mutex<Shard>>,
@@ -97,16 +110,7 @@ impl SolutionCache {
     }
 
     fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        // Mix the solver/deadline components in cheaply; the content hash
-        // already distributes well.
-        let mut h = key.hash as u64 ^ (key.hash >> 64) as u64;
-        for b in key.solver.as_bytes() {
-            h = h.wrapping_mul(31).wrapping_add(*b as u64);
-        }
-        if let Some(d) = key.deadline {
-            h = h.wrapping_mul(31).wrapping_add(d as u64);
-        }
-        &self.shards[(h % SHARDS as u64) as usize]
+        &self.shards[shard_of(key)]
     }
 
     /// Looks up a canonical solution, refreshing its LRU stamp. Counts a
@@ -118,17 +122,15 @@ impl SolutionCache {
         }
         let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        match shard.entries.get_mut(key) {
-            Some(entry) => {
-                entry.0 = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.1.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let Some(entry) = shard.entries.get_mut(key) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let old = std::mem::replace(&mut entry.0, stamp);
+        let solution = entry.1.clone();
+        shard.restamp(old, stamp);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(solution)
     }
 
     /// Inserts (or refreshes) a canonical solution, evicting the shard's
@@ -139,14 +141,18 @@ impl SolutionCache {
         }
         let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-        if !shard.entries.contains_key(&key) && shard.entries.len() >= self.per_shard {
-            if let Some(oldest) =
-                shard.entries.iter().min_by_key(|(_, (s, _))| *s).map(|(k, _)| k.clone())
-            {
+        if let Some(entry) = shard.entries.get_mut(&key) {
+            let old = std::mem::replace(entry, (stamp, solution)).0;
+            shard.restamp(old, stamp);
+            return;
+        }
+        if shard.entries.len() >= self.per_shard {
+            if let Some((_, oldest)) = shard.by_stamp.pop_first() {
                 shard.entries.remove(&oldest);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+        shard.by_stamp.insert(stamp, key.clone());
         shard.entries.insert(key, (stamp, solution));
     }
 
@@ -175,6 +181,20 @@ impl SolutionCache {
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
+}
+
+/// The shard `key` lives in.
+fn shard_of(key: &CacheKey) -> usize {
+    // Mix the solver/deadline components in cheaply; the content hash
+    // already distributes well.
+    let mut h = key.hash as u64 ^ (key.hash >> 64) as u64;
+    for b in key.solver.as_bytes() {
+        h = h.wrapping_mul(31).wrapping_add(*b as u64);
+    }
+    if let Some(d) = key.deadline {
+        h = h.wrapping_mul(31).wrapping_add(d as u64);
+    }
+    (h % SHARDS as u64) as usize
 }
 
 impl Default for SolutionCache {
@@ -269,6 +289,85 @@ mod tests {
         assert!(again.cache_hit);
         assert_eq!(again.solution.makespan(), by_deadline.solution.makespan());
         assert_eq!(cache.len(), 2);
+    }
+
+    /// The reference cache: the same shards, stamps and counters, with
+    /// each victim found by scanning its shard.
+    struct ScanModel {
+        shards: Vec<HashMap<CacheKey, (u64, Solution)>>,
+        per_shard: usize,
+        stamp: u64,
+        hits: u64,
+        evictions: u64,
+    }
+
+    impl ScanModel {
+        fn get(&mut self, key: &CacheKey) -> Option<Solution> {
+            self.stamp += 1;
+            let entry = self.shards[shard_of(key)].get_mut(key)?;
+            entry.0 = self.stamp - 1;
+            self.hits += 1;
+            Some(entry.1.clone())
+        }
+
+        fn insert(&mut self, key: CacheKey, solution: Solution) {
+            self.stamp += 1;
+            let shard = &mut self.shards[shard_of(&key)];
+            if !shard.contains_key(&key) && shard.len() >= self.per_shard {
+                let oldest = shard.iter().min_by_key(|(_, (s, _))| *s).map(|(k, _)| k.clone());
+                shard.remove(&oldest.expect("a full shard has an oldest entry"));
+                self.evictions += 1;
+            }
+            shard.insert(key, (self.stamp - 1, solution));
+        }
+    }
+
+    #[test]
+    fn the_stamp_index_evicts_what_a_scan_evicts() {
+        let registry = SolverRegistry::with_defaults();
+        let solutions: Vec<Solution> =
+            (1..=6).map(|tasks| registry.solve("optimal", &instance(1, tasks)).unwrap()).collect();
+        let keys: Vec<CacheKey> = (0..300u64)
+            .map(|i| CacheKey {
+                hash: u128::from(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) << 7,
+                solver: ["optimal", "chain-optimal"][(i % 2) as usize].to_string(),
+                deadline: (i % 3 == 0).then_some(i as Time),
+            })
+            .collect();
+        let cache = SolutionCache::new(64);
+        let mut model = ScanModel {
+            shards: vec![HashMap::new(); SHARDS],
+            per_shard: cache.per_shard,
+            stamp: 0,
+            hits: 0,
+            evictions: 0,
+        };
+        let mut state = 2003u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..24_000 {
+            let key = &keys[next(keys.len() as u64) as usize];
+            if next(5) < 3 {
+                assert_eq!(cache.get(key), model.get(key));
+            } else {
+                let solution = &solutions[next(solutions.len() as u64) as usize];
+                cache.insert(key.clone(), solution.clone());
+                model.insert(key.clone(), solution.clone());
+            }
+        }
+        assert!(model.hits > 1_000 && model.evictions > 1_000, "the mix must exercise both");
+        assert_eq!((cache.hits(), cache.evictions()), (model.hits, model.evictions));
+        for (shard, reference) in cache.shards.iter().zip(&model.shards) {
+            let shard = shard.lock().unwrap();
+            assert_eq!(&shard.entries, reference);
+            let indexed: BTreeMap<u64, CacheKey> =
+                reference.iter().map(|(k, (s, _))| (*s, k.clone())).collect();
+            assert_eq!(shard.by_stamp, indexed);
+        }
     }
 
     #[test]

@@ -438,8 +438,15 @@ pub struct RegistrySet {
 impl RegistrySet {
     /// A set holding just the built-in default registry.
     pub fn builtin() -> RegistrySet {
+        RegistrySet::of(SolverRegistry::global().clone())
+    }
+
+    /// A set whose default tenant serves `registry` under default
+    /// limits, with no named tenants: how an embedder serves solvers
+    /// of its own.
+    pub fn of(registry: SolverRegistry) -> RegistrySet {
         RegistrySet {
-            default: SolverRegistry::global().clone(),
+            default: registry,
             default_limits: TenantLimits::default(),
             named: Vec::new(),
         }

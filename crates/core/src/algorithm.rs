@@ -85,32 +85,86 @@ impl<'a> BackwardScheduler<'a> {
         Step { candidates, chosen, start }
     }
 
-    /// One backward step that commits **only if** the best candidate's
-    /// first-link emission is still non-negative (i.e. the task fits the
-    /// deadline anchor); returns the committed vector and start, or
-    /// `None` without mutating anything.
+    /// The greatest candidate (Definition-3 order), found from the
+    /// candidates' first components: the step [`BackwardScheduler::step`]
+    /// takes, without building all `p` vectors.
     ///
-    /// This is [`BackwardScheduler::step`] minus the diagnostic
-    /// [`Step`]: candidates are evaluated once (the peek-then-step
-    /// pattern evaluated all `p` of them twice) and nothing but the
-    /// chosen vector is materialised — the hot path of every `T_lim`
-    /// probe in the spider deadline search.
-    pub fn step_if_feasible(&mut self) -> Option<(CommVector, Time)> {
-        let p = self.chain.len();
-        let mut chosen = self.candidate(1);
-        for k in 2..=p {
-            let candidate = self.candidate(k);
-            if candidate > chosen {
-                chosen = candidate;
+    /// Unrolling the candidate recurrence with prefix sums
+    /// `S_k = c_1 + ... + c_k` gives each candidate's first emission in
+    /// closed form,
+    ///
+    /// ```text
+    /// kC_1 = min( min_{m < k} (h_m - S_m),  A_k - S_k ),   A_k = min(o_k - w_k, h_k)
+    /// ```
+    ///
+    /// so one `O(p)` sweep with a running prefix minimum finds the
+    /// largest first component (the *front*). Definition 3 compares
+    /// first components first, so only the candidates tied on the front
+    /// are built and compared in full. Ties are rare on heterogeneous
+    /// chains, which makes the step `O(p)` in practice; the worst case
+    /// (a homogeneous chain) stays `O(p^2)`.
+    fn best_candidate(&self) -> CommVector {
+        let (chain, state) = (self.chain, &self.state);
+        let front = |k: usize, running_min: Time, prefix: Time| {
+            let a_k = (state.occupancy(k) - chain.w(k)).min(state.hull(k));
+            running_min.min(a_k - prefix)
+        };
+        let mut best_front = Time::MIN;
+        let (mut running_min, mut prefix) = (Time::MAX, 0);
+        for k in 1..=chain.len() {
+            prefix += chain.c(k);
+            best_front = best_front.max(front(k, running_min, prefix));
+            running_min = running_min.min(state.hull(k) - prefix);
+        }
+        let mut chosen: Option<CommVector> = None;
+        let (mut running_min, mut prefix) = (Time::MAX, 0);
+        for k in 1..=chain.len() {
+            prefix += chain.c(k);
+            if front(k, running_min, prefix) == best_front {
+                let candidate = self.candidate(k);
+                debug_assert_eq!(candidate.first(), best_front);
+                if chosen.as_ref().is_none_or(|best| candidate > *best) {
+                    chosen = Some(candidate);
+                }
             }
+            running_min = running_min.min(state.hull(k) - prefix);
         }
-        if chosen.first() < 0 {
-            return None;
-        }
+        chosen.expect("at least one candidate attains the front")
+    }
+
+    /// Commits `chosen` and returns it with the execution start it
+    /// implies.
+    fn commit(&mut self, chosen: CommVector) -> (CommVector, Time) {
         let proc = chosen.len();
         let start = self.state.occupancy(proc) - self.chain.w(proc);
         self.state.commit(&chosen, start);
-        Some((chosen, start))
+        (chosen, start)
+    }
+
+    /// One backward step through the candidate front: commits the
+    /// greatest candidate, the one [`BackwardScheduler::step`] picks,
+    /// and returns it with its execution start.
+    ///
+    /// It is the step of [`schedule_chain_by_deadline`] (through
+    /// [`BackwardScheduler::step_if_feasible`]), of
+    /// [`crate::schedule_chain_fast`], and of the spider algorithm's
+    /// per-leg runs, which anchor at 0 and let the emissions go
+    /// negative.
+    pub fn front_step(&mut self) -> (CommVector, Time) {
+        let chosen = self.best_candidate();
+        self.commit(chosen)
+    }
+
+    /// [`BackwardScheduler::front_step`] that commits **only if** the
+    /// best candidate's first-link emission is still non-negative (the
+    /// task fits the deadline anchor); returns `None` without mutating
+    /// anything otherwise. The step of [`schedule_chain_by_deadline`].
+    pub fn step_if_feasible(&mut self) -> Option<(CommVector, Time)> {
+        let chosen = self.best_candidate();
+        if chosen.first() < 0 {
+            return None;
+        }
+        Some(self.commit(chosen))
     }
 
     /// Runs `count` backward steps and returns the schedule in emission
@@ -359,6 +413,66 @@ mod tests {
         assert_eq!(step.candidates[0].len(), 1);
         assert_eq!(step.candidates[1].len(), 2);
         assert_eq!(step.chosen.len(), 1, "w1 path wins for a single task here");
+    }
+
+    #[test]
+    fn front_step_picks_what_step_picks() {
+        // Homogeneous chains tie the front on several candidates, so the
+        // full Definition-3 comparison among them is on trial.
+        let mut chains: Vec<Chain> =
+            (1..=6).map(|p| Chain::from_pairs(&vec![(2, 2); p]).unwrap()).collect();
+        chains.push(Chain::from_pairs(&[(1, 3); 5]).unwrap());
+        chains.push(Chain::from_pairs(&[(3, 1); 5]).unwrap());
+        for seed in 0..40u64 {
+            let g = GeneratorConfig::new(HeterogeneityProfile::ALL[(seed % 5) as usize], seed);
+            chains.push(g.chain(1 + (seed % 7) as usize));
+        }
+        for chain in &chains {
+            for anchor in [0, 17] {
+                let mut reference = BackwardScheduler::new(chain, anchor);
+                let mut front = BackwardScheduler::new(chain, anchor);
+                for i in 0..24 {
+                    let step = reference.step();
+                    assert_eq!(front.front_step(), (step.chosen, step.start), "{chain}, task {i}");
+                    assert_eq!(front.state(), reference.state());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_anchored_at_zero_is_every_deadline_run_shifted() {
+        // Backward construction is shift-invariant: the deadline-T run is
+        // the run anchored at 0, shifted by T and cut where the shifted
+        // first emission goes negative.
+        let mut chains = vec![Chain::paper_figure2(), Chain::from_pairs(&[(2, 2); 4]).unwrap()];
+        for seed in 0..30u64 {
+            let g = GeneratorConfig::new(HeterogeneityProfile::ALL[(seed % 5) as usize], seed);
+            chains.push(g.chain(1 + (seed % 5) as usize));
+        }
+        for chain in &chains {
+            for k in [1, 3, 8] {
+                let mut scheduler = BackwardScheduler::new(chain, 0);
+                let run: Vec<(CommVector, Time)> = (0..k).map(|_| scheduler.front_step()).collect();
+                for deadline in 0..=chain.t_infinity(k) {
+                    let mut tasks: Vec<TaskAssignment> = run
+                        .iter()
+                        .take_while(|(comms, _)| comms.first() + deadline >= 0)
+                        .map(|(comms, start)| {
+                            let proc = comms.len();
+                            let comms = comms.shifted(deadline);
+                            TaskAssignment::new(proc, start + deadline, comms, chain.w(proc))
+                        })
+                        .collect();
+                    tasks.reverse();
+                    assert_eq!(
+                        ChainSchedule::new(tasks),
+                        schedule_chain_by_deadline(chain, k, deadline),
+                        "{chain}, k {k}, deadline {deadline}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,99 +1,37 @@
-//! An algebraically equivalent, faster candidate evaluation.
+//! The makespan variant through the candidate front.
 //!
-//! The reference implementation ([`crate::BackwardScheduler`]) evaluates
-//! all `p` candidate vectors in full — `O(p^2)` per task, the complexity
-//! the paper states. Unrolling the candidate recurrence
-//!
-//! ```text
-//! kC_j = min(kC_{j+1} - c_j, h_j - c_j)
-//! ```
-//!
-//! with prefix sums `S_j = c_1 + ... + c_j` gives the closed form
-//!
-//! ```text
-//! kC_j = S_{j-1} + min( min_{m = j..k-1} (h_m - S_m),  A_k - S_k )
-//! A_k  = min(o_k - w_k, h_k)
-//! ```
-//!
-//! so the *first* component of every candidate —
-//! `kC_1 = min(min_{m<k} (h_m - S_m), A_k - S_k)` — can be computed for
-//! all `k` in one `O(p)` sweep with a running prefix minimum. Since the
-//! Definition-3 order compares first components first, only the
-//! candidates tied on the maximal first component need materialising.
-//! Ties are rare in heterogeneous instances, making the step effectively
-//! `O(p)`; the worst case stays `O(p^2)`, so this is an *ablation* of the
-//! constant factor, not of the asymptotic bound — the `chain_scaling`
-//! bench quantifies the difference.
+//! The reference step ([`crate::BackwardScheduler::step`]) evaluates all
+//! `p` candidate vectors in full — `O(p^2)` per task, the complexity the
+//! paper states. [`crate::BackwardScheduler::front_step`] finds the same
+//! winner from the candidates' first components in one `O(p)`
+//! prefix-min sweep and builds only the candidates tied on the largest
+//! one (the closed form is on the method). It is the step every
+//! deadline run takes — [`crate::schedule_chain_by_deadline`] and the
+//! spider algorithm's per-leg runs — and [`schedule_chain_fast`] is
+//! [`crate::schedule_chain`] through it. The worst case stays `O(p^2)`
+//! (a homogeneous chain ties every candidate), so the `chain_scaling`
+//! bench measures a constant factor, not an asymptotic one.
 
-use crate::state::BackwardState;
-use mst_platform::{Chain, Time};
-use mst_schedule::{ChainSchedule, CommVector, TaskAssignment};
+use crate::algorithm::BackwardScheduler;
+use mst_platform::Chain;
+use mst_schedule::{ChainSchedule, TaskAssignment};
 
 /// Drop-in replacement for [`crate::schedule_chain`] using the prefix-min
 /// candidate front. Produces bit-identical schedules (asserted by tests).
-// 1-based indexing by processor number mirrors the paper's formulas.
-#[allow(clippy::needless_range_loop)]
 pub fn schedule_chain_fast(chain: &Chain, n: usize) -> ChainSchedule {
     assert!(n >= 1, "schedule_chain_fast requires at least one task");
-    let p = chain.len();
-    let horizon = chain.t_infinity(n);
-    let mut state = BackwardState::new(p, horizon);
-
-    // Prefix sums of latencies: prefix[j] = c_1 + ... + c_j.
-    let mut prefix = vec![0; p + 1];
-    for j in 1..=p {
-        prefix[j] = prefix[j - 1] + chain.c(j);
-    }
-
+    let mut scheduler = BackwardScheduler::new(chain, chain.t_infinity(n));
     let mut rev: Vec<TaskAssignment> = Vec::with_capacity(n);
-    let mut fronts: Vec<Time> = vec![0; p + 1];
-
     for _ in 0..n {
-        // O(p) sweep: first components of all candidates.
-        let mut running_min = Time::MAX;
-        let mut best_front = Time::MIN;
-        for k in 1..=p {
-            let a_k = (state.occupancy(k) - chain.w(k)).min(state.hull(k));
-            fronts[k] = running_min.min(a_k - prefix[k]);
-            best_front = best_front.max(fronts[k]);
-            running_min = running_min.min(state.hull(k) - prefix[k]);
-        }
-        // Materialise only the tied candidates and pick the Definition-3
-        // maximum among them.
-        let mut chosen: Option<CommVector> = None;
-        for k in 1..=p {
-            if fronts[k] != best_front {
-                continue;
-            }
-            let cand = materialise(chain, &state, k);
-            debug_assert_eq!(cand.first(), best_front);
-            chosen = match chosen {
-                Some(best) if cand <= best => Some(best),
-                _ => Some(cand),
-            };
-        }
-        let chosen = chosen.expect("at least one candidate attains the front");
+        let (chosen, start) = scheduler.front_step();
         let proc = chosen.len();
-        let start = state.occupancy(proc) - chain.w(proc);
-        state.commit(&chosen, start);
         rev.push(TaskAssignment::new(proc, start, chosen, chain.w(proc)));
     }
-
     rev.reverse();
     let mut schedule = ChainSchedule::new(rev);
     let shift = schedule.start_time().expect("n >= 1");
     schedule.shift(-shift);
     schedule
-}
-
-/// Full candidate vector for processor `k` (the reference recurrence).
-fn materialise(chain: &Chain, state: &BackwardState, k: usize) -> CommVector {
-    let mut v = vec![0; k];
-    v[k - 1] = (state.occupancy(k) - chain.w(k) - chain.c(k)).min(state.hull(k) - chain.c(k));
-    for j in (1..k).rev() {
-        v[j - 1] = (v[j] - chain.c(j)).min(state.hull(j) - chain.c(j));
-    }
-    CommVector::new(v)
 }
 
 #[cfg(test)]

@@ -21,14 +21,17 @@
 //! * [`schedule_chain_by_deadline`] — the `T_lim` variant of Section 7:
 //!   anchors at a caller-supplied deadline and schedules as many tasks as
 //!   possible (at most `n`) finishing by that deadline, stopping when a
-//!   task would have to be emitted before time 0. The spider algorithm is
-//!   built on this variant.
+//!   task would have to be emitted before time 0. The spider algorithm
+//!   runs the same construction once per leg, anchored at 0, and shifts
+//!   it to every deadline it tries.
 //!
-//! [`BackwardScheduler`] exposes the per-task candidate vectors so that
-//! the Lemma-1/Lemma-2 structural properties can be checked (see
-//! [`lemmas`]), and [`fast`] holds an algebraically equivalent variant
-//! with a prefix-min candidate-front evaluation used by the ablation
-//! benchmarks.
+//! [`BackwardScheduler::step`] evaluates every candidate vector and
+//! exposes them, so that the Lemma-1/Lemma-2 structural properties can
+//! be checked (see [`lemmas`]); [`schedule_chain`] takes it.
+//! [`BackwardScheduler::front_step`] picks the same winner from the
+//! candidates' first components, building only the tied candidates; it
+//! is the step of every deadline run, and [`fast`] runs the makespan
+//! variant through it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1004,10 +1004,12 @@ fn solve_chunked(
 /// one definition, so the streamed summary line can never drift from
 /// the buffered body (the buffered path appends makespan statistics
 /// and optional per-instance results on top).
+#[allow(clippy::too_many_arguments)]
 fn finish_sweep(
     instances: &[Instance],
     results: &[Result<Solution, SolveError>],
     solver_name: &str,
+    deadline: Option<Time>,
     check: bool,
     cache_hits: usize,
     elapsed: std::time::Duration,
@@ -1028,7 +1030,7 @@ fn finish_sweep(
     let infeasible = if check {
         let _verify_span = mst_obs::span(mst_obs::Stage::Verify);
         let verify_start = Instant::now();
-        let n = count_infeasible(instances, results);
+        let n = count_infeasible(instances, results, deadline);
         mst_obs::kernel_observe(
             mst_obs::Kernel::Verify,
             solver_name,
@@ -1055,13 +1057,21 @@ fn finish_sweep(
     (summary, infeasible, members)
 }
 
-/// Counts solutions the [`verify`] oracle rejects (solver bugs).
-fn count_infeasible(instances: &[Instance], results: &[Result<Solution, SolveError>]) -> usize {
+/// Counts solutions the [`verify`] oracle rejects, or whose witness
+/// ends past the sweep's `deadline` (solver bugs either way).
+fn count_infeasible(
+    instances: &[Instance],
+    results: &[Result<Solution, SolveError>],
+    deadline: Option<Time>,
+) -> usize {
+    let on_time = |makespan: Time| deadline.is_none_or(|t| makespan <= t);
     instances
         .iter()
         .zip(results)
         .filter(|(instance, result)| match result {
-            Ok(solution) => !matches!(verify(instance, solution), Ok(r) if r.is_feasible()),
+            Ok(solution) => {
+                !matches!(verify(instance, solution), Ok(r) if r.is_feasible() && on_time(r.makespan))
+            }
             Err(_) => false,
         })
         .count()
@@ -1157,6 +1167,7 @@ fn batch(
                 &instances,
                 &jobs,
                 cache_hits,
+                deadline,
                 check,
                 &cancel,
                 stream,
@@ -1174,8 +1185,16 @@ fn batch(
     let results =
         solve_chunked(&engine, &jobs, &cancel, &mut sink, chunk, state, tenant, solver_name);
     let elapsed = started.elapsed();
-    let (summary, infeasible, mut reply) =
-        finish_sweep(&instances, &results, solver_name, check, cache_hits, elapsed, tenant);
+    let (summary, infeasible, mut reply) = finish_sweep(
+        &instances,
+        &results,
+        solver_name,
+        deadline,
+        check,
+        cache_hits,
+        elapsed,
+        tenant,
+    );
     reply.push(("total_tasks".to_string(), Json::int(summary.total_tasks as i64)));
     reply.push(("mean_makespan".to_string(), Json::Num(summary.mean_makespan())));
     reply.push(("max_makespan".to_string(), Json::int(summary.max_makespan)));
@@ -1225,6 +1244,7 @@ fn stream_batch(
     instances: &[Instance],
     jobs: &[Planned],
     cache_hits: usize,
+    deadline: Option<Time>,
     check: bool,
     cancel: &CancelToken,
     stream: &mut dyn StreamWriter,
@@ -1240,8 +1260,16 @@ fn stream_batch(
     let mut sink = NdjsonSink { writer: stream, offset: 0, lines: String::new() };
     let results = solve_chunked(engine, jobs, cancel, &mut sink, chunk, state, tenant, solver_name);
     let elapsed = started.elapsed();
-    let (_, _, tail) =
-        finish_sweep(instances, &results, solver_name, check, cache_hits, elapsed, tenant);
+    let (_, _, tail) = finish_sweep(
+        instances,
+        &results,
+        solver_name,
+        deadline,
+        check,
+        cache_hits,
+        elapsed,
+        tenant,
+    );
     let summary_line = Json::obj([("summary", Json::Obj(tail))]);
     let _ = sink.writer.chunk(format!("{summary_line}\n").as_bytes());
     let _ = sink.writer.end();
@@ -1629,6 +1657,51 @@ mod tests {
         let served = render_solution(on_time, &instance, Some(deadline), "optimal", true, false);
         assert_eq!(served.status, 200, "{}", served.body);
         assert!(served.body.contains("\"feasible\":true"), "{}", served.body);
+    }
+
+    #[test]
+    fn verified_batches_count_witnesses_past_the_deadline() {
+        use crate::server::{ServeConfig, Server};
+        use crate::service::BufferedStream;
+        let mut registry = SolverRegistry::global().overlay();
+        registry.register(IgnoresDeadline);
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            registries: Some(mst_api::RegistrySet::of(registry)),
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let handle = server.handle();
+        // The Figure-2 chain needs 14 for five tasks, so only the
+        // two-task instance fits the deadline 10 as a whole.
+        let sweep = |solver: &str, stream: bool| {
+            let body = format!(
+                r#"{{"instances": [{{"platform": "chain\n2 3\n3 5\n", "tasks": 5}},
+                    {{"platform": "chain\n2 3\n3 5\n", "tasks": 2}}],
+                    "solver": "{solver}", "deadline": 10, "verify": true, "stream": {stream}}}"#
+            );
+            let request = Request {
+                method: "POST".to_string(),
+                path: "/batch".to_string(),
+                query: String::new(),
+                headers: Vec::new(),
+                body: body.into_bytes(),
+                keep_alive: true,
+            };
+            let mut sink = BufferedStream::default();
+            match route_on(&request, handle.state(), Some(&mut sink)) {
+                ResponseBody::Full(response) => (response.status, response.body),
+                ResponseBody::Streamed => (200, String::from_utf8(sink.body).unwrap()),
+            }
+        };
+        for stream in [false, true] {
+            let (status, body) = sweep("ignores-deadline", stream);
+            assert_eq!(status, if stream { 200 } else { 500 }, "{body}");
+            assert!(body.contains("\"infeasible\":1"), "stream {stream}: {body}");
+            let (status, body) = sweep("optimal", stream);
+            assert_eq!(status, 200, "{body}");
+            assert!(body.contains("\"infeasible\":0"), "stream {stream}: {body}");
+        }
     }
 
     #[test]

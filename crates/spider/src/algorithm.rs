@@ -1,19 +1,35 @@
 //! The spider algorithm: per-leg chains, fork selection, revert.
 //!
-//! The deadline search is incremental: binary-search probes run the
-//! selection (steps (1)–(4)) through a reusable `SpiderScratch`
-//! without materialising a witness, and step (5)'s revert runs **once**,
-//! on the final deadline — the same hot-path structure as
-//! `mst_fork::schedule_fork`. Probes start at the one-port lower bound,
-//! not at `T = 1`.
+//! A deadline search runs every leg's backward chain construction
+//! **once**. The construction is shift-invariant: the `T_lim` schedule
+//! of a leg is one fixed run anchored at 0, shifted by `T_lim` and cut
+//! where the shifted first-link emission goes negative. Each leg keeps
+//! that run (`LegRun`), extended task by task only as far as some probe
+//! reaches, so every task is computed once per search however many
+//! deadlines the search tries.
+//!
+//! A virtual slave's processing time `T_lim - C^i_1 - c_1` (Figure 7)
+//! does not depend on `T_lim` either: it is `-C^i_1 - c_1` in the
+//! anchored run, rising along the run, since the emissions fall. A probe
+//! at `T` therefore feeds the fork greedy from a k-way merge of the
+//! legs' available prefixes (tasks with `C^i_1 + T >= 0`) by
+//! `(c_1, processing time, leg)` — the order a stable sort of the pooled
+//! virtual slaves by `(c_1, processing time)` gives — and builds no
+//! chain schedule and sorts nothing. A slave the greedy rejects retires
+//! its leg for the rest of the probe: the leg's later slaves share its
+//! `c_1` and take longer, so the greedy would reject each of them too.
+//! The revert runs **once**, on the final deadline, the same hot-path
+//! structure as `mst_fork::schedule_fork`. Probes start at the one-port
+//! lower bound, not at `T = 1`.
 
-use crate::transform::{transform_leg_into, ChainVirtualSlave};
-use mst_core::schedule_chain_by_deadline;
+use mst_core::BackwardScheduler;
 use mst_fork::jackson::{EddSet, Item};
 use mst_fork::search_min_deadline;
-use mst_platform::{NodeId, Spider, Time};
-use mst_schedule::{ChainSchedule, CommVector, SpiderSchedule, SpiderTask};
+use mst_platform::{Chain, NodeId, Spider, Time};
+use mst_schedule::{CommVector, SpiderSchedule, SpiderTask, TaskAssignment};
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 thread_local! {
     /// Per-thread scratch backing the buffer-less entry points, so batch
@@ -21,98 +37,154 @@ thread_local! {
     static SCRATCH: RefCell<SpiderScratch> = RefCell::new(SpiderScratch::new());
 }
 
-/// Reusable working memory for the spider selection: the per-leg chain
-/// schedules, the pooled virtual-slave buffer and the greedy's feasible
-/// set, kept across binary-search probes and across instances.
+/// Where a selected virtual slave came from: task `index` (0-based, in
+/// backward order) of leg `leg`'s run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    leg: usize,
+    index: usize,
+}
+
+/// A merge head: the next available virtual slave of one leg, as
+/// `(c_1, processing time, leg, index)`. Within a leg processing times
+/// are distinct, so the key orders every head.
+type Head = Reverse<(Time, Time, usize, usize)>;
+
+/// Reusable working memory for the selection: the merge heap and the
+/// greedy's feasible set, kept across probes and across instances.
 #[derive(Debug, Clone)]
 struct SpiderScratch {
-    leg_schedules: Vec<ChainSchedule>,
-    virtuals: Vec<ChainVirtualSlave>,
-    set: EddSet<ChainVirtualSlave>,
+    heads: BinaryHeap<Head>,
+    set: EddSet<Slot>,
 }
 
 impl SpiderScratch {
     fn new() -> SpiderScratch {
-        SpiderScratch { leg_schedules: Vec::new(), virtuals: Vec::new(), set: EddSet::new(0) }
+        SpiderScratch { heads: BinaryHeap::new(), set: EddSet::new(0) }
     }
 }
 
-/// Steps (1)–(4): per-leg `T_lim` chains, pooled transformation, greedy
-/// selection. Leaves the selection in `scratch` (the revert needs the
-/// leg schedules too) and returns the task count — the binary-search
-/// probe, with no witness built.
-fn select_into(
-    spider: &Spider,
-    max_tasks: usize,
-    deadline: Time,
-    scratch: &mut SpiderScratch,
-) -> usize {
-    // (2) optimal T_lim chain schedule per leg.
-    scratch.leg_schedules.clear();
-    scratch.leg_schedules.extend(
-        spider.legs().iter().map(|chain| schedule_chain_by_deadline(chain, max_tasks, deadline)),
-    );
+/// One leg's backward chain run, anchored at 0 (times relative to the
+/// deadline) and computed lazily.
+#[derive(Debug)]
+struct LegRun<'a> {
+    chain: &'a Chain,
+    scheduler: BackwardScheduler<'a>,
+    /// The tasks computed so far, in backward order: first-link
+    /// emissions strictly fall, since every task crosses link 1.
+    tasks: Vec<TaskAssignment>,
+}
 
-    // (3) pooled fork graph of virtual slaves.
-    scratch.virtuals.clear();
-    for (l, chain) in spider.legs().iter().enumerate() {
-        let (schedules, virtuals) = (&scratch.leg_schedules, &mut scratch.virtuals);
-        transform_leg_into(l, chain, &schedules[l], deadline, virtuals);
+impl<'a> LegRun<'a> {
+    fn new(chain: &'a Chain) -> LegRun<'a> {
+        LegRun { chain, scheduler: BackwardScheduler::new(chain, 0), tasks: Vec::new() }
     }
-    scratch.virtuals.sort_by_key(|v| (v.comm, v.proc_time));
 
-    // (4) bandwidth-centric greedy selection under Jackson's rule.
-    scratch.set.reset(deadline);
-    for &v in &scratch.virtuals {
-        if scratch.set.len() == max_tasks {
-            break;
+    /// The merge head for task `index` at `deadline`: `None` when the
+    /// leg holds `cap` tasks before it, or when its shifted first
+    /// emission is negative (it is then kept for a later, looser
+    /// probe).
+    fn head(&mut self, leg: usize, index: usize, deadline: Time, cap: usize) -> Option<Head> {
+        if index == self.tasks.len() {
+            if index == cap {
+                return None;
+            }
+            let (comms, start) = self.scheduler.front_step();
+            let proc = comms.len();
+            self.tasks.push(TaskAssignment::new(proc, start, comms, self.chain.w(proc)));
         }
-        scratch.set.try_insert(Item { comm: v.comm, proc_time: v.proc_time, payload: v });
+        let emission = self.tasks[index].comms.first();
+        (emission + deadline >= 0).then(|| {
+            let c1 = self.chain.c(1);
+            Reverse((c1, -emission - c1, leg, index))
+        })
     }
-    scratch.set.len()
 }
 
-/// Step (5): revert the selection sitting in `scratch` to a spider
-/// schedule — every selected virtual slave is its original chain task,
-/// with the master emission moved to the slot the fork algorithm chose
-/// (never later than the original — Lemma 3).
-fn revert(scratch: &SpiderScratch) -> SpiderSchedule {
-    let emissions = scratch.set.emission_times();
-    let mut tasks = Vec::with_capacity(scratch.set.len());
-    for (item, emit) in scratch.set.items().iter().zip(emissions) {
-        let v = item.payload;
-        let chain_task = scratch.leg_schedules[v.leg].task(v.task_index);
-        debug_assert!(
-            emit <= chain_task.comms.first(),
-            "fork emission must not be later than the chain emission"
-        );
-        let mut times = chain_task.comms.times().to_vec();
-        times[0] = emit;
-        tasks.push(SpiderTask::new(
-            NodeId { leg: v.leg, depth: chain_task.proc },
-            chain_task.start,
-            CommVector::new(times),
-            chain_task.work,
-        ));
+/// Every leg's run for one deadline search of at most `cap` tasks.
+#[derive(Debug)]
+struct LegRuns<'a> {
+    legs: Vec<LegRun<'a>>,
+    cap: usize,
+}
+
+impl<'a> LegRuns<'a> {
+    fn new(spider: &'a Spider, cap: usize) -> LegRuns<'a> {
+        LegRuns { legs: spider.legs().iter().map(LegRun::new).collect(), cap }
     }
-    SpiderSchedule::new(tasks)
+
+    /// Steps (1)–(4) at `deadline`: the legs' available virtual slaves,
+    /// merged by `(c_1, processing time, leg)`, through the
+    /// bandwidth-centric greedy under Jackson's rule. Leaves the
+    /// selection in `scratch.set` and returns the task count — the
+    /// binary-search probe, with no witness built.
+    fn select(&mut self, deadline: Time, scratch: &mut SpiderScratch) -> usize {
+        let cap = self.cap;
+        scratch.heads.clear();
+        for (leg, run) in self.legs.iter_mut().enumerate() {
+            scratch.heads.extend(run.head(leg, 0, deadline, cap));
+        }
+        scratch.set.reset(deadline);
+        while scratch.set.len() < cap {
+            let Some(Reverse((comm, proc_time, leg, index))) = scratch.heads.pop() else { break };
+            // A rejected slave dominates its leg's later ones, and the
+            // set only grows: the leg is done for this probe.
+            if scratch.set.try_insert(Item { comm, proc_time, payload: Slot { leg, index } }) {
+                scratch.heads.extend(self.legs[leg].head(leg, index + 1, deadline, cap));
+            }
+        }
+        scratch.set.len()
+    }
+
+    /// Step (5): revert the selection in `set` to a spider schedule.
+    /// Every selected virtual slave is its leg's chain task, shifted by
+    /// the set's deadline, with the master emission moved to the slot
+    /// the fork algorithm chose (never later than the original —
+    /// Lemma 3).
+    fn revert(&self, set: &EddSet<Slot>) -> SpiderSchedule {
+        let deadline = set.deadline();
+        let tasks = set
+            .items()
+            .iter()
+            .zip(set.emission_times())
+            .map(|(item, emit)| {
+                let Slot { leg, index } = item.payload;
+                let task = &self.legs[leg].tasks[index];
+                let mut times: Vec<Time> =
+                    task.comms.times().iter().map(|t| t + deadline).collect();
+                debug_assert!(
+                    emit <= times[0],
+                    "fork emission must not be later than the chain emission"
+                );
+                times[0] = emit;
+                SpiderTask::new(
+                    NodeId { leg, depth: task.proc },
+                    task.start + deadline,
+                    CommVector::new(times),
+                    task.work,
+                )
+            })
+            .collect();
+        SpiderSchedule::new(tasks)
+    }
 }
 
 /// The `T_lim` spider algorithm (Section 7, steps (1)–(5)): schedules
 /// the **maximum number of tasks** — at most `max_tasks` — on `spider`,
 /// all completing by `deadline`. Optimal in task count by Theorem 3.
 ///
-/// Complexity: `O(n p^2)` for the per-leg chain schedules plus
-/// `O((n k)^2)` for the fork selection (`k` legs), i.e. the paper's
-/// `O(n^2 p^2)` bound.
+/// Complexity: `O(n p^2)` for the per-leg chain runs plus `O((n k)^2)`
+/// for the fork selection (`k` legs), i.e. the paper's `O(n^2 p^2)`
+/// bound.
 pub fn schedule_spider_by_deadline(
     spider: &Spider,
     max_tasks: usize,
     deadline: Time,
 ) -> SpiderSchedule {
     SCRATCH.with_borrow_mut(|scratch| {
-        select_into(spider, max_tasks, deadline, scratch);
-        revert(scratch)
+        let mut runs = LegRuns::new(spider, max_tasks);
+        runs.select(deadline, scratch);
+        runs.revert(&scratch.set)
     })
 }
 
@@ -124,7 +196,8 @@ pub fn schedule_spider_by_deadline(
 /// makes the binary search exact. It runs over `[LB, UB]`: the one-port
 /// lower bound [`Spider::makespan_lower_bound`], which every schedule
 /// meets, and the upper bound [`Spider::makespan_upper_bound`], which
-/// runs everything on the best single leg.
+/// runs everything on the best single leg. Every leg's chain run is
+/// computed once for the whole search.
 ///
 /// ```
 /// use mst_platform::Spider;
@@ -156,30 +229,105 @@ pub fn schedule_spider_below(
 ) -> Option<(Time, SpiderSchedule)> {
     assert!(n >= 1, "schedule_spider requires at least one task");
     SCRATCH.with_borrow_mut(|scratch| {
+        let mut runs = LegRuns::new(spider, n);
         let mut hi = spider.makespan_upper_bound(n);
         if bound < hi {
-            if select_into(spider, n, bound, scratch) < n {
+            if runs.select(bound, scratch) < n {
                 return None;
             }
             hi = bound;
         }
         let lo = spider.makespan_lower_bound(n);
-        let (makespan, cached) =
-            search_min_deadline(lo, hi, n, |d| select_into(spider, n, d, scratch));
+        let (makespan, cached) = search_min_deadline(lo, hi, n, |d| runs.select(d, scratch));
         if !cached {
-            select_into(spider, n, makespan, scratch);
+            runs.select(makespan, scratch);
         }
-        Some((makespan, revert(scratch)))
+        Some((makespan, runs.revert(&scratch.set)))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::transform_leg;
     use mst_baselines::{max_tasks_by_deadline, optimal_spider_makespan};
-    use mst_core::schedule_chain;
-    use mst_platform::{Chain, GeneratorConfig, HeterogeneityProfile, Tree};
-    use mst_schedule::check_spider;
+    use mst_core::{schedule_chain, schedule_chain_by_deadline};
+    use mst_platform::{GeneratorConfig, HeterogeneityProfile, Tree};
+    use mst_schedule::{check_spider, ChainSchedule};
+
+    /// The reference pipeline, run afresh at one deadline: every leg's
+    /// `T_lim` chain schedule, transformed into virtual slaves
+    /// (Figure 7), pooled, stably sorted by `(comm, proc_time)`, selected
+    /// by the greedy and reverted.
+    fn reference_by_deadline(spider: &Spider, max_tasks: usize, deadline: Time) -> SpiderSchedule {
+        let schedules: Vec<ChainSchedule> = spider
+            .legs()
+            .iter()
+            .map(|chain| schedule_chain_by_deadline(chain, max_tasks, deadline))
+            .collect();
+        let mut virtuals = Vec::new();
+        for (leg, (chain, schedule)) in spider.legs().iter().zip(&schedules).enumerate() {
+            virtuals.extend(transform_leg(leg, chain, schedule, deadline));
+        }
+        virtuals.sort_by_key(|v| (v.comm, v.proc_time));
+        let mut set = EddSet::new(deadline);
+        for v in virtuals {
+            if set.len() == max_tasks {
+                break;
+            }
+            set.try_insert(Item { comm: v.comm, proc_time: v.proc_time, payload: v });
+        }
+        let tasks = set
+            .items()
+            .iter()
+            .zip(set.emission_times())
+            .map(|(item, emit)| {
+                let v = item.payload;
+                let task = schedules[v.leg].task(v.task_index);
+                let mut times = task.comms.times().to_vec();
+                times[0] = emit;
+                let node = NodeId { leg: v.leg, depth: task.proc };
+                SpiderTask::new(node, task.start, CommVector::new(times), task.work)
+            })
+            .collect();
+        SpiderSchedule::new(tasks)
+    }
+
+    #[test]
+    fn leg_runs_select_what_the_per_deadline_pipeline_selects() {
+        // One set of leg runs serves every deadline in [LB, UB], visited
+        // upwards, downwards or alternating between the ends (as a
+        // binary search does), so runs are both extended and cut.
+        let mut spiders = vec![
+            Spider::from_legs(&[&[(2, 2), (2, 2)], &[(2, 2), (2, 2)], &[(2, 2)]]).unwrap(),
+            Spider::from_legs(&[&[(1, 3)], &[(1, 3), (1, 3)], &[(1, 3), (1, 3), (1, 3)]]).unwrap(),
+            Spider::from_legs(&[&[(3, 1), (1, 1)], &[(3, 1), (1, 1)]]).unwrap(),
+        ];
+        for seed in 0..1_000u64 {
+            let g = GeneratorConfig::new(HeterogeneityProfile::ALL[(seed % 5) as usize], seed);
+            spiders.push(g.spider(1 + (seed % 4) as usize, 1, 3));
+        }
+        for (i, spider) in spiders.iter().enumerate() {
+            let n = 1 + i % 12;
+            let (lo, hi) = (spider.makespan_lower_bound(n), spider.makespan_upper_bound(n));
+            let deadlines: Vec<Time> = match i % 3 {
+                0 => (lo..=hi).collect(),
+                1 => (lo..=hi).rev().collect(),
+                _ => (0..=hi - lo)
+                    .map(|k| if k % 2 == 0 { lo + k / 2 } else { hi - k / 2 })
+                    .collect(),
+            };
+            SCRATCH.with_borrow_mut(|scratch| {
+                let mut runs = LegRuns::new(spider, n);
+                for deadline in deadlines {
+                    let want = reference_by_deadline(spider, n, deadline);
+                    let count = runs.select(deadline, scratch);
+                    assert_eq!(count, want.n(), "{spider}, n {n}, deadline {deadline}");
+                    assert_eq!(runs.revert(&scratch.set), want, "{spider}, n {n}, T {deadline}");
+                }
+            });
+        }
+    }
 
     #[test]
     fn deadline_schedules_are_feasible_and_meet_deadline() {
@@ -234,8 +382,9 @@ mod tests {
         // `n`, selected and reverted, with no bound on either side.
         let full_range = |spider: &Spider, n: usize| {
             SCRATCH.with_borrow_mut(|scratch| {
-                let m = (1..).find(|&d| select_into(spider, n, d, scratch) >= n).unwrap();
-                (m, revert(scratch))
+                let mut runs = LegRuns::new(spider, n);
+                let m = (1..).find(|&d| runs.select(d, scratch) >= n).unwrap();
+                (m, runs.revert(&scratch.set))
             })
         };
         for seed in 0..200u64 {

@@ -32,6 +32,19 @@
 //! rejects a spider that cannot meet it, and otherwise the search runs
 //! over `[LB, min(bound, UB)]`. Tree covers use it to drop a cover that
 //! cannot beat the best one found so far.
+//!
+//! A search schedules each leg **once**, not once per probe. The
+//! backward construction is shift-invariant, so a leg's `T_lim`
+//! schedule is one run anchored at 0, shifted by `T_lim` and cut where
+//! the shifted first emission goes negative; and a virtual slave's
+//! processing time `T_lim - C^i_1 - c_1` does not depend on `T_lim`.
+//! Every leg keeps its run for the whole search, extended only as far
+//! as a probe reaches, and a probe merges the legs' available prefixes
+//! by `(c_1, processing time, leg)` straight into the greedy — the
+//! order step 3's pooled sort gives — so it builds no chain schedule,
+//! transforms nothing and sorts nothing. [`transform_leg`] remains the
+//! literal Figure-7 step, for the figures and the tests. Outputs are
+//! those of the per-probe pipeline, bit for bit.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,4 +53,4 @@ pub mod algorithm;
 pub mod transform;
 
 pub use algorithm::{schedule_spider, schedule_spider_below, schedule_spider_by_deadline};
-pub use transform::{transform_leg, transform_leg_into, ChainVirtualSlave};
+pub use transform::{transform_leg, ChainVirtualSlave};

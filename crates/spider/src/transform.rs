@@ -30,26 +30,17 @@ pub fn transform_leg(
     schedule: &ChainSchedule,
     deadline: Time,
 ) -> Vec<ChainVirtualSlave> {
-    let mut out = Vec::with_capacity(schedule.n());
-    transform_leg_into(leg, chain, schedule, deadline, &mut out);
-    out
-}
-
-/// [`transform_leg`] appending into a caller-owned buffer — the
-/// allocation-free form the spider selection pools legs through.
-pub fn transform_leg_into(
-    leg: usize,
-    chain: &Chain,
-    schedule: &ChainSchedule,
-    deadline: Time,
-    out: &mut Vec<ChainVirtualSlave>,
-) {
     let c1 = chain.c(1);
-    out.extend(schedule.tasks().iter().enumerate().map(|(idx, t)| {
-        let proc_time = deadline - t.comms.first() - c1;
-        debug_assert!(proc_time >= chain.w(t.proc), "virtual time below real work");
-        ChainVirtualSlave { comm: c1, proc_time, leg, task_index: idx + 1 }
-    }));
+    schedule
+        .tasks()
+        .iter()
+        .enumerate()
+        .map(|(idx, t)| {
+            let proc_time = deadline - t.comms.first() - c1;
+            debug_assert!(proc_time >= chain.w(t.proc), "virtual time below real work");
+            ChainVirtualSlave { comm: c1, proc_time, leg, task_index: idx + 1 }
+        })
+        .collect()
 }
 
 #[cfg(test)]

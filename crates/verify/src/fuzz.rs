@@ -48,6 +48,8 @@ pub struct FuzzReport {
     pub mutations: usize,
     /// Deadline-duality checks run (see [`crate::props`]).
     pub duality_checks: usize,
+    /// Monotonicity checks run (see [`crate::props`]).
+    pub monotonicity_checks: usize,
     /// Instances where branch-and-bound ground truth was applied.
     pub bnb_instances: usize,
     /// Corpus entries replayed before fuzzing.
@@ -74,6 +76,7 @@ impl FuzzReport {
             ("solves", Json::int(self.solves as i64)),
             ("mutations", Json::int(self.mutations as i64)),
             ("duality_checks", Json::int(self.duality_checks as i64)),
+            ("monotonicity_checks", Json::int(self.monotonicity_checks as i64)),
             ("bnb_instances", Json::int(self.bnb_instances as i64)),
             ("corpus_replayed", Json::int(self.corpus_replayed as i64)),
             ("ok", Json::Bool(self.ok())),
@@ -213,6 +216,7 @@ fn record(
     report.solves += outcome.solves;
     report.mutations += outcome.mutations;
     report.duality_checks += outcome.duality_checks;
+    report.monotonicity_checks += outcome.monotonicity_checks;
     if outcome.bnb_checked {
         report.bnb_instances += 1;
     }
@@ -287,6 +291,7 @@ pub fn run(registry: &SolverRegistry, config: &FuzzConfig) -> FuzzReport {
         solves: 0,
         mutations: 0,
         duality_checks: 0,
+        monotonicity_checks: 0,
         bnb_instances: 0,
         corpus_replayed: 0,
         violations: Vec::new(),
@@ -338,6 +343,7 @@ mod tests {
         assert!(report.iterations > 0);
         assert!(report.solves > 0);
         assert!(report.duality_checks > 0);
+        assert!(report.monotonicity_checks > 0);
     }
 
     #[test]

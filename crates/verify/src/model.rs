@@ -51,6 +51,8 @@ pub struct ModelReport {
     pub mutations: usize,
     /// Deadline-duality checks run (see [`crate::props`]).
     pub duality_checks: usize,
+    /// Monotonicity checks run (see [`crate::props`]).
+    pub monotonicity_checks: usize,
     /// Instances where the branch-and-bound ground truth was applied.
     pub bnb_instances: usize,
     /// Every property violation found (empty means the gate holds).
@@ -82,6 +84,7 @@ impl ModelReport {
             ("solves", Json::int(self.solves as i64)),
             ("mutations", Json::int(self.mutations as i64)),
             ("duality_checks", Json::int(self.duality_checks as i64)),
+            ("monotonicity_checks", Json::int(self.monotonicity_checks as i64)),
             ("bnb_instances", Json::int(self.bnb_instances as i64)),
             ("ok", Json::Bool(self.ok())),
             ("violations_total", Json::int(self.violations.len() as i64)),
@@ -204,6 +207,7 @@ pub fn check_model(registry: &SolverRegistry, bounds: &ModelBounds) -> ModelRepo
         solves: 0,
         mutations: 0,
         duality_checks: 0,
+        monotonicity_checks: 0,
         bnb_instances: 0,
         violations: Vec::new(),
     };
@@ -222,6 +226,7 @@ pub fn check_model(registry: &SolverRegistry, bounds: &ModelBounds) -> ModelRepo
     report.solves = total.solves;
     report.mutations = total.mutations;
     report.duality_checks = total.duality_checks;
+    report.monotonicity_checks = total.monotonicity_checks;
     report.bnb_instances = bnb;
     report.violations = total.violations;
     report
@@ -260,6 +265,7 @@ mod tests {
         assert!(report.solves > 0);
         assert!(report.mutations > 0);
         assert!(report.duality_checks > 0);
+        assert!(report.monotonicity_checks > 0);
         assert!(report.bnb_instances == report.instances);
         let json = report.to_json();
         assert!(json.contains("\"ok\":true"));

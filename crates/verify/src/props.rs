@@ -19,6 +19,10 @@
 //!   strategy covers. It holds at every size, so it extends the
 //!   optimality evidence past the branch-and-bound bounds, where a
 //!   deadline search that starts too high would otherwise go unseen;
+//! * **monotonicity** — for the same solvers, one more task never
+//!   finishes earlier (`M(n+1) >= M(n)`), and the deadline variant's
+//!   task count does not fall as the deadline grows over
+//!   `T = M-2 ..= M+1`, around the makespan where a search decides;
 //! * **verify-total / oracle-rejects-witness / makespan-mismatch** —
 //!   `verify()` accepts every produced witness and recomputes its
 //!   claimed makespan;
@@ -84,6 +88,9 @@ pub struct Outcome {
     /// Deadline-duality checks run (one per solver with a deadline
     /// variant).
     pub duality_checks: usize,
+    /// Monotonicity checks run (one per solver with a deadline
+    /// variant).
+    pub monotonicity_checks: usize,
     /// Whether the exact branch-and-bound bound was applied.
     pub bnb_checked: bool,
     /// Every property violation found.
@@ -96,6 +103,7 @@ impl Outcome {
         self.solves += other.solves;
         self.mutations += other.mutations;
         self.duality_checks += other.duality_checks;
+        self.monotonicity_checks += other.monotonicity_checks;
         self.bnb_checked |= other.bnb_checked;
         self.violations.extend(other.violations);
     }
@@ -146,6 +154,43 @@ fn deadline_duality(
         )),
         Err(e) => Some(format!("deadline {} errored: {e}", makespan - 1)),
     }
+}
+
+/// The monotonicity property for `solver`, whose makespan variant
+/// reached `makespan` on `instance`: `None` when it holds, otherwise
+/// what broke.
+fn monotonicity(
+    registry: &SolverRegistry,
+    solver: &str,
+    instance: &Instance,
+    makespan: Time,
+) -> Option<String> {
+    let n = instance.tasks;
+    match registry.solve(solver, &Instance::new(instance.platform.clone(), n + 1)) {
+        Ok(more) if more.makespan() >= makespan => {}
+        Ok(more) => {
+            return Some(format!(
+                "{} task(s) finish at {}, before the makespan {makespan} of {n}",
+                n + 1,
+                more.makespan()
+            ))
+        }
+        Err(e) => return Some(format!("{} task(s) errored: {e}", n + 1)),
+    }
+    let mut fitted: Option<(Time, usize)> = None;
+    for deadline in makespan - 2..=makespan + 1 {
+        let count = match registry.solve_by_deadline(solver, instance, deadline) {
+            Ok(at) => at.n(),
+            Err(e) => return Some(format!("deadline {deadline} errored: {e}")),
+        };
+        if let Some((before, more)) = fitted.filter(|&(_, fit)| count < fit) {
+            return Some(format!(
+                "the deadline variant fits {more} task(s) by {before} but {count} by {deadline}"
+            ));
+        }
+        fitted = Some((deadline, count));
+    }
+    None
 }
 
 /// Runs every gate property against one instance.
@@ -219,6 +264,10 @@ pub fn check_instance(registry: &SolverRegistry, instance: &Instance) -> Outcome
             out.duality_checks += 1;
             if let Some(detail) = deadline_duality(registry, name, instance, sol.makespan()) {
                 fail(&mut out, "deadline-duality", name, detail);
+            }
+            out.monotonicity_checks += 1;
+            if let Some(detail) = monotonicity(registry, name, instance, sol.makespan()) {
+                fail(&mut out, "monotonicity", name, detail);
             }
         }
 
@@ -428,6 +477,7 @@ mod tests {
             assert!(out.solves > 0);
             assert!(out.mutations > 0);
             assert!(out.duality_checks > 0);
+            assert_eq!(out.monotonicity_checks, out.duality_checks);
             assert!(out.bnb_checked);
         }
     }
@@ -474,6 +524,52 @@ mod tests {
             .map(|v| v.solver.as_str())
             .collect();
         assert_eq!(broken, ["ignores-deadline"], "{:?}", out.violations);
+    }
+
+    #[test]
+    fn a_deadline_variant_that_fits_fewer_by_a_later_deadline_breaks_monotonicity() {
+        use mst_api::{Solution, SolveError, Solver};
+        /// `optimal`, except that its deadline variant fits nothing by a
+        /// deadline past the optimal makespan.
+        struct GivesUpLate;
+        impl Solver for GivesUpLate {
+            fn name(&self) -> &'static str {
+                "gives-up-late"
+            }
+            fn description(&self) -> &'static str {
+                "optimal, nothing fits past the makespan"
+            }
+            fn supports(&self, _: TopologyKind) -> bool {
+                true
+            }
+            fn by_deadline(&self) -> bool {
+                true
+            }
+            fn solve(&self, instance: &Instance) -> Result<Solution, SolveError> {
+                SolverRegistry::global().solve("optimal", instance)
+            }
+            fn solve_by_deadline(
+                &self,
+                instance: &Instance,
+                deadline: Time,
+            ) -> Result<Solution, SolveError> {
+                let late = deadline > self.solve(instance)?.makespan();
+                SolverRegistry::global().solve_by_deadline(
+                    "optimal",
+                    instance,
+                    if late { 0 } else { deadline },
+                )
+            }
+        }
+        let mut registry = SolverRegistry::global().overlay();
+        registry.register(GivesUpLate);
+        let instance =
+            Instance::new(Spider::from_legs(&[&[(2, 3)], &[(1, 1), (2, 2)]]).unwrap(), 3);
+        let out = check_instance(&registry, &instance);
+        let broken: Vec<(&str, &str)> =
+            out.violations.iter().map(|v| (v.property, v.solver.as_str())).collect();
+        assert_eq!(broken, [("monotonicity", "gives-up-late")], "{:?}", out.violations);
+        assert!(out.violations[0].detail.contains("but 0 by"), "{:?}", out.violations);
     }
 
     #[test]
