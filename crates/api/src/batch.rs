@@ -4,6 +4,7 @@ use crate::error::SolveError;
 use crate::instance::Instance;
 use crate::registry::SolverRegistry;
 use crate::solution::Solution;
+use mst_obs::{kernel_hist, Kernel};
 use mst_platform::Time;
 use mst_sim::{shared_pool, CancelToken, WorkerPool};
 use std::fmt;
@@ -53,15 +54,6 @@ impl Batch {
         self
     }
 
-    /// Swaps the registry this batch resolves solver names against —
-    /// e.g. a tenant's overlay from [`crate::config`] — keeping the
-    /// solver name and worker pool. Cheap: registries share their
-    /// solvers and layers behind [`Arc`].
-    pub fn with_registry(mut self, registry: SolverRegistry) -> Batch {
-        self.registry = registry;
-        self
-    }
-
     /// Runs this batch's sweeps on a dedicated pool instead of the
     /// process-wide shared one (e.g. to cap a tenant's parallelism).
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Batch {
@@ -84,22 +76,52 @@ impl Batch {
         &self.pool
     }
 
+    /// The one sweep loop behind every public solve: resolves the solver
+    /// and takes the `kernels` histograms once per sweep, then solves
+    /// each job's `(instance, deadline)` on the pool. Jobs a `cancel`
+    /// token skipped come back as [`SolveError::Cancelled`].
+    fn sweep<J: Sync>(
+        &self,
+        jobs: &[J],
+        job: impl Fn(&J) -> (&Instance, Option<Time>) + Sync,
+        kernels: &[Kernel],
+        cancel: Option<&CancelToken>,
+    ) -> Vec<Result<Solution, SolveError>> {
+        let solver = match self.registry.resolve(&self.solver) {
+            Ok(solver) => solver,
+            Err(err) => return jobs.iter().map(|_| Err(err.clone())).collect(),
+        };
+        // One map lookup per kernel per sweep; each sample records
+        // lock-free.
+        let hist = |kernel| kernels.contains(&kernel).then(|| kernel_hist(kernel, &self.solver));
+        let (solve_hist, probe_hist) = (hist(Kernel::Solve), hist(Kernel::Probe));
+        let run = |j: &J| {
+            let (instance, deadline) = job(j);
+            let start = std::time::Instant::now();
+            let (result, hist) = match deadline {
+                Some(d) => (solver.solve_by_deadline(instance, d), &probe_hist),
+                None => (solver.solve(instance), &solve_hist),
+            };
+            if let Some(hist) = hist {
+                hist.record(start.elapsed().as_micros() as u64);
+            }
+            result
+        };
+        match cancel {
+            None => self.pool.run(jobs, run),
+            Some(cancel) => self
+                .pool
+                .run_cancellable(jobs, run, cancel)
+                .into_iter()
+                .map(|slot| slot.unwrap_or(Err(SolveError::Cancelled)))
+                .collect(),
+        }
+    }
+
     /// Solves every instance on all available cores; results in input
     /// order.
     pub fn solve_all(&self, instances: &[Instance]) -> Vec<Result<Solution, SolveError>> {
-        match self.registry.resolve(&self.solver) {
-            Ok(solver) => {
-                // One map lookup per sweep; each sample records lock-free.
-                let hist = mst_obs::kernel_hist(mst_obs::Kernel::Solve, &self.solver);
-                self.pool.run(instances, |instance| {
-                    let start = std::time::Instant::now();
-                    let result = solver.solve(instance);
-                    hist.record(start.elapsed().as_micros() as u64);
-                    result
-                })
-            }
-            Err(err) => instances.iter().map(|_| Err(err.clone())).collect(),
-        }
+        self.sweep(instances, |i| (i, None), &[Kernel::Solve], None)
     }
 
     /// Deadline-solves every instance on all available cores.
@@ -108,18 +130,7 @@ impl Batch {
         instances: &[Instance],
         deadline: Time,
     ) -> Vec<Result<Solution, SolveError>> {
-        match self.registry.resolve(&self.solver) {
-            Ok(solver) => {
-                let hist = mst_obs::kernel_hist(mst_obs::Kernel::Probe, &self.solver);
-                self.pool.run(instances, |instance| {
-                    let start = std::time::Instant::now();
-                    let result = solver.solve_by_deadline(instance, deadline);
-                    hist.record(start.elapsed().as_micros() as u64);
-                    result
-                })
-            }
-            Err(err) => instances.iter().map(|_| Err(err.clone())).collect(),
-        }
+        self.sweep(instances, |i| (i, Some(deadline)), &[Kernel::Probe], None)
     }
 
     /// [`Batch::solve_all`] with a cooperative cancellation checkpoint
@@ -134,26 +145,7 @@ impl Batch {
         instances: &[Instance],
         cancel: &CancelToken,
     ) -> Vec<Result<Solution, SolveError>> {
-        match self.registry.resolve(&self.solver) {
-            Ok(solver) => {
-                let hist = mst_obs::kernel_hist(mst_obs::Kernel::Solve, &self.solver);
-                self.pool
-                    .run_cancellable(
-                        instances,
-                        |instance| {
-                            let start = std::time::Instant::now();
-                            let result = solver.solve(instance);
-                            hist.record(start.elapsed().as_micros() as u64);
-                            result
-                        },
-                        cancel,
-                    )
-                    .into_iter()
-                    .map(|slot| slot.unwrap_or(Err(SolveError::Cancelled)))
-                    .collect()
-            }
-            Err(err) => instances.iter().map(|_| Err(err.clone())).collect(),
-        }
+        self.sweep(instances, |i| (i, None), &[Kernel::Solve], Some(cancel))
     }
 
     /// Solves `(instance, deadline)` jobs with **per-job** deadlines and
@@ -168,35 +160,7 @@ impl Batch {
         jobs: &[(Instance, Option<Time>)],
         cancel: &CancelToken,
     ) -> Vec<Result<Solution, SolveError>> {
-        match self.registry.resolve(&self.solver) {
-            Ok(solver) => {
-                let solve_hist = mst_obs::kernel_hist(mst_obs::Kernel::Solve, &self.solver);
-                let probe_hist = mst_obs::kernel_hist(mst_obs::Kernel::Probe, &self.solver);
-                self.pool
-                    .run_cancellable(
-                        jobs,
-                        |(instance, deadline)| {
-                            let start = std::time::Instant::now();
-                            let (result, hist) = match deadline {
-                                Some(d) => (solver.solve_by_deadline(instance, *d), &probe_hist),
-                                None => (solver.solve(instance), &solve_hist),
-                            };
-                            hist.record(start.elapsed().as_micros() as u64);
-                            result
-                        },
-                        cancel,
-                    )
-                    .into_iter()
-                    .map(|slot| slot.unwrap_or(Err(SolveError::Cancelled)))
-                    .collect()
-            }
-            Err(err) => jobs.iter().map(|_| Err(err.clone())).collect(),
-        }
-    }
-
-    /// Solves and folds the results into a [`BatchSummary`].
-    pub fn run(&self, instances: &[Instance]) -> BatchSummary {
-        BatchSummary::of(&self.solve_all(instances))
+        self.sweep(jobs, |(i, d)| (i, *d), &[Kernel::Solve, Kernel::Probe], Some(cancel))
     }
 }
 
@@ -331,7 +295,7 @@ mod tests {
         let mut instances = mixed_instances(10);
         instances.push(Instance::new(mst_platform::Chain::paper_figure2(), 0)); // ZeroTasks
         let batch = Batch::new(SolverRegistry::with_defaults());
-        let summary = batch.run(&instances);
+        let summary = BatchSummary::of(&batch.solve_all(&instances));
         assert_eq!(summary.solved, 10);
         assert_eq!(summary.failed, 1);
         assert!(summary.max_makespan >= 1);

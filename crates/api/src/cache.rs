@@ -1,13 +1,16 @@
-//! Sharded in-memory memo of solved canonical instances.
+//! Sharded in-memory memo of solved canonical instances, and the one
+//! cache-fronted solve every caller composes.
 //!
-//! Sits in front of [`crate::Batch`] / [`crate::TenantExec`]: requests
-//! are canonicalised ([`crate::canon`]), looked up by
-//! `(content hash, solver, deadline bucket)`, and only misses reach the
-//! worker pool — a hit is a lock-and-clone on one shard, takes no
-//! admission slot and wakes no worker. Entries store the solution of the
-//! *canonical* instance; callers restore it per request via
-//! [`crate::canon::CanonicalInstance::restore`], so hit and miss
-//! responses are bit-identical by construction.
+//! An instance is canonicalised ([`crate::canon`]) and keyed by
+//! `(content hash, solver, deadline bucket)`. Entries hold the
+//! *canonical* solution, restored per request by
+//! [`crate::canon::CanonicalInstance::restore`], so hit and miss answers
+//! are bit-identical by construction. A solve is [`lookup`], then on a
+//! miss [`solve_miss`] and [`memoise`]: [`solve_through`] composes them
+//! with no admission and no store, `mst-serve` around an admission slot
+//! and a store append, so a hit there takes no slot and wakes no worker.
+//! The key does not name the registry, so a cache must only ever hold
+//! the answers of the one registry that fills it.
 
 use crate::canon::CanonicalInstance;
 use crate::error::SolveError;
@@ -213,11 +216,71 @@ pub struct CachedSolve {
     pub cache_hit: bool,
 }
 
-/// Solves `instance` through `cache`: canonicalise, look up, and only on
-/// a miss run `registry`'s solver **on the canonical instance** (so the
-/// cached entry — and therefore every future hit — is the exact solution
-/// a miss would produce). Errors are never cached; canonicalisation makes
-/// them scale-invariant, so retries fail identically.
+/// What [`lookup`] found.
+#[derive(Debug)]
+pub enum Lookup {
+    /// The memo's solution, restored to the looked-up instance.
+    Hit(Solution),
+    /// Nothing cached: what [`solve_miss`] solves and [`memoise`] keeps.
+    Miss(Miss),
+}
+
+/// A cache miss: the canonical instance to solve, and its key.
+#[derive(Debug)]
+pub struct Miss {
+    /// The canonical form of the looked-up instance (and deadline).
+    pub canon: CanonicalInstance,
+    /// The key [`memoise`] inserts under.
+    pub key: CacheKey,
+}
+
+/// Canonicalises `instance` for `solver` and `deadline`, then looks the
+/// canonical form up in `cache`. Counts a hit or a miss.
+pub fn lookup(
+    cache: &SolutionCache,
+    instance: &Instance,
+    solver: &str,
+    deadline: Option<Time>,
+) -> Lookup {
+    let canon = CanonicalInstance::of(instance, solver, deadline);
+    let key = CacheKey::of(&canon, solver);
+    match cache.get(&key) {
+        Some(hit) => Lookup::Hit(canon.restore(&hit)),
+        None => Lookup::Miss(Miss { canon, key }),
+    }
+}
+
+/// Solves a miss's **canonical** instance (so every later hit is the
+/// exact solution a miss produces) with `registry`'s `solver`, under its
+/// canonical deadline when it has one, timed into the `Solve` or `Probe`
+/// kernel histogram.
+pub fn solve_miss(
+    registry: &SolverRegistry,
+    solver: &str,
+    miss: &Miss,
+) -> Result<Solution, SolveError> {
+    let _solve_span = mst_obs::span(mst_obs::Stage::Solve);
+    let started = std::time::Instant::now();
+    let (solved, kernel) = match miss.canon.deadline() {
+        Some(d) => {
+            (registry.solve_by_deadline(solver, miss.canon.instance(), d), mst_obs::Kernel::Probe)
+        }
+        None => (registry.solve(solver, miss.canon.instance()), mst_obs::Kernel::Solve),
+    };
+    mst_obs::kernel_observe(kernel, solver, started.elapsed().as_micros() as u64);
+    solved
+}
+
+/// Memoises a miss's canonical solution in `cache`, then restores it to
+/// the looked-up instance. Errors are never cached: canonicalisation
+/// makes them scale-invariant, so retries fail identically.
+pub fn memoise(cache: &SolutionCache, miss: Miss, canonical: Solution) -> Solution {
+    cache.insert(miss.key, canonical.clone());
+    miss.canon.restore(&canonical)
+}
+
+/// Solves `instance` through `cache`: [`lookup`], and only on a miss
+/// [`solve_miss`] with `registry`, then [`memoise`].
 pub fn solve_through(
     cache: &SolutionCache,
     registry: &SolverRegistry,
@@ -226,26 +289,17 @@ pub fn solve_through(
     deadline: Option<Time>,
 ) -> Result<CachedSolve, SolveError> {
     let cache_span = mst_obs::span(mst_obs::Stage::Cache);
-    let canon = CanonicalInstance::of(instance, solver, deadline);
-    let key = CacheKey::of(&canon, solver);
-    if let Some(hit) = cache.get(&key) {
-        mst_obs::note_cached(true);
-        return Ok(CachedSolve { solution: canon.restore(&hit), cache_hit: true });
-    }
+    let miss = match lookup(cache, instance, solver, deadline) {
+        Lookup::Hit(solution) => {
+            mst_obs::note_cached(true);
+            return Ok(CachedSolve { solution, cache_hit: true });
+        }
+        Lookup::Miss(miss) => miss,
+    };
     drop(cache_span);
     mst_obs::note_cached(false);
-    let kernel =
-        if canon.deadline().is_some() { mst_obs::Kernel::Probe } else { mst_obs::Kernel::Solve };
-    let solve_span = mst_obs::span(mst_obs::Stage::Solve);
-    let solve_start = std::time::Instant::now();
-    let solved = match canon.deadline() {
-        Some(d) => registry.solve_by_deadline(solver, canon.instance(), d)?,
-        None => registry.solve(solver, canon.instance())?,
-    };
-    mst_obs::kernel_observe(kernel, solver, solve_start.elapsed().as_micros() as u64);
-    drop(solve_span);
-    cache.insert(key, solved.clone());
-    Ok(CachedSolve { solution: canon.restore(&solved), cache_hit: false })
+    let canonical = solve_miss(registry, solver, &miss)?;
+    Ok(CachedSolve { solution: memoise(cache, miss, canonical), cache_hit: false })
 }
 
 #[cfg(test)]

@@ -39,8 +39,13 @@
 //! }
 //! ```
 //!
-//! `mst-serve` resolves the `"registry"` field of `/solve` and `/batch`
-//! bodies against the set, so tenants can pin solver sets per request.
+//! `mst-serve` resolves the `"registry"` field of anonymous `/solve` and
+//! `/batch` bodies against the set: the named tenant's registry answers
+//! the request, and that tenant's solution cache and store history hold
+//! the answer, since a cache is only right for the registry that filled
+//! it. The default tenant still admits the request and lends it its
+//! worker pool. `/session` takes no `"registry"` field; an
+//! `X-Api-Token` header picks the tenant instead.
 //!
 //! Since the execution-policy redesign a registry spec is a full
 //! **tenant spec**: alongside the solver layering it may carry

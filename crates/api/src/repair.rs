@@ -6,21 +6,23 @@
 //! were lost with the failed subtree need to be scheduled again, and only
 //! on the platform that remains.
 //!
-//! [`repair`] implements exactly that split:
+//! [`repair`] has two halves:
 //!
-//! 1. [`degrade`] removes the failed processor *and everything routed
-//!    through it* (the whole downstream subtree — in the one-port tree
-//!    model a processor is unreachable once any ancestor link endpoint
-//!    dies), producing the surviving [`Platform`].
-//! 2. [`committed_tasks`] counts the prefix of the witness that is safely
-//!    done: tasks that finished (`end() <= t`) **on a surviving
-//!    processor**. Work completed on the failed subtree is conservatively
-//!    treated as lost.
-//! 3. The remaining `n - committed` tasks are re-solved on the degraded
-//!    platform through [`solve_through`], so repeated failures on the
-//!    same degraded shape hit the solution cache instead of re-running
-//!    the solver — this is what makes repair cheaper than a full
-//!    re-solve, and the `repair_vs_resolve` bench key guards it.
+//! 1. [`degraded_suffix`]: [`degrade`] removes the failed processor
+//!    *and everything routed through it* (in the one-port tree model a
+//!    processor is unreachable once any ancestor link endpoint dies),
+//!    and [`committed_tasks`] counts the prefix of the witness that is
+//!    safely done: tasks that finished (`end() <= t`) **on a surviving
+//!    processor** (work done on the failed subtree is treated as lost).
+//!    What is left is the degraded instance: the surviving platform with
+//!    the `n - committed` tasks still to run.
+//! 2. The degraded instance is re-solved through the solution cache
+//!    ([`solve_through`]), so repeated failures on the same degraded
+//!    shape hit the cache instead of re-running the solver — this is
+//!    what makes repair cheaper than a full re-solve, and the
+//!    `repair_vs_resolve` bench key guards it. With nothing left, the
+//!    answer is [`empty_witness`]. `mst-serve` composes the first half
+//!    with its own cache-fronted solve, which admits only on a miss.
 //!
 //! The repaired witness is a complete, verifiable solution for the
 //! degraded instance: `verify(&repaired.degraded, &repaired.solution)`
@@ -284,8 +286,9 @@ pub fn committed_tasks(platform: &Platform, solution: &Solution, event: &Failure
 
 /// An empty witnessed solution in the representation [`crate::verify`]
 /// accepts for the platform (a bare empty spider schedule would fail
-/// verification on a tree platform, which demands a cover).
-fn empty_witness(platform: &Platform) -> Solution {
+/// verification on a tree platform, which demands a cover): the repair
+/// of a schedule whose every task was committed before the failure.
+pub fn empty_witness(platform: &Platform) -> Solution {
     match platform {
         Platform::Chain(_) => Solution::from_chain(REPAIR_NOOP, ChainSchedule::empty()),
         Platform::Fork(_) | Platform::Spider(_) => {
@@ -293,6 +296,20 @@ fn empty_witness(platform: &Platform) -> Solution {
         }
         Platform::Tree(_) => Solution::from_tree(REPAIR_NOOP, TreeSchedule::empty()),
     }
+}
+
+/// The first half of a repair: the degraded instance (the surviving
+/// platform with the tasks still to run) and the committed prefix that
+/// is kept. Errors with [`RepairError::BadProcessor`] or
+/// [`RepairError::NoSurvivors`] as [`degrade`] does.
+pub fn degraded_suffix(
+    instance: &Instance,
+    solution: &Solution,
+    event: &FailureEvent,
+) -> Result<(Instance, usize), RepairError> {
+    let platform = degrade(&instance.platform, event.processor)?;
+    let committed = committed_tasks(&instance.platform, solution, event);
+    Ok((Instance::new(platform, instance.tasks.saturating_sub(committed)), committed))
 }
 
 /// Repairs a schedule after a processor failure: keeps the committed
@@ -310,10 +327,8 @@ pub fn repair(
     cache: &SolutionCache,
     solver: &str,
 ) -> Result<Repaired, RepairError> {
-    let degraded_platform = degrade(&instance.platform, event.processor)?;
-    let committed = committed_tasks(&instance.platform, solution, event);
-    let remaining = instance.tasks.saturating_sub(committed);
-    let degraded = Instance::new(degraded_platform, remaining);
+    let (degraded, committed) = degraded_suffix(instance, solution, event)?;
+    let remaining = degraded.tasks;
     if remaining == 0 {
         let solution = empty_witness(&degraded.platform);
         return Ok(Repaired { committed, remaining, degraded, solution, cache_hit: false });

@@ -113,8 +113,8 @@ pub fn document(state: &ServiceState) -> Json {
         ("store_failures_total", count(state.store_health.failures_total())),
         ("store_retries_total", count(state.store_health.retries_total())),
         ("store_recoveries_total", count(state.store_health.recoveries_total())),
-        ("pool_workers", count(state.batch.pool().workers() as u64)),
-        ("pool_jobs_submitted", count(state.batch.pool().jobs_submitted())),
+        ("pool_workers", count(state.default_exec().batch().pool().workers() as u64)),
+        ("pool_jobs_submitted", count(state.default_exec().batch().pool().jobs_submitted())),
         ("obs_dropped_spans_total", count(mst_obs::dropped_events())),
         ("poll_waits_total", count(polls)),
         ("poll_wait_us_total", count(poll_wait_us)),

@@ -15,31 +15,39 @@
 //! | `POST /batch`   | an instance sweep through the worker pool         |
 //! | `POST /session` | a held evolving instance: arrivals + repairs      |
 //!
-//! Both solve paths are fronted by the tenant's **canonical solution
-//! cache** ([`mst_api::cache`]): each instance is canonicalized
-//! ([`CanonicalInstance`]) and looked up first; a hit restores the
-//! cached canonical solution (rescale + leg/node remap, so `verify`
-//! still passes) **without taking an admission slot or waking a
-//! worker**. Misses solve the *canonical* instance, memoise it, and
-//! append a record to the persistent store when one is configured —
-//! which is what `GET /history` reads back and what a restarted server
-//! warm-starts its caches from.
+//! `/solve`, `/batch` and the `/session` ops, repairs included, solve
+//! through one **canonical solution cache** composition
+//! ([`mst_api::cache`]): each instance is canonicalized and looked up
+//! first; a hit restores the cached canonical solution (rescale +
+//! leg/node remap, so `verify` still passes) **without taking an
+//! admission slot or waking a worker**. Misses admit, solve the
+//! *canonical* instance, append a record to the persistent store when
+//! one is configured — what `GET /history` reads back and a restarted
+//! server warm-starts its caches from — and memoise it.
 //!
-//! When the server was configured with named registries (`mst serve
-//! --solvers-config`), `/solve` and `/batch` accept a `"registry"` body
-//! field pinning the request to that tenant's solver set, and
-//! `GET /solvers?registry=NAME` lists a tenant's view; unknown names
-//! answer 404 `unknown-registry` rather than silently falling back.
+//! Each request resolves two tenants, once, before any work:
 //!
-//! Requests carrying an `X-Api-Token` header run under the matching
-//! tenant's **execution policy** ([`mst_api::exec`]): its registry,
-//! its dedicated worker pool, its admission quota (exhaustion answers
-//! 429 `quota-exhausted` with `Retry-After`), its per-request instance
-//! cap and its deadline budget. Unknown tokens answer 401
-//! `unknown-token`. `/batch` sweeps solve in chunks with cancellation
-//! checkpoints — a spent deadline budget or a disconnected client
-//! stops the remaining work — and `"stream": true` streams
-//! per-instance results as chunked NDJSON instead of buffering them.
+//! * the **admitting** tenant — the `X-Api-Token` header's tenant, or
+//!   the default tenant without one — owns the **execution policy**
+//!   ([`mst_api::exec`]): the rate limit, the admission quota
+//!   (exhaustion answers 429 `quota-exhausted` with `Retry-After`), the
+//!   per-request instance cap, the deadline budget, the worker pool and
+//!   the request and solve counters. Unknown tokens answer 401
+//!   `unknown-token`;
+//! * the **answering** tenant owns the registry, and with it the cache
+//!   of that registry's answers, the tenant name on store records and
+//!   the `store_records` gauge. It is the token's tenant; an anonymous
+//!   `/solve` or `/batch` may name another with a `"registry"` body
+//!   field (servers started with `mst serve --solvers-config`), and is
+//!   otherwise answered by the default tenant. Unknown names answer 404
+//!   `unknown-registry` rather than silently falling back;
+//!   `GET /solvers?registry=NAME` lists a tenant's view. A cache only
+//!   ever holds the answers of its own registry.
+//!
+//! `/batch` sweeps solve in chunks with cancellation checkpoints — a
+//! spent deadline budget or a disconnected client stops the remaining
+//! work — and `"stream": true` streams per-instance results as chunked
+//! NDJSON instead of buffering them.
 //!
 //! Every error is a structured JSON body `{"error": {"kind", "message"}}`
 //! with a 4xx status for client mistakes (malformed JSON, unknown
@@ -49,18 +57,19 @@
 use crate::http::{Request, Response};
 use crate::server::ServiceState;
 use crate::service::{ResponseBody, StreamWriter};
+use mst_api::cache::{self, Lookup};
 use mst_api::exec::{AdmissionError, TenantExec};
 use mst_api::fleet::SweepSpec;
-use mst_api::repair::{FailureEvent, RepairError};
+use mst_api::repair::{degraded_suffix, empty_witness, FailureEvent, RepairError};
 use mst_api::wire::{error_to_json, instance_from_json, solution_to_json, Json};
 use mst_api::{
-    verify, Batch, BatchSummary, CacheKey, CanonicalInstance, Instance, Solution, SolveError,
-    SolverRegistry, TopologyKind,
+    verify, Batch, BatchSummary, CanonicalInstance, Instance, Solution, SolveError, TopologyKind,
 };
 use mst_platform::{HeterogeneityProfile, Time};
 use mst_sim::CancelToken;
 use mst_store::Record;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Dispatches one parsed request to its handler. `stream` is the
@@ -235,17 +244,27 @@ fn solve_error_response(error: &SolveError) -> Response {
     Response::json(status, error_to_json(error))
 }
 
-/// Resolves the request's `X-Api-Token` header to the execution policy
-/// it runs under: the default tenant without a header, the matching
-/// named tenant otherwise. An unmatched token answers 401 rather than
-/// silently running as the default tenant, and a token combined with a
+/// The two tenants one request resolves to (see the module doc).
+#[derive(Clone, Copy)]
+struct Tenants<'a> {
+    /// Owns the rate limit, admission, instance cap, deadline budget,
+    /// pool and the request and solve counters.
+    admitting: &'a TenantExec,
+    /// Owns the registry, and so its cache and the store records.
+    answering: &'a TenantExec,
+}
+
+/// Resolves, once per request, the tenant that admits it and the tenant
+/// whose registry answers it ([`Tenants`]). An unmatched token answers
+/// 401 rather than silently running as the default tenant, an unknown
+/// `"registry"` name answers 404, and a token combined with a
 /// `"registry"` body selector is rejected as ambiguous — the token
 /// already pins the registry.
 fn tenant_for<'a>(
     request: &Request,
     body: &Json,
     state: &'a ServiceState,
-) -> Result<&'a TenantExec, Response> {
+) -> Result<Tenants<'a>, Response> {
     let token = request.header("x-api-token");
     if token.is_some() && body.get("registry").is_some() {
         return Err(error_response(
@@ -255,20 +274,29 @@ fn tenant_for<'a>(
              the token already selects the tenant's registry",
         ));
     }
-    let tenant = state.tenant_for(token).map_err(|unknown| {
+    let admitting = state.tenant_for(token).map_err(|unknown| {
         error_response(
             401,
             "unknown-token",
             &format!("no tenant answers the API token {unknown:?}"),
         )
     })?;
-    tenant.stats().requests_total.fetch_add(1, Ordering::Relaxed);
-    mst_obs::note_tenant(&tenant.policy().name);
+    admitting.stats().requests_total.fetch_add(1, Ordering::Relaxed);
+    mst_obs::note_tenant(&admitting.policy().name);
     // The time-windowed rate limit is enforced at routing time, so it
     // covers every tenant-scoped endpoint (/solve, /batch, /session)
     // uniformly, before any admission slot or solving work is taken.
-    tenant.check_rate().map_err(|e| admission_response(tenant, &e))?;
-    Ok(tenant)
+    admitting.check_rate().map_err(|e| admission_response(admitting, &e))?;
+    let answering = match token {
+        Some(_) => admitting,
+        None => {
+            let selector = opt_str(body, "registry")?;
+            state
+                .registry_tenant(selector)
+                .ok_or_else(|| unknown_registry(selector.unwrap_or(""), state))?
+        }
+    };
+    Ok(Tenants { admitting, answering })
 }
 
 /// The refusal an [`AdmissionError`] maps to: quota exhaustion is 429
@@ -336,10 +364,11 @@ fn healthz(state: &ServiceState) -> Response {
 }
 
 fn solvers(request: &Request, state: &ServiceState) -> Response {
-    let Some(batch) = state.batch_for(request.query_param("registry")) else {
+    let Some(tenant) = state.registry_tenant(request.query_param("registry")) else {
         return unknown_registry(request.query_param("registry").unwrap_or(""), state);
     };
-    let list: Vec<Json> = batch
+    let list: Vec<Json> = tenant
+        .batch()
         .registry()
         .solvers()
         .map(|solver| {
@@ -373,13 +402,6 @@ fn unknown_registry(name: &str, state: &ServiceState) -> Response {
             state.tenant_names()
         ),
     )
-}
-
-/// Resolves the optional `"registry"` body field to the engine the
-/// request solves through (shared by `/solve` and `/batch`).
-fn select_batch<'a>(body: &Json, state: &'a ServiceState) -> Result<&'a mst_api::Batch, Response> {
-    let selector = opt_str(body, "registry")?;
-    state.batch_for(selector).ok_or_else(|| unknown_registry(selector.unwrap_or(""), state))
 }
 
 /// `GET /metrics` — the [`crate::metrics::document`] as JSON, or with
@@ -487,24 +509,27 @@ fn opt_flag(body: &Json, key: &str) -> Result<bool, Response> {
 /// "registry"?: name, "deadline"?: T, "verify"?: bool}`. An
 /// `X-Api-Token` header routes the request to its tenant (admission
 /// slots, registry); quota exhaustion answers 429 with `Retry-After`.
+/// An anonymous `"registry"` names the tenant whose registry, cache and
+/// history answer, under the default tenant's admission.
 /// With `"verify": true` the solution is checked by the [`verify`]
 /// oracle before it is returned and the response carries
 /// `"feasible": true` — an infeasible witness, or one ending past the
 /// request's `deadline`, would be a solver bug and answers 500.
 ///
-/// The tenant's solution cache is consulted **before** admission: a
-/// hit answers immediately with `"cached": true`, takes no admission
-/// slot and wakes no worker. A miss admits, solves the *canonical*
-/// instance, memoises it, records it in the persistent store (when
-/// configured), and answers with the solution restored to the
-/// original instance's scale and numbering.
+/// The answering tenant's solution cache is consulted **before**
+/// admission ([`serve_solve`]): a hit answers immediately with
+/// `"cached": true`, takes no admission slot and wakes no worker. A
+/// miss admits, solves the *canonical* instance, records it in the
+/// persistent store (when configured), memoises it, and answers with
+/// the solution restored to the original instance's scale and
+/// numbering.
 fn solve(request: &Request, state: &ServiceState) -> Response {
     let body = match parse_body(request) {
         Ok(body) => body,
         Err(response) => return response,
     };
-    let tenant = match tenant_for(request, &body, state) {
-        Ok(tenant) => tenant,
+    let tenants = match tenant_for(request, &body, state) {
+        Ok(tenants) => tenants,
         Err(response) => return response,
     };
     let instance = match instance_from_json(&body) {
@@ -519,17 +544,7 @@ fn solve(request: &Request, state: &ServiceState) -> Response {
             (Ok(s), Ok(d), Ok(v)) => (s.unwrap_or("optimal"), d, v),
             (Err(r), _, _) | (_, Err(r), _) | (_, _, Err(r)) => return r,
         };
-    // Anonymous requests may still pin a configured registry by name
-    // (the pre-token selector); tokened requests already resolved one.
-    let batch = if request.header("x-api-token").is_some() {
-        tenant.batch()
-    } else {
-        match select_batch(&body, state) {
-            Ok(batch) => batch,
-            Err(response) => return response,
-        }
-    };
-    match cached_solve(state, tenant, batch.registry(), solver_name, &instance, deadline) {
+    match serve_solve(state, tenants, solver_name, &instance, deadline) {
         Ok((solution, cached)) => {
             render_solution(solution, &instance, deadline, solver_name, check, cached)
         }
@@ -599,7 +614,9 @@ fn render_solution(
 }
 
 /// Appends one solved canonical instance to the persistent store (a
-/// no-op without `--store`) and bumps the tenant's record gauge.
+/// no-op without `--store`) under the answering `tenant`'s name, and
+/// bumps that tenant's record gauge: its cache is what a restart warms
+/// from the record.
 ///
 /// **Graceful degradation:** a failing append never fails the solve
 /// that produced the record. The failure flips the service's
@@ -879,84 +896,47 @@ impl BatchSink for NdjsonSink<'_> {
     }
 }
 
-/// One `/batch` instance after the cache-planning pass: either already
-/// answered from the tenant's solution cache (restored, ready to
-/// return) or a miss that still needs its **canonical** instance
-/// solved under its own canonical deadline.
-enum Planned {
-    /// A cache hit, restored to the original instance's scale and
-    /// numbering at plan time.
-    Hit(Solution),
-    /// A miss: the canonical instance to solve, and the key to memoise
-    /// the canonical solution under.
-    Miss(Box<CanonicalInstance>, CacheKey),
-}
-
-/// Canonicalizes every instance of a `/batch` sweep and answers what it
-/// can from the tenant's solution cache. Returns the per-instance plan
-/// (input order) and the hit count.
-fn plan_batch(
-    instances: &[Instance],
-    solver_name: &str,
-    deadline: Option<Time>,
-    tenant: &TenantExec,
-) -> (Vec<Planned>, usize) {
-    let mut hits = 0usize;
-    let jobs = instances
-        .iter()
-        .map(|instance| {
-            let canon = CanonicalInstance::of(instance, solver_name, deadline);
-            let key = CacheKey::of(&canon, solver_name);
-            match tenant.cache().get(&key) {
-                Some(cached) => {
-                    hits += 1;
-                    Planned::Hit(canon.restore(&cached))
-                }
-                None => Planned::Miss(Box::new(canon), key),
-            }
-        })
-        .collect();
-    (jobs, hits)
-}
-
-/// The chunk-by-chunk solve loop behind `/batch`: every
+/// The chunk-by-chunk solve loop behind `/batch`, over the sweep's
+/// [`Lookup`]s (input order): every
 /// [`ServeConfig::batch_chunk`](crate::server::ServeConfig) jobs it
 /// polls the request's cancel token (deadline budget), probes the
 /// sink for client liveness (a disconnected client cancels the rest —
 /// an abandoned sweep must stop burning cores) and hands the chunk's
-/// results to the sink (`false` from it also cancels). Cache hits in
-/// a chunk cost a clone; only the chunk's misses go to the worker
-/// pool, each solving its **canonical** instance under its own
-/// canonical deadline, memoised and recorded in the persistent store
-/// on success, then restored. Once cancelled, the remaining jobs come
-/// back as [`SolveError::Cancelled`] without being solved — results
-/// stay one per instance, in input order.
+/// results to the sink (`false` from it also cancels). Cache hits are
+/// already restored; only the chunk's misses go to the worker pool,
+/// each solving its **canonical** instance under its own canonical
+/// deadline, then recorded in the persistent store and memoised in
+/// the answering tenant's cache on success. Once cancelled, the
+/// remaining jobs come back as [`SolveError::Cancelled`] without being
+/// solved — results stay one per instance, in input order.
 #[allow(clippy::too_many_arguments)]
 fn solve_chunked(
     engine: &Batch,
-    jobs: &[Planned],
+    jobs: Vec<Lookup>,
     cancel: &CancelToken,
     sink: &mut dyn BatchSink,
     chunk: usize,
     state: &ServiceState,
-    tenant: &TenantExec,
+    answering: &TenantExec,
     solver_name: &str,
 ) -> Vec<Result<Solution, SolveError>> {
-    let chunk = chunk.max(1);
-    let mut results: Vec<Result<Solution, SolveError>> = Vec::with_capacity(jobs.len());
-    for slice in jobs.chunks(chunk) {
+    let total = jobs.len();
+    let mut jobs = jobs.into_iter();
+    let mut results: Vec<Result<Solution, SolveError>> = Vec::with_capacity(total);
+    while results.len() < total {
         if !cancel.is_cancelled() && sink.client_gone() {
             cancel.cancel();
         }
         if cancel.is_cancelled() {
-            results.extend((results.len()..jobs.len()).map(|_| Err(SolveError::Cancelled)));
+            results.extend((results.len()..total).map(|_| Err(SolveError::Cancelled)));
             break;
         }
+        let slice: Vec<Lookup> = jobs.by_ref().take(chunk.max(1)).collect();
         let miss_jobs: Vec<(Instance, Option<Time>)> = slice
             .iter()
             .filter_map(|job| match job {
-                Planned::Miss(canon, _) => Some((canon.instance().clone(), canon.deadline())),
-                Planned::Hit(_) => None,
+                Lookup::Miss(miss) => Some((miss.canon.instance().clone(), miss.canon.deadline())),
+                Lookup::Hit(_) => None,
             })
             .collect();
         let started = Instant::now();
@@ -969,25 +949,20 @@ fn solve_chunked(
         let per_miss_us = started.elapsed().as_micros() as u64 / miss_jobs.len().max(1) as u64;
         let mut solved = solved.into_iter();
         let part: Vec<Result<Solution, SolveError>> = slice
-            .iter()
+            .into_iter()
             .map(|job| match job {
-                Planned::Hit(solution) => Ok(solution.clone()),
-                Planned::Miss(canon, key) => {
-                    match solved.next().expect("one result per miss job") {
-                        Ok(canonical) => {
-                            tenant.cache().insert(key.clone(), canonical.clone());
-                            append_record(
-                                state,
-                                tenant,
-                                solver_name,
-                                canon,
-                                &canonical,
-                                per_miss_us,
-                            );
-                            Ok(canon.restore(&canonical))
-                        }
-                        Err(e) => Err(e),
-                    }
+                Lookup::Hit(solution) => Ok(solution),
+                Lookup::Miss(miss) => {
+                    let canonical = solved.next().expect("one result per miss job")?;
+                    append_record(
+                        state,
+                        answering,
+                        solver_name,
+                        &miss.canon,
+                        &canonical,
+                        per_miss_us,
+                    );
+                    Ok(cache::memoise(answering.cache(), miss, canonical))
                 }
             })
             .collect();
@@ -1082,10 +1057,12 @@ fn count_infeasible(
 ///
 /// Body: `{"instances": [...]} | {"generate": {...}}`, plus `"solver"?`,
 /// `"registry"?`, `"deadline"?`, `"verify"?`, `"include_results"?` and
-/// `"stream"?`. The response always carries the summary; per-instance
-/// solutions ride along only when `"include_results": true` (a
-/// 100k-instance sweep should not serialize 100k schedules by
-/// accident). With `"stream": true` the per-instance results are
+/// `"stream"?`. The sweep solves with the answering tenant's registry
+/// on the admitting tenant's pool, and is looked up in and memoised to
+/// the answering tenant's cache. The response always carries the
+/// summary; per-instance solutions ride along only when
+/// `"include_results": true` (a 100k-instance sweep should not
+/// serialize 100k schedules by accident). With `"stream": true` the per-instance results are
 /// instead **streamed** as chunked NDJSON lines while the sweep runs —
 /// a large response never materialises in memory, and the summary
 /// arrives as the final line. Either way the sweep solves in chunks
@@ -1101,11 +1078,11 @@ fn batch(
         Ok(body) => body,
         Err(response) => return ResponseBody::Full(response),
     };
-    let tenant = match tenant_for(request, &body, state) {
-        Ok(tenant) => tenant,
+    let Tenants { admitting, answering } = match tenant_for(request, &body, state) {
+        Ok(tenants) => tenants,
         Err(response) => return ResponseBody::Full(response),
     };
-    let instances = match batch_instances(&body, state, tenant) {
+    let instances = match batch_instances(&body, state, admitting) {
         Ok(instances) => instances,
         Err(response) => return ResponseBody::Full(response),
     };
@@ -1121,61 +1098,77 @@ fn batch(
         (Ok(c), Ok(i), Ok(s)) => (c, i, s),
         (Err(r), _, _) | (_, Err(r), _) | (_, _, Err(r)) => return ResponseBody::Full(r),
     };
-    // Anonymous requests may still pin a configured registry by name
-    // (the pre-token selector); tokened requests already resolved one.
-    let tenant_batch = if request.header("x-api-token").is_some() {
-        tenant.batch()
-    } else {
-        match select_batch(&body, state) {
-            Ok(batch) => batch,
-            Err(response) => return ResponseBody::Full(response),
-        }
-    };
+    let registry = answering.batch().registry();
     // Resolve the name up front so an unknown solver is one 404, not a
     // thousand per-instance errors.
-    if let Err(e) = tenant_batch.registry().resolve(solver_name) {
+    if let Err(e) = registry.resolve(solver_name) {
         return ResponseBody::Full(solve_error_response(&e));
     }
     mst_obs::note_solver(solver_name);
-    let engine = tenant_batch.clone().with_solver(solver_name);
-    // Plan against the tenant's solution cache first: a fully-cached
-    // sweep is answered without an admission slot at all, and a mixed
-    // one admits for the misses only.
+    let engine = Batch::new(registry.clone())
+        .with_pool(Arc::clone(admitting.batch().pool()))
+        .with_solver(solver_name);
+    // Look every instance up first: a fully-cached sweep is answered
+    // without an admission slot at all, and a mixed one admits for the
+    // misses only.
     let cache_span = mst_obs::span(mst_obs::Stage::Cache);
-    let (jobs, cache_hits) = plan_batch(&instances, solver_name, deadline, tenant);
+    let jobs: Vec<Lookup> = instances
+        .iter()
+        .map(|instance| cache::lookup(answering.cache(), instance, solver_name, deadline))
+        .collect();
+    let cache_hits = jobs.iter().filter(|job| matches!(job, Lookup::Hit(_))).count();
     mst_obs::note_cached(!jobs.is_empty() && cache_hits == jobs.len());
     drop(cache_span);
     let admit_span = mst_obs::span(mst_obs::Stage::Admit);
     let _slot = if cache_hits < jobs.len() {
-        match tenant.admit() {
+        match admitting.admit() {
             Ok(slot) => Some(slot),
-            Err(e) => return ResponseBody::Full(admission_response(tenant, &e)),
+            Err(e) => return ResponseBody::Full(admission_response(admitting, &e)),
         }
     } else {
         None
     };
     drop(admit_span);
-    let cancel = tenant.cancel_token();
+    let cancel = admitting.cancel_token();
     let chunk = state.config.batch_chunk;
     let started = Instant::now();
 
     let mut stream = stream;
     if want_stream {
-        if let Some(stream) = stream.take() {
-            return stream_batch(
+        // The streamed reply: chunked NDJSON, one `{"index": i,
+        // ...solution | error}` line per instance as its chunk completes,
+        // then one final `{"summary": {...}}` line. A failed write means
+        // the client is gone: the rest of the sweep is cancelled.
+        if let Some(writer) = stream.take() {
+            if writer.begin().is_err() {
+                return ResponseBody::Streamed; // peer gone before the head
+            }
+            let mut sink = NdjsonSink { writer, offset: 0, lines: String::new() };
+            let results = solve_chunked(
                 &engine,
-                &instances,
-                &jobs,
-                cache_hits,
-                deadline,
-                check,
+                jobs,
                 &cancel,
-                stream,
+                &mut sink,
                 chunk,
                 state,
-                tenant,
+                answering,
                 solver_name,
             );
+            let elapsed = started.elapsed();
+            let (_, _, tail) = finish_sweep(
+                &instances,
+                &results,
+                solver_name,
+                deadline,
+                check,
+                cache_hits,
+                elapsed,
+                admitting,
+            );
+            let summary_line = Json::obj([("summary", Json::Obj(tail))]);
+            let _ = sink.writer.chunk(format!("{summary_line}\n").as_bytes());
+            let _ = sink.writer.end();
+            return ResponseBody::Streamed;
         }
         // No transport to stream over (embedded callers): fall through
         // to the buffered reply with per-instance results included.
@@ -1183,7 +1176,7 @@ fn batch(
 
     let mut sink = ProbeOnly { stream };
     let results =
-        solve_chunked(&engine, &jobs, &cancel, &mut sink, chunk, state, tenant, solver_name);
+        solve_chunked(&engine, jobs, &cancel, &mut sink, chunk, state, answering, solver_name);
     let elapsed = started.elapsed();
     let (summary, infeasible, mut reply) = finish_sweep(
         &instances,
@@ -1193,7 +1186,7 @@ fn batch(
         check,
         cache_hits,
         elapsed,
-        tenant,
+        admitting,
     );
     reply.push(("total_tasks".to_string(), Json::int(summary.total_tasks as i64)));
     reply.push(("mean_makespan".to_string(), Json::Num(summary.mean_makespan())));
@@ -1233,49 +1226,6 @@ fn batch(
     ResponseBody::Full(Response::json(200, Json::Obj(reply)))
 }
 
-/// The streamed `/batch` reply: chunked NDJSON, one
-/// `{"index": i, ...solution | error}` line per instance as its chunk
-/// completes, then one final `{"summary": {...}}` line. A failed write
-/// means the client is gone — the remaining sweep is cancelled and the
-/// connection dropped.
-#[allow(clippy::too_many_arguments)]
-fn stream_batch(
-    engine: &Batch,
-    instances: &[Instance],
-    jobs: &[Planned],
-    cache_hits: usize,
-    deadline: Option<Time>,
-    check: bool,
-    cancel: &CancelToken,
-    stream: &mut dyn StreamWriter,
-    chunk: usize,
-    state: &ServiceState,
-    tenant: &TenantExec,
-    solver_name: &str,
-) -> ResponseBody {
-    let started = Instant::now();
-    if stream.begin().is_err() {
-        return ResponseBody::Streamed; // peer gone before the head
-    }
-    let mut sink = NdjsonSink { writer: stream, offset: 0, lines: String::new() };
-    let results = solve_chunked(engine, jobs, cancel, &mut sink, chunk, state, tenant, solver_name);
-    let elapsed = started.elapsed();
-    let (_, _, tail) = finish_sweep(
-        instances,
-        &results,
-        solver_name,
-        deadline,
-        check,
-        cache_hits,
-        elapsed,
-        tenant,
-    );
-    let summary_line = Json::obj([("summary", Json::Obj(tail))]);
-    let _ = sink.writer.chunk(format!("{summary_line}\n").as_bytes());
-    let _ = sink.writer.end();
-    ResponseBody::Streamed
-}
-
 /// Required non-negative integer field.
 fn req_int(body: &Json, key: &str) -> Result<i64, Response> {
     opt_int(body, key)?
@@ -1289,64 +1239,50 @@ fn unknown_session(id: i64) -> Response {
     error_response(404, "unknown-session", &format!("no open session {id} for this tenant"))
 }
 
-/// One cache-fronted solve, shared by `/solve` and the `/session` ops:
-/// the tenant's solution cache is consulted first (a hit takes no
-/// admission slot), a miss admits, solves the canonical instance
-/// (under its canonical deadline when one is set), memoises and
-/// records it. Returns the restored solution and whether it was a
-/// cache hit.
-fn cached_solve(
+/// The one cache-fronted solve behind `/solve` and the `/session` ops
+/// (the [`mst_api::cache`] pieces around an admission slot and a store
+/// append): the answering tenant's cache is looked up first, and a hit
+/// returns without a slot. A miss admits on the admitting tenant,
+/// solves the canonical instance (under its canonical deadline when one
+/// is set) with the answering registry, counts in the admitting
+/// tenant's stats, appends the record and memoises it. Returns the
+/// restored solution and whether it was a cache hit.
+fn serve_solve(
     state: &ServiceState,
-    tenant: &TenantExec,
-    registry: &SolverRegistry,
+    tenants: Tenants,
     solver_name: &str,
     instance: &Instance,
     deadline: Option<Time>,
 ) -> Result<(Solution, bool), Response> {
-    let stats = tenant.stats();
+    let Tenants { admitting, answering } = tenants;
     mst_obs::note_solver(solver_name);
     let cache_span = mst_obs::span(mst_obs::Stage::Cache);
-    let canon = CanonicalInstance::of(instance, solver_name, deadline);
-    let key = CacheKey::of(&canon, solver_name);
-    if let Some(cached) = tenant.cache().get(&key) {
-        mst_obs::note_cached(true);
-        drop(cache_span);
-        return Ok((canon.restore(&cached), true));
-    }
+    let miss = match cache::lookup(answering.cache(), instance, solver_name, deadline) {
+        Lookup::Hit(solution) => {
+            mst_obs::note_cached(true);
+            return Ok((solution, true));
+        }
+        Lookup::Miss(miss) => miss,
+    };
     mst_obs::note_cached(false);
     drop(cache_span);
     let admit_span = mst_obs::span(mst_obs::Stage::Admit);
-    let _slot = tenant.admit().map_err(|e| admission_response(tenant, &e))?;
+    let _slot = admitting.admit().map_err(|e| admission_response(admitting, &e))?;
     drop(admit_span);
-    let solve_span = mst_obs::span(mst_obs::Stage::Solve);
     let started = Instant::now();
-    let (result, kernel) = match canon.deadline() {
-        Some(t) => {
-            (registry.solve_by_deadline(solver_name, canon.instance(), t), mst_obs::Kernel::Probe)
-        }
-        None => (registry.solve(solver_name, canon.instance()), mst_obs::Kernel::Solve),
-    };
+    let solved = cache::solve_miss(answering.batch().registry(), solver_name, &miss);
     let elapsed = started.elapsed();
-    mst_obs::kernel_observe(kernel, solver_name, elapsed.as_micros() as u64);
-    drop(solve_span);
-    match result {
+    match solved {
         Ok(canonical) => {
-            stats.record(1, 0, 0, elapsed);
-            tenant.cache().insert(key, canonical.clone());
-            append_record(
-                state,
-                tenant,
-                solver_name,
-                &canon,
-                &canonical,
-                elapsed.as_micros() as u64,
-            );
-            Ok((canon.restore(&canonical), false))
+            admitting.stats().record(1, 0, 0, elapsed);
+            let elapsed_us = elapsed.as_micros() as u64;
+            append_record(state, answering, solver_name, &miss.canon, &canonical, elapsed_us);
+            Ok((cache::memoise(answering.cache(), miss, canonical), false))
         }
         Err(e) => {
             // Errors are never cached: a transient refusal (or a fixed
             // solver) must not be replayed forever.
-            stats.record(0, 1, 0, elapsed);
+            admitting.stats().record(0, 1, 0, elapsed);
             Err(solve_error_response(&e))
         }
     }
@@ -1382,20 +1318,35 @@ fn session_reply(s: &crate::session::Session, extra: Vec<(String, Json)>) -> Res
 ///   is **repaired** ([`mst_api::repair()`]) — its committed prefix is
 ///   kept, only the surviving suffix re-solves on the degraded
 ///   platform, and the session *becomes* the degraded platform, so
-///   failures compound;
+///   failures compound. The re-solve is [`serve_solve`]'s: a cached
+///   suffix takes no admission slot and counts no solve, a miss is
+///   recorded in the store, and a suffix with no task left answers an
+///   empty witness without a lookup;
 /// * `{"op": "get", "session": id}` — the current snapshot;
 /// * `{"op": "close", "session": id}` — release it.
 ///
 /// Sessions are tenant-scoped (another tenant's id answers 404) and
 /// the table is bounded (`429 too-many-sessions` beyond
-/// [`crate::session::MAX_OPEN_SESSIONS`]).
+/// [`crate::session::MAX_OPEN_SESSIONS`]). A session outlives one
+/// request and its solver name resolves in one registry, so `/session`
+/// takes no `"registry"` field (400 `bad-request`): the `X-Api-Token`
+/// header picks the tenant whose registry, cache and admission serve
+/// every op.
 fn session(request: &Request, state: &ServiceState) -> Response {
     let body = match parse_body(request) {
         Ok(body) => body,
         Err(response) => return response,
     };
-    let tenant = match tenant_for(request, &body, state) {
-        Ok(tenant) => tenant,
+    if body.get("registry").is_some() {
+        return error_response(
+            400,
+            "bad-request",
+            "/session takes no \"registry\" field: a session's solver resolves in one \
+             registry for its whole life; send an X-Api-Token header to pick a tenant",
+        );
+    }
+    let tenants = match tenant_for(request, &body, state) {
+        Ok(tenants) => tenants,
         Err(response) => return response,
     };
     let op = match opt_str(&body, "op") {
@@ -1410,16 +1361,16 @@ fn session(request: &Request, state: &ServiceState) -> Response {
         Err(response) => return response,
     };
     match op {
-        "create" => session_create(&body, state, tenant),
-        "arrive" => session_arrive(&body, state, tenant),
-        "fail" => session_fail(&body, state, tenant),
-        "get" => session_get(&body, state, tenant),
-        "close" => session_close(&body, state, tenant),
+        "create" => session_create(&body, state, tenants),
+        "arrive" => session_arrive(&body, state, tenants),
+        "fail" => session_fail(&body, state, tenants),
+        "get" => session_get(&body, state, tenants.admitting),
+        "close" => session_close(&body, state, tenants.admitting),
         other => error_response(400, "bad-request", &format!("unknown session op {other:?}")),
     }
 }
 
-fn session_create(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Response {
+fn session_create(body: &Json, state: &ServiceState, tenants: Tenants) -> Response {
     let instance = match instance_from_json(body) {
         Ok(instance) => instance,
         Err(e) => return error_response(400, "bad-instance", &e.to_string()),
@@ -1431,21 +1382,14 @@ fn session_create(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Res
         Ok(name) => name.unwrap_or("optimal"),
         Err(response) => return response,
     };
-    if let Err(e) = tenant.batch().registry().resolve(solver_name) {
+    if let Err(e) = tenants.answering.batch().registry().resolve(solver_name) {
         return solve_error_response(&e);
     }
-    let (solution, cached) = match cached_solve(
-        state,
-        tenant,
-        tenant.batch().registry(),
-        solver_name,
-        &instance,
-        None,
-    ) {
+    let (solution, cached) = match serve_solve(state, tenants, solver_name, &instance, None) {
         Ok(solved) => solved,
         Err(response) => return response,
     };
-    let tenant_name = tenant.policy().name.as_str();
+    let tenant_name = tenants.admitting.policy().name.as_str();
     let _session_span = mst_obs::span(mst_obs::Stage::Session);
     let Ok(id) = state.sessions.create(tenant_name, solver_name, instance, solution) else {
         return error_response(
@@ -1466,7 +1410,7 @@ fn session_create(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Res
         .unwrap_or_else(|| unknown_session(id as i64))
 }
 
-fn session_arrive(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Response {
+fn session_arrive(body: &Json, state: &ServiceState, tenants: Tenants) -> Response {
     let (id, arriving) = match (req_int(body, "session"), req_int(body, "tasks")) {
         (Ok(id), Ok(k)) => (id, k),
         (Err(r), _) | (_, Err(r)) => return r,
@@ -1474,7 +1418,7 @@ fn session_arrive(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Res
     if arriving < 1 {
         return error_response(400, "bad-request", "\"tasks\" must be at least 1");
     }
-    let tenant_name = tenant.policy().name.as_str();
+    let tenant_name = tenants.admitting.policy().name.as_str();
     // Snapshot outside the solve: the table lock must not be held while
     // a worker pool churns.
     let Some((solver, old)) =
@@ -1486,11 +1430,10 @@ fn session_arrive(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Res
     if let Err(response) = check_task_budget(&grown, state) {
         return response;
     }
-    let (solution, cached) =
-        match cached_solve(state, tenant, tenant.batch().registry(), &solver, &grown, None) {
-            Ok(solved) => solved,
-            Err(response) => return response,
-        };
+    let (solution, cached) = match serve_solve(state, tenants, &solver, &grown, None) {
+        Ok(solved) => solved,
+        Err(response) => return response,
+    };
     let _session_span = mst_obs::span(mst_obs::Stage::Session);
     state
         .sessions
@@ -1503,13 +1446,13 @@ fn session_arrive(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Res
         .unwrap_or_else(|| unknown_session(id))
 }
 
-fn session_fail(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Response {
+fn session_fail(body: &Json, state: &ServiceState, tenants: Tenants) -> Response {
     let (id, processor, at) =
         match (req_int(body, "session"), req_int(body, "processor"), req_int(body, "at")) {
             (Ok(id), Ok(p), Ok(t)) => (id, p, t),
             (Err(r), _, _) | (_, Err(r), _) | (_, _, Err(r)) => return r,
         };
-    let tenant_name = tenant.policy().name.as_str();
+    let tenant_name = tenants.admitting.policy().name.as_str();
     let Some((solver, instance, solution)) = state.sessions.with(tenant_name, id as u64, |s| {
         (s.solver.clone(), s.instance.clone(), s.solution.clone())
     }) else {
@@ -1517,69 +1460,57 @@ fn session_fail(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Respo
     };
     let event = FailureEvent { processor: processor as usize, at };
     mst_obs::note_solver(&solver);
-    let admit_span = mst_obs::span(mst_obs::Stage::Admit);
-    let _slot = match tenant.admit() {
-        Ok(slot) => slot,
-        Err(e) => return admission_response(tenant, &e),
-    };
-    drop(admit_span);
-    let stats = tenant.stats();
     // The repair span wraps a cache-fronted re-solve, which records
-    // its own cache/solve spans; Stage::Repair is therefore excluded
-    // from Stage::SEQUENTIAL.
+    // its own cache/admit/solve spans; Stage::Repair is therefore
+    // excluded from Stage::SEQUENTIAL.
     let repair_span = mst_obs::span(mst_obs::Stage::Repair);
-    let started = Instant::now();
-    let repaired = mst_api::repair(
-        &instance,
-        &solution,
-        &event,
-        tenant.batch().registry(),
-        tenant.cache(),
-        &solver,
-    );
-    let elapsed = started.elapsed();
-    drop(repair_span);
-    match repaired {
-        Ok(repaired) => {
-            stats.record(1, 0, 0, elapsed);
-            let committed = repaired.committed;
-            let remaining = repaired.remaining;
-            let cache_hit = repaired.cache_hit;
-            let _session_span = mst_obs::span(mst_obs::Stage::Session);
-            state
-                .sessions
-                .with(tenant_name, id as u64, |s| {
-                    s.instance = repaired.degraded.clone();
-                    s.solution = repaired.solution.clone();
-                    s.failures += 1;
-                    s.committed += committed as u64;
-                    session_reply(
-                        s,
-                        vec![
-                            ("event_committed".to_string(), Json::int(committed as i64)),
-                            ("event_remaining".to_string(), Json::int(remaining as i64)),
-                            ("cached".to_string(), Json::Bool(cache_hit)),
-                        ],
-                    )
-                })
-                .unwrap_or_else(|| unknown_session(id))
-        }
+    let (degraded, committed) = match degraded_suffix(&instance, &solution, &event) {
+        Ok(suffix) => suffix,
         Err(e @ RepairError::BadProcessor { .. }) => {
-            error_response(400, "bad-processor", &e.to_string())
+            return error_response(400, "bad-processor", &e.to_string())
         }
-        Err(RepairError::NoSurvivors { .. }) => error_response(
-            409,
-            "no-survivors",
-            &format!(
-                "losing processor {processor} leaves no platform to repair onto; \
-                 the session is unchanged"
-            ),
-        ),
-        Err(RepairError::Solve(e)) => {
-            stats.record(0, 1, 0, elapsed);
-            solve_error_response(&e)
+        Err(RepairError::NoSurvivors { .. }) => {
+            return error_response(
+                409,
+                "no-survivors",
+                &format!(
+                    "losing processor {processor} leaves no platform to repair onto; \
+                     the session is unchanged"
+                ),
+            )
         }
-    }
+        Err(RepairError::Solve(e)) => return solve_error_response(&e),
+    };
+    // Nothing left to run: the empty witness needs no lookup, no slot
+    // and no solve.
+    let (repaired, cached) = if degraded.tasks == 0 {
+        (empty_witness(&degraded.platform), false)
+    } else {
+        match serve_solve(state, tenants, &solver, &degraded, None) {
+            Ok(solved) => solved,
+            Err(response) => return response,
+        }
+    };
+    drop(repair_span);
+    let remaining = degraded.tasks;
+    let _session_span = mst_obs::span(mst_obs::Stage::Session);
+    state
+        .sessions
+        .with(tenant_name, id as u64, |s| {
+            s.instance = degraded;
+            s.solution = repaired;
+            s.failures += 1;
+            s.committed += committed as u64;
+            session_reply(
+                s,
+                vec![
+                    ("event_committed".to_string(), Json::int(committed as i64)),
+                    ("event_remaining".to_string(), Json::int(remaining as i64)),
+                    ("cached".to_string(), Json::Bool(cached)),
+                ],
+            )
+        })
+        .unwrap_or_else(|| unknown_session(id))
 }
 
 fn session_get(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Response {
@@ -1609,6 +1540,7 @@ fn session_close(body: &Json, state: &ServiceState, tenant: &TenantExec) -> Resp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mst_api::SolverRegistry;
     use mst_obs::trace::SpanRec;
     use mst_obs::{Stage, Trace};
     use mst_platform::Chain;

@@ -28,7 +28,7 @@
 #[cfg(target_os = "linux")]
 use crate::event::run_event;
 use crate::metrics::Metrics;
-use mst_api::{Batch, ExecPolicy, RegistrySet, TenantExec};
+use mst_api::{ExecPolicy, RegistrySet, TenantExec};
 use mst_sim::{shared_pool, WorkerPool};
 use mst_store::{FileStore, StoreBackend};
 use std::io;
@@ -84,9 +84,11 @@ pub struct ServeConfig {
     /// Config-driven tenants (`mst serve --solvers-config`): the set's
     /// default registry backs anonymous requests; named tenant specs
     /// become per-tenant [`TenantExec`]s routable by `X-Api-Token`
-    /// header (and their registries stay selectable per request via
-    /// the `"registry"` body field). `None` serves the built-in global
-    /// registry with no tenant policies.
+    /// header. An anonymous `/solve` or `/batch` may still name a
+    /// tenant with the `"registry"` body field: that tenant's registry,
+    /// cache and history answer it, while the default tenant admits it
+    /// and lends it its pool. `None` serves the built-in global registry
+    /// with no tenant policies.
     pub registries: Option<RegistrySet>,
     /// Path of the persistent result store (`mst serve --store`). When
     /// set, every solved instance is appended to an [`FileStore`]
@@ -227,25 +229,20 @@ impl StoreHealth {
 
 /// Shared service state: the per-tenant execution policies, metrics,
 /// caps and the shutdown flag.
+///
+/// Each [`TenantExec`] pairs a registry with the cache of that
+/// registry's answers, so a request resolves two tenants once
+/// ([`ServiceState::tenant_for`], [`ServiceState::registry_tenant`]):
+/// the one that admits it and the one whose registry answers it.
 pub struct ServiceState {
-    /// The **default** tenant's solve engine (anonymous requests) —
-    /// kept as a direct field because most requests take it.
-    pub batch: Batch,
-    /// The default tenant's executable policy (admission, deadline
-    /// budget, stats for anonymous traffic).
+    /// The default tenant's executable policy: anonymous requests are
+    /// admitted, counted and pooled here, and answered here unless they
+    /// name a registry.
     default_exec: TenantExec,
     /// Named per-tenant execution policies, routable by `X-Api-Token`
     /// header. Tenants with a `threads` budget solve on their own
     /// dedicated [`WorkerPool`]; the rest share the default pool.
     tenants: Vec<TenantExec>,
-    /// The legacy anonymous `"registry"` body selector's engines: each
-    /// named tenant's *registry* over the **default** tenant's pool.
-    /// Deliberately not the tenant's dedicated pool — an
-    /// unauthenticated request must never occupy (or starve) a pool a
-    /// tenant paid for with its token, and it runs under the default
-    /// tenant's admission policy, so it gets the default tenant's
-    /// machine.
-    selector_batches: Vec<(String, Batch)>,
     /// The persistent result store (`--store`); `None` when the server
     /// runs without persistence.
     pub store: Option<Arc<dyn StoreBackend>>,
@@ -282,15 +279,15 @@ impl ServiceState {
         self.shutdown.load(Ordering::Relaxed) || mst_net::sigint_received()
     }
 
-    /// The engine an anonymous request resolves against: the default
-    /// batch, or the named tenant *registry* over the default pool
-    /// (the registry selector pins a solver set, never another
-    /// tenant's machine); `None` when the name is not configured (the
-    /// routes answer 404 rather than silently falling back).
-    pub fn batch_for(&self, registry: Option<&str>) -> Option<&Batch> {
+    /// The tenant whose registry and cache answer a request that names
+    /// `registry` (an anonymous request's `"registry"` body field, or
+    /// `GET /solvers?registry=`): the default tenant for `None`; `None`
+    /// when the name is not configured (the routes answer 404 rather
+    /// than silently falling back).
+    pub fn registry_tenant(&self, registry: Option<&str>) -> Option<&TenantExec> {
         match registry {
-            None => Some(&self.batch),
-            Some(name) => self.selector_batches.iter().find(|(n, _)| n == name).map(|(_, b)| b),
+            None => Some(&self.default_exec),
+            Some(name) => self.tenants.iter().find(|t| t.policy().name == name),
         }
     }
 
@@ -438,19 +435,6 @@ impl Server {
                 Vec::new(),
             ),
         };
-        let batch = default_exec.batch().clone();
-        let selector_batches = match &config.registries {
-            Some(set) => set
-                .tenants()
-                .map(|(name, registry, _)| {
-                    (
-                        name.to_string(),
-                        Batch::new(registry.clone()).with_pool(Arc::clone(batch.pool())),
-                    )
-                })
-                .collect(),
-            None => Vec::new(),
-        };
         let store: Option<Arc<dyn StoreBackend>> = match (&config.store_backend, &config.store) {
             (Some(backend), _) => Some(Arc::clone(backend)),
             (None, Some(path)) => Some(Arc::new(FileStore::open(path)?)),
@@ -460,10 +444,8 @@ impl Server {
             warm_start(store.as_ref(), &default_exec, &tenants)?;
         }
         let state = Arc::new(ServiceState {
-            batch,
             default_exec,
             tenants,
-            selector_batches,
             store,
             store_health: StoreHealth::default(),
             sessions: crate::session::SessionTable::default(),
@@ -729,44 +711,65 @@ mod tests {
             ..ServeConfig::default()
         })
         .expect("bind");
-        assert_eq!(server.handle().state().batch.pool().workers(), 2);
+        assert_eq!(server.handle().state().default_exec().batch().pool().workers(), 2);
         // Unset threads share the process-wide pool.
         let shared =
             Server::bind(ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() })
                 .expect("bind");
-        assert!(Arc::ptr_eq(shared.handle().state().batch.pool(), &mst_sim::shared_pool()));
+        let default_pool = shared.handle().state().default_exec().batch().pool().clone();
+        assert!(Arc::ptr_eq(&default_pool, &mst_sim::shared_pool()));
     }
 
     #[test]
     fn anonymous_registry_selection_never_borrows_a_tenant_pool() {
-        // The legacy "registry" body selector pins a solver set; it
-        // must NOT hand an unauthenticated request a tenant's paid-for
-        // dedicated pool (nor bypass that tenant's policy).
+        // The "registry" body selector picks the registry that answers;
+        // it must NOT hand an unauthenticated request a tenant's
+        // paid-for dedicated pool (nor bypass that tenant's policy).
         let registries = mst_api::RegistrySet::parse(
             r#"{"registries": {"vip": {"threads": 2, "only": ["optimal"]}}}"#,
         )
         .unwrap();
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".into(),
+            threads: Some(3),
             registries: Some(registries),
             ..ServeConfig::default()
         })
         .expect("bind");
-        let state = server.handle();
-        let state = state.state();
-        let selector = state.batch_for(Some("vip")).expect("configured name resolves");
-        let tenant = state.tenant_for(Some("vip")).expect("token routes");
-        assert!(
-            Arc::ptr_eq(selector.pool(), state.batch.pool()),
-            "the selector engine runs on the default tenant's pool"
+        let handle = server.handle();
+        let state = handle.state();
+        let vip = state.tenant_for(Some("vip")).expect("token routes");
+        let selected = state.registry_tenant(Some("vip")).expect("configured name resolves");
+        assert!(std::ptr::eq(selected, vip), "the name selects the tenant's registry and cache");
+        assert!(state.registry_tenant(Some("nope")).is_none());
+        let sweep = |body: &str| {
+            let request = crate::http::Request {
+                method: "POST".to_string(),
+                path: "/batch".to_string(),
+                query: String::new(),
+                headers: Vec::new(),
+                body: body.as_bytes().to_vec(),
+                keep_alive: true,
+            };
+            crate::routes::route(&request, state)
+        };
+        let reply = sweep(r#"{"generate": {"kind": "chain", "count": 4}, "registry": "vip"}"#);
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(
+            state.default_exec().batch().pool().jobs_submitted(),
+            1,
+            "the selector sweep runs on the default tenant's pool"
         );
-        assert!(
-            !Arc::ptr_eq(selector.pool(), tenant.batch().pool()),
+        assert_eq!(
+            vip.batch().pool().jobs_submitted(),
+            0,
             "the tenant's dedicated pool stays its own"
         );
         // The solver *set* is still the tenant's.
-        assert_eq!(selector.registry().names(), vec!["optimal"]);
-        assert!(state.batch_for(Some("nope")).is_none());
+        let reply = sweep(
+            r#"{"generate": {"kind": "chain", "count": 4}, "registry": "vip", "solver": "eager"}"#,
+        );
+        assert_eq!(reply.status, 404, "{}", reply.body);
     }
 
     #[test]

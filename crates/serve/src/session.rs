@@ -5,10 +5,12 @@
 //! instance, then mutates it in place: task *arrivals* grow the budget
 //! and re-solve incrementally (through the tenant's solution cache, so
 //! a re-visited task count is a cache hit), and posted *processor
-//! failures* run [`mst_api::repair()`] — the committed prefix of the
-//! current witness is kept and only the surviving suffix is re-solved
-//! on the degraded platform. The session then *is* the degraded
-//! platform: subsequent arrivals and failures compound.
+//! failures* are repaired as [`mst_api::repair()`] repairs — the
+//! committed prefix of the current witness is kept
+//! ([`mst_api::repair::degraded_suffix`]) and only the surviving suffix
+//! is re-solved on the degraded platform, through the same cache-fronted
+//! solve as `/solve`. The session then *is* the degraded platform:
+//! subsequent arrivals and failures compound.
 //!
 //! The table is a plain mutex over a vector: sessions are few (bounded
 //! by [`MAX_OPEN_SESSIONS`], answered `429` beyond it) and operations

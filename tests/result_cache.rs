@@ -332,6 +332,91 @@ fn restarted_store_server_hits_its_warm_cache() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A five-processor chain whose repair after losing processor 4 at
+/// `t = 3` commits nothing and re-solves all nine tasks on the
+/// surviving three-processor chain.
+const REPAIR_CHAIN: &str = r#""platform": "chain\n1 2\n2 3\n1 1\n3 2\n2 2\n", "tasks": 9"#;
+
+/// Opens a session on [`REPAIR_CHAIN`] and strikes its processor 4 at
+/// `t = 3`; returns the repair's reply body.
+fn create_and_fail(addr: SocketAddr) -> String {
+    let (status, body) = post(addr, "/session", &format!(r#"{{"op": "create", {REPAIR_CHAIN}}}"#));
+    assert_eq!(status, 200, "{body}");
+    let id = int_field(&body, "session");
+    let (status, body) = post(
+        addr,
+        "/session",
+        &format!(r#"{{"op": "fail", "session": {id}, "processor": 4, "at": 3}}"#),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(int_field(&body, "event_remaining"), 9, "{body}");
+    body
+}
+
+fn metric(addr: SocketAddr, key: &str) -> i64 {
+    int_field(&get(addr, "/metrics").1, key)
+}
+
+#[test]
+fn repair_misses_are_recorded_in_the_store() {
+    let path =
+        std::env::temp_dir().join(format!("mst-result-cache-repair-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let (addr, handle, runner) = start_store_server(&path);
+    let body = create_and_fail(addr);
+    assert!(body.contains("\"cached\":false"), "{body}");
+    // One record for the created instance, one for the repaired suffix.
+    let (_, history) = get(addr, "/history");
+    assert_eq!(int_field(&history, "total"), 2, "{history}");
+    assert_eq!(metric(addr, "store_records"), 2);
+    handle.shutdown();
+    runner.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn cached_repairs_count_no_solve() {
+    let path = std::env::temp_dir()
+        .join(format!("mst-result-cache-repair-hit-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let (addr, handle, runner) = start_store_server(&path);
+    create_and_fail(addr);
+    let (status, body) = post(addr, "/session", &format!(r#"{{"op": "create", {REPAIR_CHAIN}}}"#));
+    assert_eq!(status, 200, "{body}");
+    let id = int_field(&body, "session");
+    let solved = metric(addr, "solved_total");
+    let (status, body) = post(
+        addr,
+        "/session",
+        &format!(r#"{{"op": "fail", "session": {id}, "processor": 4, "at": 3}}"#),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"cached\":true"), "{body}");
+    assert_eq!(metric(addr, "solved_total"), solved, "a cached repair solves nothing");
+    handle.shutdown();
+    runner.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_restarted_server_answers_a_repeated_repair_from_its_log() {
+    let path = std::env::temp_dir()
+        .join(format!("mst-result-cache-repair-restart-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let (addr, handle, runner) = start_store_server(&path);
+    create_and_fail(addr);
+    handle.shutdown();
+    runner.join().unwrap();
+
+    let (addr, handle, runner) = start_store_server(&path);
+    let body = create_and_fail(addr);
+    assert!(body.contains("\"cached\":true"), "the first repeated repair hits: {body}");
+    assert_eq!(metric(addr, "solved_total"), 0, "the warm cache answered both ops");
+    handle.shutdown();
+    runner.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn history_endpoint_requires_a_store() {
     let server = Server::bind(ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() })

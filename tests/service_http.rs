@@ -540,6 +540,117 @@ fn per_request_registries_pin_tenant_solver_sets() {
     runner.join().unwrap();
 }
 
+/// A config whose `lean` tenant answers `optimal` with `master-only`,
+/// so a lean answer can be told from the default one.
+const LEAN_MASTER_ONLY: &str = r#"{
+    "default": {"base": "defaults"},
+    "registries": {"lean": {"base": "empty",
+        "solvers": [{"solver": "master-only", "name": "optimal"}]}}
+}"#;
+
+/// A five-processor chain: `optimal` schedules its nine tasks by 12,
+/// lean's `optimal` (master-only) by 19.
+const NINE_ON_FIVE: &str = r#""platform": "chain\n1 2\n2 3\n1 1\n3 2\n2 2\n", "tasks": 9"#;
+
+fn start_lean_server(
+    store: &std::path::Path,
+) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<mst_serve::ServeReport>) {
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        registries: Some(RegistrySet::parse(LEAN_MASTER_ONLY).expect("valid config")),
+        store: Some(store.display().to_string()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.addr();
+    let handle = server.handle();
+    let runner = std::thread::spawn(move || server.run().expect("server run"));
+    (addr, handle, runner)
+}
+
+fn makespan_of(body: &str) -> Option<i64> {
+    Json::parse(body).ok()?.get("makespan")?.as_i64()
+}
+
+#[test]
+fn anonymous_registry_selectors_answer_from_their_own_tenant_cache_and_log() {
+    let path =
+        std::env::temp_dir().join(format!("mst-service-http-selector-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let plain = format!("{{{NINE_ON_FIVE}, \"verify\": true}}");
+    let lean = format!("{{{NINE_ON_FIVE}, \"registry\": \"lean\"}}");
+
+    let (addr, handle, runner) = start_lean_server(&path);
+    let (status, body) = post(addr, "/solve", &lean);
+    assert_eq!((status, makespan_of(&body)), (200, Some(19)), "{body}");
+    // The lean answer must not leak into the default tenant's cache...
+    let (status, body) = post(addr, "/solve", &plain);
+    assert_eq!((status, makespan_of(&body)), (200, Some(12)), "{body}");
+    assert!(!body.contains("\"cached\""), "the default cache holds no lean answer: {body}");
+    assert!(body.contains("\"feasible\":true"), "{body}");
+    let (status, body) = post(
+        addr,
+        "/batch",
+        &format!("{{\"instances\": [{{{NINE_ON_FIVE}}}], \"include_results\": true}}"),
+    );
+    assert_eq!(status, 200, "{body}");
+    let results =
+        Json::parse(&body).unwrap().get("results").and_then(Json::as_arr).unwrap().to_vec();
+    assert_eq!(results[0].get("makespan").and_then(Json::as_i64), Some(12), "{body}");
+    // ...and the log files each answer under the tenant that made it.
+    let (status, body) = get(addr, "/history");
+    assert_eq!(status, 200, "{body}");
+    let records =
+        Json::parse(&body).unwrap().get("records").and_then(Json::as_arr).unwrap().to_vec();
+    let listed: Vec<(String, String, i64)> = records
+        .iter()
+        .map(|r| {
+            let text = |key: &str| r.get(key).and_then(Json::as_str).unwrap().to_string();
+            (text("tenant"), text("solver"), r.get("makespan").and_then(Json::as_i64).unwrap())
+        })
+        .collect();
+    assert_eq!(
+        listed,
+        [("default".into(), "optimal".into(), 12), ("lean".into(), "optimal".into(), 19)],
+        "{body}"
+    );
+    handle.shutdown();
+    runner.join().unwrap();
+
+    // After a restart on the log, each cache warms with its own answers.
+    let (addr, handle, runner) = start_lean_server(&path);
+    let (status, body) = post(addr, "/solve", &plain);
+    assert_eq!((status, makespan_of(&body)), (200, Some(12)), "{body}");
+    assert!(body.contains("\"cached\":true"), "{body}");
+    let (status, body) = post(addr, "/solve", &lean);
+    assert_eq!((status, makespan_of(&body)), (200, Some(19)), "{body}");
+    assert!(body.contains("\"cached\":true"), "{body}");
+    handle.shutdown();
+    runner.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn sessions_refuse_the_registry_selector() {
+    let path = std::env::temp_dir()
+        .join(format!("mst-service-http-session-selector-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let (addr, handle, runner) = start_lean_server(&path);
+    let (status, body) = post(
+        addr,
+        "/session",
+        &format!("{{\"op\": \"create\", {NINE_ON_FIVE}, \"registry\": \"lean\"}}"),
+    );
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(error_kind_of(&body), "bad-request");
+    assert!(body.contains("X-Api-Token"), "the refusal names the way to pick a tenant: {body}");
+    let (_, health) = get(addr, "/healthz");
+    assert!(health.contains("\"sessions_open\":0"), "{health}");
+    handle.shutdown();
+    runner.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn exact_tree_solves_serve_checkable_witnesses() {
     use master_slave_tasking::api::wire::tree_schedule_from_json;

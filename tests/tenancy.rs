@@ -179,6 +179,64 @@ fn quota_exhaustion_answers_429_and_the_slot_frees_on_disconnect() {
     runner.join().expect("server joins cleanly — no stuck handler threads");
 }
 
+/// The five-processor chain whose degraded shape the repair tests
+/// re-solve: losing processor 4 at `t = 3` commits nothing and leaves
+/// a three-processor chain with all nine tasks.
+const REPAIR_CHAIN: &str = r#""platform": "chain\n1 2\n2 3\n1 1\n3 2\n2 2\n", "tasks": 9"#;
+
+/// The session id of a `/session create` reply.
+fn session_id(reply: &str) -> i64 {
+    Json::parse(&body_of(reply))
+        .ok()
+        .and_then(|j| j.get("session").and_then(Json::as_i64))
+        .unwrap_or_else(|| panic!("no session id in {reply}"))
+}
+
+#[test]
+fn repairs_that_need_no_solve_take_no_admission_slot() {
+    let (addr, handle, runner) = start_server();
+    let session = |body: &str| post(addr, "/session", Some("slow-key"), body);
+    let fail = |id: i64, processor: i64, at: i64| {
+        session(&format!(
+            r#"{{"op": "fail", "session": {id}, "processor": {processor}, "at": {at}}}"#
+        ))
+    };
+
+    // With the slot free: one repair miss caches the degraded chain, and
+    // two more sessions wait to be struck while the slot is held.
+    let first = session(&format!(r#"{{"op": "create", {REPAIR_CHAIN}}}"#));
+    assert_eq!(status_of(&first), 200, "{first}");
+    let reply = fail(session_id(&first), 4, 3);
+    assert_eq!(status_of(&reply), 200, "{reply}");
+    assert!(body_of(&reply).contains("\"cached\":false"), "the first repair misses: {reply}");
+    let cached = session(&format!(r#"{{"op": "create", {REPAIR_CHAIN}}}"#));
+    assert_eq!(status_of(&cached), 200, "{cached}");
+    let noop = session(r#"{"op": "create", "platform": "chain\n1 1\n1 1\n50 50\n", "tasks": 2}"#);
+    assert_eq!(status_of(&noop), 200, "{noop}");
+
+    // Occupy tenant `slow`'s single admission slot with a long batch.
+    let held = send_batch_without_reading(addr, "slow-key", HUGE_BATCH);
+    wait_for_queue_depth(addr, "slow", 1);
+
+    // A repair answered from the cache needs no slot...
+    let reply = fail(session_id(&cached), 4, 3);
+    assert_eq!(status_of(&reply), 200, "a cached repair must not queue for a slot: {reply}");
+    assert!(body_of(&reply).contains("\"cached\":true"), "{reply}");
+    // ...nor does one with nothing left to run...
+    let reply = fail(session_id(&noop), 3, 1000);
+    assert_eq!(status_of(&reply), 200, "a no-op repair must not queue for a slot: {reply}");
+    assert!(body_of(&reply).contains("\"event_remaining\":0"), "{reply}");
+    // ...and a processor that does not exist is the client's mistake.
+    let reply = fail(session_id(&cached), 99, 3);
+    assert_eq!(status_of(&reply), 400, "{reply}");
+    assert!(body_of(&reply).contains("\"kind\":\"bad-processor\""), "{reply}");
+
+    drop(held);
+    wait_for_queue_depth(addr, "slow", 0);
+    handle.shutdown();
+    runner.join().expect("server joins cleanly");
+}
+
 #[test]
 fn deadline_budgets_cancel_batches_promptly_and_leave_workers_reusable() {
     let (addr, handle, runner) = start_server();
