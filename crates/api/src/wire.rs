@@ -20,10 +20,15 @@
 //!   witnessed solutions) the full schedule, task by task, **losslessly**:
 //!   every task carries its complete communication vector and work time,
 //!   so clients can reconstruct and re-verify the witness;
-//! * [`solution_from_json`] — the full inverse: chain, spider (with or
+//! * [`solution_from_text`] — the full inverse: chain, spider (with or
 //!   without a recorded cover) and tree witnesses, relaxations and
 //!   makespan-only solutions all decode back to the identical
-//!   [`Solution`] — the persistent result store rides on this;
+//!   [`Solution`], read from the text in one pass that builds no
+//!   [`Json`] tree — the persistent result store rides on this;
+//!   [`solution_from_json`] decodes a parsed body through it;
+//! * [`read_object`] — the members of an object, each parsed or skipped
+//!   where it stands, for readers that need only some of them (the
+//!   store's frame check);
 //! * [`summary_to_json`] / [`summary_from_json`] — the
 //!   [`BatchSummary`] codec behind `/batch` replies (lossless,
 //!   `cache_hits` included);
@@ -56,6 +61,7 @@ use mst_platform::NodeId;
 use mst_schedule::{
     ChainSchedule, CommVector, SpiderSchedule, SpiderTask, TaskAssignment, TreeSchedule, TreeTask,
 };
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 
@@ -114,10 +120,7 @@ impl Json {
         let bytes = text.as_bytes();
         let mut pos = 0;
         let value = parse_value(bytes, &mut pos, 0)?;
-        skip_whitespace(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(WireError::new(format!("trailing data at byte {pos}")));
-        }
+        end_of_text(bytes, pos)?;
         Ok(value)
     }
 
@@ -129,11 +132,7 @@ impl Json {
         let bytes = text.as_bytes();
         let mut pos = 0;
         skip_value(bytes, &mut pos, 0)?;
-        skip_whitespace(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(WireError::new(format!("trailing data at byte {pos}")));
-        }
-        Ok(())
+        end_of_text(bytes, pos)
     }
 
     /// The string payload, if this is a string.
@@ -154,12 +153,7 @@ impl Json {
 
     /// The numeric payload as an integer, if it is one exactly.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 => {
-                Some(*n as i64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(exact_int)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -214,13 +208,10 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-                    write_int(f, *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
+            Json::Num(n) => match exact_int(*n) {
+                Some(n) => write_int(f, n),
+                None => write!(f, "{n}"),
+            },
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
@@ -385,16 +376,29 @@ fn expect_literal(bytes: &[u8], pos: &mut usize, literal: &str) -> Result<(), Wi
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, WireError> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
+    let negative = bytes.get(*pos) == Some(&b'-');
+    if negative {
         *pos += 1;
+    }
+    // The leading digits are folded as they are scanned. A token of 1 to
+    // 15 digits and nothing else stays below 2^53, so its value converts
+    // to `f64` exactly: bit for bit what `str::parse::<f64>` gives, `-0`
+    // included. Any other token takes the general path.
+    let digits = *pos;
+    let mut value = 0u64;
+    while let Some(&d @ b'0'..=b'9') = bytes.get(*pos) {
+        value = value.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+        *pos += 1;
+    }
+    let plain = !matches!(bytes.get(*pos), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+    if plain && (1..=15).contains(&(*pos - digits)) {
+        let value = value as f64;
+        return Ok(if negative { -value } else { value });
     }
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
     {
         *pos += 1;
-    }
-    if let Some(n) = parse_small_int(&bytes[start..*pos]) {
-        return Ok(n);
     }
     let text =
         std::str::from_utf8(&bytes[start..*pos]).map_err(|_| WireError::new("non-UTF-8 number"))?;
@@ -406,20 +410,10 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, WireError> {
     Ok(n)
 }
 
-/// The value of a `-?[0-9]{1,15}` literal, bit for bit what
-/// `str::parse::<f64>` gives (`-0` included): fifteen digits stay below
-/// 2^53, so the integer converts to `f64` exactly. `None` for any other
-/// token, which takes the general path.
-fn parse_small_int(token: &[u8]) -> Option<f64> {
-    let (negative, digits) = match token.split_first() {
-        Some((b'-', rest)) => (true, rest),
-        _ => (false, token),
-    };
-    if digits.is_empty() || digits.len() > 15 || !digits.iter().all(u8::is_ascii_digit) {
-        return None;
-    }
-    let value = digits.iter().fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0')) as f64;
-    Some(if negative { -value } else { value })
+/// `n` as an integer when it is one exactly: integral, and below 2^53 in
+/// magnitude, where every integer has its own `f64`.
+fn exact_int(n: f64) -> Option<i64> {
+    (n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15).then_some(n as i64)
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
@@ -497,39 +491,47 @@ fn skip_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), WireErr
         Some(b't') => expect_literal(bytes, pos, "true"),
         Some(b'f') => expect_literal(bytes, pos, "false"),
         Some(b'"') => skip_string(bytes, pos),
-        Some(b'[') => {
-            *pos += 1;
-            skip_whitespace(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_value(bytes, pos, depth + 1)?;
-                skip_whitespace(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(WireError::new(format!("expected ',' or ']' at byte {pos}"))),
-                }
-            }
-        }
-        Some(b'{') => skip_members(bytes, pos, depth, |_, _| {}),
+        Some(b'[') => read_items(bytes, pos, |pos| skip_value(bytes, pos, depth + 1)),
+        Some(b'{') => read_members(bytes, pos, |_, pos| skip_value(bytes, pos, depth + 1)),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos).map(drop),
         Some(c) => Err(unexpected_byte(*c, *pos)),
     }
 }
 
-/// Skips the object under `pos` (at nesting `depth`), handing `member`
-/// the byte ranges of each key's literal and of its value.
-fn skip_members(
+/// Reads the array whose `[` is under `pos`, handing `item` the position
+/// of each element, which it must read or skip one level deeper.
+fn read_items(
     bytes: &[u8],
     pos: &mut usize,
-    depth: usize,
-    mut member: impl FnMut(Range<usize>, Range<usize>),
+    mut item: impl FnMut(&mut usize) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    *pos += 1;
+    skip_whitespace(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        item(pos)?;
+        skip_whitespace(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => return Err(WireError::new(format!("expected ',' or ']' at byte {pos}"))),
+        }
+    }
+}
+
+/// Reads the object whose `{` is under `pos`, handing `value` the byte
+/// range of each key's literal and the position of the key's value, which
+/// it must read or skip one level deeper.
+fn read_members(
+    bytes: &[u8],
+    pos: &mut usize,
+    mut value: impl FnMut(Range<usize>, &mut usize) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
     *pos += 1;
     skip_whitespace(bytes, pos);
@@ -547,10 +549,7 @@ fn skip_members(
             return Err(WireError::new(format!("expected ':' at byte {pos}")));
         }
         *pos += 1;
-        skip_whitespace(bytes, pos);
-        let value = *pos;
-        skip_value(bytes, pos, depth + 1)?;
-        member(key, value..*pos);
+        value(key, pos)?;
         skip_whitespace(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -589,11 +588,135 @@ fn skip_string(bytes: &[u8], pos: &mut usize) -> Result<(), WireError> {
     }
 }
 
-/// The members of the JSON object `text`, in order: each key decoded, and
-/// the byte range of its value left as text, for readers that decode only
-/// some members. Accepts exactly the objects [`Json::parse`] accepts; the
-/// values are checked by [`Json::validate`]'s scan, so none is built.
-pub fn object_members(text: &str) -> Result<Vec<(String, Range<usize>)>, WireError> {
+/// Checks that nothing but whitespace follows `pos`.
+fn end_of_text(bytes: &[u8], mut pos: usize) -> Result<(), WireError> {
+    skip_whitespace(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(WireError::new(format!("trailing data at byte {pos}")));
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// One-pass readers: decoders that read each value where it stands, with
+// the scan above, and build no `Json` tree.
+// ---------------------------------------------------------------------------
+
+/// The key whose literal spans `literal` in `text`, unescaped: borrowed
+/// unless it holds an escape.
+fn key(text: &str, literal: Range<usize>) -> Result<Cow<'_, str>, WireError> {
+    let raw = &text[literal.start + 1..literal.end - 1];
+    if raw.contains('\\') {
+        parse_string(text.as_bytes(), &mut literal.start.clone()).map(Cow::Owned)
+    } else {
+        Ok(Cow::Borrowed(raw))
+    }
+}
+
+/// Reads the value under `pos`, at nesting `depth`, as an object: `member`
+/// gets each key and the position of its value, which it must read or skip
+/// at `depth + 1`. A value of any other type is skipped and has no
+/// members, as [`Json::get`] sees it.
+fn read_fields(
+    text: &str,
+    pos: &mut usize,
+    depth: usize,
+    mut member: impl FnMut(&str, &mut usize) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let bytes = text.as_bytes();
+    skip_whitespace(bytes, pos);
+    if bytes.get(*pos) != Some(&b'{') {
+        return skip_value(bytes, pos, depth);
+    }
+    read_members(bytes, pos, |literal, pos| member(&key(text, literal)?, pos))
+}
+
+/// Reads the value under `pos`, at nesting `depth`, as an array: `item`
+/// gets the position of each element, which it must read or skip at
+/// `depth + 1`. `false`, with the value skipped, when it is not an array.
+fn read_array(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    item: impl FnMut(&mut usize) -> Result<(), WireError>,
+) -> Result<bool, WireError> {
+    skip_whitespace(bytes, pos);
+    if bytes.get(*pos) != Some(&b'[') {
+        return skip_value(bytes, pos, depth).map(|()| false);
+    }
+    read_items(bytes, pos, item).map(|()| true)
+}
+
+/// A member as [`Json::get`] finds it and a decoder converts it: `None`
+/// until the first member of its name is read, then `Some(None)` if the
+/// conversion failed.
+type First<T> = Option<Option<T>>;
+
+/// Reads the member under `pos` into `slot` with `read`, unless a member
+/// of its name came first: [`Json::get`] sees only the first, so a later
+/// one is only skipped.
+fn first<T>(
+    slot: &mut Option<T>,
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    read: impl FnOnce(&mut usize) -> Result<T, WireError>,
+) -> Result<(), WireError> {
+    match slot {
+        Some(_) => skip_value(bytes, pos, depth),
+        None => {
+            *slot = Some(read(pos)?);
+            Ok(())
+        }
+    }
+}
+
+/// `read`'s value, or `None` for a `null`.
+fn non_null<T>(
+    bytes: &[u8],
+    pos: &mut usize,
+    read: impl FnOnce(&mut usize) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    skip_whitespace(bytes, pos);
+    if bytes[*pos..].starts_with(b"null") {
+        *pos += 4;
+        return Ok(None);
+    }
+    read(pos).map(Some)
+}
+
+/// The number under `pos`, as [`Json::as_f64`] reads it: `None`, with the
+/// value skipped, when it is not a number.
+fn read_number(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Option<f64>, WireError> {
+    skip_whitespace(bytes, pos);
+    match bytes.get(*pos) {
+        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos).map(Some),
+        _ => skip_value(bytes, pos, depth).map(|()| None),
+    }
+}
+
+/// The number under `pos`, as [`Json::as_i64`] reads it.
+fn read_int(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Option<i64>, WireError> {
+    Ok(read_number(bytes, pos, depth)?.and_then(exact_int))
+}
+
+/// The string under `pos`, as [`Json::as_str`] reads it: `None`, with the
+/// value skipped, when it is not a string.
+fn read_str(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Option<String>, WireError> {
+    skip_whitespace(bytes, pos);
+    match bytes.get(*pos) {
+        Some(b'"') => parse_string(bytes, pos).map(Some),
+        _ => skip_value(bytes, pos, depth).map(|()| None),
+    }
+}
+
+/// Reads the JSON object `text` in one pass that builds no tree: `member`
+/// gets each key, unescaped, and the [`Member`] under it, to parse or to
+/// skip. Accepts exactly the objects [`Json::parse`] accepts.
+pub fn read_object(
+    text: &str,
+    mut member: impl FnMut(&str, &mut Member<'_>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
     skip_whitespace(bytes, &mut pos);
@@ -604,16 +727,43 @@ pub fn object_members(text: &str) -> Result<Vec<(String, Range<usize>)>, WireErr
         }
         None => return Err(WireError::new("unexpected end of input")),
     }
-    let mut members = Vec::new();
-    skip_members(bytes, &mut pos, 0, |key, value| members.push((key, value)))?;
-    skip_whitespace(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(WireError::new(format!("trailing data at byte {pos}")));
+    read_fields(text, &mut pos, 0, |key, pos| {
+        let mut value = Member { bytes, pos, read: false };
+        member(key, &mut value)?;
+        if value.read {
+            Ok(())
+        } else {
+            skip_value(bytes, value.pos, 1)
+        }
+    })?;
+    end_of_text(bytes, pos)
+}
+
+/// The value of one member under [`read_object`]'s cursor, read at most
+/// once. Left unread, it is skipped.
+#[derive(Debug)]
+pub struct Member<'a> {
+    bytes: &'a [u8],
+    pos: &'a mut usize,
+    read: bool,
+}
+
+impl Member<'_> {
+    /// The value, parsed as [`Json::parse`] parses it.
+    pub fn parse(&mut self) -> Result<Json, WireError> {
+        self.read = true;
+        parse_value(self.bytes, self.pos, 1)
     }
-    members
-        .into_iter()
-        .map(|(key, value)| Ok((parse_string(&bytes[key], &mut 0)?, value)))
-        .collect()
+
+    /// Skips the value with [`Json::validate`]'s scan, and gives the byte
+    /// range of its text.
+    pub fn skip(&mut self) -> Result<Range<usize>, WireError> {
+        self.read = true;
+        skip_whitespace(self.bytes, self.pos);
+        let start = *self.pos;
+        skip_value(self.bytes, self.pos, 1)?;
+        Ok(start..*self.pos)
+    }
 }
 
 /// `s` as a JSON string literal, escaped as [`Json::Str`] writes it: for
@@ -692,7 +842,8 @@ pub fn tree_schedule_to_json(schedule: &TreeSchedule) -> Json {
     ])
 }
 
-/// Decodes a tree schedule from its wire object.
+/// Decodes a tree schedule from its wire object, through the reader of
+/// [`solution_from_text`].
 ///
 /// Validates shape and types only — node ids, route lengths and times
 /// are deliberately *not* checked against any platform here; that is
@@ -700,48 +851,13 @@ pub fn tree_schedule_to_json(schedule: &TreeSchedule) -> Json {
 /// [`mst_schedule::check_tree`]), which reports structured violations
 /// instead of rejecting the decode.
 pub fn tree_schedule_from_json(json: &Json) -> Result<TreeSchedule, WireError> {
-    match json.get("repr").and_then(Json::as_str) {
-        Some("tree") => {}
-        Some(other) => {
-            return Err(WireError::new(format!("expected repr \"tree\", got {other:?}")));
-        }
-        None => return Err(WireError::new("missing string field \"repr\"")),
+    let text = json.to_string();
+    let schedule = read_schedule(&text, &mut 0, 0)?;
+    match schedule.repr.flatten().as_deref() {
+        Some("tree") => tree_schedule(schedule.tasks),
+        Some(other) => Err(WireError::new(format!("expected repr \"tree\", got {other:?}"))),
+        None => Err(WireError::new("missing string field \"repr\"")),
     }
-    let items = json
-        .get("tasks")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| WireError::new("missing array field \"tasks\""))?;
-    let mut tasks = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let field = |key: &str| -> Result<i64, WireError> {
-            item.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| WireError::new(format!("tasks[{i}]: missing integer \"{key}\"")))
-        };
-        let node = field("node")?;
-        if node < 1 {
-            return Err(WireError::new(format!("tasks[{i}]: node must be at least 1, got {node}")));
-        }
-        let start = field("start")?;
-        let work = field("work")?;
-        let comms = item
-            .get("comms")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| WireError::new(format!("tasks[{i}]: missing array \"comms\"")))?
-            .iter()
-            .map(|t| {
-                t.as_i64()
-                    .ok_or_else(|| WireError::new(format!("tasks[{i}]: non-integer emission time")))
-            })
-            .collect::<Result<Vec<i64>, WireError>>()?;
-        if comms.is_empty() {
-            // Every node sits below at least one link, so a routable
-            // task has at least one emission time.
-            return Err(WireError::new(format!("tasks[{i}]: \"comms\" must not be empty")));
-        }
-        tasks.push(TreeTask::new(node as usize, start, CommVector::new(comms), work));
-    }
-    Ok(TreeSchedule::new(tasks))
 }
 
 /// The emission times of a communication vector as a JSON array.
@@ -825,48 +941,141 @@ pub fn solution_to_json(solution: &Solution) -> Json {
     ])
 }
 
-/// Reads one required integer field of a schedule task object.
-fn task_int(item: &Json, i: usize, key: &str) -> Result<i64, WireError> {
-    item.get(key)
-        .and_then(Json::as_i64)
-        .ok_or_else(|| WireError::new(format!("tasks[{i}]: missing integer \"{key}\"")))
+/// The members of one schedule task object, read before the schedule's
+/// `"repr"` says which of them its shape needs.
+#[derive(Default)]
+struct TaskFields {
+    proc: First<i64>,
+    leg: First<i64>,
+    depth: First<i64>,
+    node: First<i64>,
+    start: First<i64>,
+    work: First<i64>,
+    /// `Some(None)` inside when an element is not an exact integer.
+    comms: First<Option<Vec<i64>>>,
 }
 
-/// Reads and validates the `"comms"` array of a schedule task object.
-fn task_comms(item: &Json, i: usize) -> Result<Vec<i64>, WireError> {
-    let comms = item
-        .get("comms")
-        .and_then(Json::as_arr)
+/// The members of a schedule object.
+#[derive(Default)]
+struct ScheduleFields {
+    repr: First<String>,
+    tasks: First<Vec<TaskFields>>,
+}
+
+/// The members of a [`solution_to_json`] object that decoding reads.
+#[derive(Default)]
+struct SolutionFields {
+    solver: First<String>,
+    /// `Some(None)` for a `null` schedule.
+    schedule: Option<Option<ScheduleFields>>,
+    /// `Some(None)` for a `null` cover, `Some(Some(None))` for one that is
+    /// not a string.
+    cover: First<Option<String>>,
+    relaxed_makespan: First<f64>,
+    makespan: First<i64>,
+}
+
+fn read_task(text: &str, pos: &mut usize, depth: usize) -> Result<TaskFields, WireError> {
+    let bytes = text.as_bytes();
+    let mut task = TaskFields::default();
+    read_fields(text, pos, depth, |key, pos| {
+        let depth = depth + 1;
+        let slot = match key {
+            "proc" => &mut task.proc,
+            "leg" => &mut task.leg,
+            "depth" => &mut task.depth,
+            "node" => &mut task.node,
+            "start" => &mut task.start,
+            "work" => &mut task.work,
+            "comms" => {
+                return first(&mut task.comms, bytes, pos, depth, |pos| {
+                    read_comms(bytes, pos, depth)
+                })
+            }
+            _ => return skip_value(bytes, pos, depth),
+        };
+        first(slot, bytes, pos, depth, |pos| read_int(bytes, pos, depth))
+    })?;
+    Ok(task)
+}
+
+/// A task's `"comms"` under `pos`: `None` when it is not an array, and
+/// `Some(None)` when an element is not an exact integer.
+fn read_comms(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<Option<Option<Vec<i64>>>, WireError> {
+    let mut times = Some(Vec::new());
+    let array = read_array(bytes, pos, depth, |pos| {
+        let time = read_int(bytes, pos, depth + 1)?;
+        match (time, times.as_mut()) {
+            (Some(time), Some(list)) => list.push(time),
+            _ => times = None,
+        }
+        Ok(())
+    })?;
+    Ok(array.then_some(times))
+}
+
+fn read_schedule(text: &str, pos: &mut usize, depth: usize) -> Result<ScheduleFields, WireError> {
+    let bytes = text.as_bytes();
+    let mut schedule = ScheduleFields::default();
+    read_fields(text, pos, depth, |key, pos| {
+        let depth = depth + 1;
+        match key {
+            "repr" => {
+                first(&mut schedule.repr, bytes, pos, depth, |pos| read_str(bytes, pos, depth))
+            }
+            "tasks" => first(&mut schedule.tasks, bytes, pos, depth, |pos| {
+                let mut tasks = Vec::new();
+                let array = read_array(bytes, pos, depth, |pos| {
+                    tasks.push(read_task(text, pos, depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(array.then_some(tasks))
+            }),
+            _ => skip_value(bytes, pos, depth),
+        }
+    })?;
+    Ok(schedule)
+}
+
+/// Task `i`'s required integer member `key`.
+fn required_int(field: First<i64>, i: usize, key: &str) -> Result<i64, WireError> {
+    field.flatten().ok_or_else(|| WireError::new(format!("tasks[{i}]: missing integer \"{key}\"")))
+}
+
+/// Task `i`'s `"comms"`: an array of exact integers, not empty.
+fn required_comms(comms: First<Option<Vec<i64>>>, i: usize) -> Result<Vec<i64>, WireError> {
+    let comms = comms
+        .flatten()
         .ok_or_else(|| WireError::new(format!("tasks[{i}]: missing array \"comms\"")))?
-        .iter()
-        .map(|t| {
-            t.as_i64()
-                .ok_or_else(|| WireError::new(format!("tasks[{i}]: non-integer emission time")))
-        })
-        .collect::<Result<Vec<i64>, WireError>>()?;
+        .ok_or_else(|| WireError::new(format!("tasks[{i}]: non-integer emission time")))?;
     if comms.is_empty() {
+        // Every node sits below at least one link, so a routable task has
+        // at least one emission time.
         return Err(WireError::new(format!("tasks[{i}]: \"comms\" must not be empty")));
     }
     Ok(comms)
 }
 
 /// The `"tasks"` array of a schedule object.
-fn schedule_tasks(json: &Json) -> Result<&[Json], WireError> {
-    json.get("tasks")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| WireError::new("missing array field \"tasks\""))
+fn schedule_items(tasks: First<Vec<TaskFields>>) -> Result<Vec<TaskFields>, WireError> {
+    tasks.flatten().ok_or_else(|| WireError::new("missing array field \"tasks\""))
 }
 
-fn chain_schedule_from_json(json: &Json) -> Result<ChainSchedule, WireError> {
-    let mut tasks: Vec<TaskAssignment> = Vec::new();
-    for (i, item) in schedule_tasks(json)?.iter().enumerate() {
-        let proc = task_int(item, i, "proc")?;
+fn chain_schedule(tasks: First<Vec<TaskFields>>) -> Result<ChainSchedule, WireError> {
+    let items = schedule_items(tasks)?;
+    let mut tasks: Vec<TaskAssignment> = Vec::with_capacity(items.len());
+    for (i, item) in items.into_iter().enumerate() {
+        let proc = required_int(item.proc, i, "proc")?;
         if proc < 1 {
             return Err(WireError::new(format!("tasks[{i}]: proc must be at least 1, got {proc}")));
         }
-        let start = task_int(item, i, "start")?;
-        let work = task_int(item, i, "work")?;
-        let comms = task_comms(item, i)?;
+        let start = required_int(item.start, i, "start")?;
+        let work = required_int(item.work, i, "work")?;
+        let comms = required_comms(item.comms, i)?;
         if comms.len() != proc as usize {
             return Err(WireError::new(format!(
                 "tasks[{i}]: \"comms\" must carry exactly {proc} emission time(s), got {}",
@@ -885,11 +1094,12 @@ fn chain_schedule_from_json(json: &Json) -> Result<ChainSchedule, WireError> {
     Ok(ChainSchedule::new(tasks))
 }
 
-fn spider_schedule_from_json(json: &Json) -> Result<SpiderSchedule, WireError> {
-    let mut tasks: Vec<SpiderTask> = Vec::new();
-    for (i, item) in schedule_tasks(json)?.iter().enumerate() {
-        let leg = task_int(item, i, "leg")?;
-        let depth = task_int(item, i, "depth")?;
+fn spider_schedule(tasks: First<Vec<TaskFields>>) -> Result<SpiderSchedule, WireError> {
+    let items = schedule_items(tasks)?;
+    let mut tasks: Vec<SpiderTask> = Vec::with_capacity(items.len());
+    for (i, item) in items.into_iter().enumerate() {
+        let leg = required_int(item.leg, i, "leg")?;
+        let depth = required_int(item.depth, i, "depth")?;
         if leg < 0 {
             return Err(WireError::new(format!("tasks[{i}]: leg must be non-negative, got {leg}")));
         }
@@ -898,9 +1108,9 @@ fn spider_schedule_from_json(json: &Json) -> Result<SpiderSchedule, WireError> {
                 "tasks[{i}]: depth must be at least 1, got {depth}"
             )));
         }
-        let start = task_int(item, i, "start")?;
-        let work = task_int(item, i, "work")?;
-        let comms = task_comms(item, i)?;
+        let start = required_int(item.start, i, "start")?;
+        let work = required_int(item.work, i, "work")?;
+        let comms = required_comms(item.comms, i)?;
         if comms.len() != depth as usize {
             return Err(WireError::new(format!(
                 "tasks[{i}]: \"comms\" must carry exactly {depth} emission time(s), got {}",
@@ -917,8 +1127,30 @@ fn spider_schedule_from_json(json: &Json) -> Result<SpiderSchedule, WireError> {
     Ok(SpiderSchedule::new(tasks))
 }
 
-/// Decodes a [`solution_to_json`] body back into a [`Solution`] — the
+fn tree_schedule(tasks: First<Vec<TaskFields>>) -> Result<TreeSchedule, WireError> {
+    let items = schedule_items(tasks)?;
+    let mut tasks = Vec::with_capacity(items.len());
+    for (i, item) in items.into_iter().enumerate() {
+        let node = required_int(item.node, i, "node")?;
+        if node < 1 {
+            return Err(WireError::new(format!("tasks[{i}]: node must be at least 1, got {node}")));
+        }
+        let start = required_int(item.start, i, "start")?;
+        let work = required_int(item.work, i, "work")?;
+        let comms = required_comms(item.comms, i)?;
+        tasks.push(TreeTask::new(node as usize, start, CommVector::new(comms), work));
+    }
+    Ok(TreeSchedule::new(tasks))
+}
+
+/// Decodes a [`solution_to_json`] text back into a [`Solution`] — the
 /// inverse the persistent result store needs to warm-start the cache.
+///
+/// It reads the text once, where each value stands, and builds no
+/// [`Json`] tree, yet accepts exactly the texts that
+/// `solution_from_json(&Json::parse(text)?)` accepts, with the same
+/// result: the first member of a name counts, as in [`Json::get`], and
+/// every other value passes [`Json::validate`]'s checks.
 ///
 /// The decode is structural: field types, vector lengths and emission
 /// order are validated (malformed bodies error instead of panicking),
@@ -926,50 +1158,66 @@ fn spider_schedule_from_json(json: &Json) -> Result<SpiderSchedule, WireError> {
 /// [`crate::verify`]'s job. `makespan`/`scheduled`/`witnessed` are
 /// recomputed from the decoded schedule, so a tampered summary field
 /// cannot disagree with the witness it rides along.
-pub fn solution_from_json(json: &Json) -> Result<Solution, WireError> {
-    let solver = json
-        .get("solver")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::new("missing string field \"solver\""))?;
-    let solver: &'static str = crate::config::intern(solver);
-    let schedule = match json.get("schedule") {
-        None | Some(Json::Null) => None,
-        Some(schedule) => Some(schedule),
-    };
-    let Some(schedule) = schedule else {
-        if let Some(relaxed) = json.get("relaxed_makespan").and_then(Json::as_f64) {
+pub fn solution_from_text(text: &str) -> Result<Solution, WireError> {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    let mut fields = SolutionFields::default();
+    read_fields(text, &mut pos, 0, |key, pos| match key {
+        "solver" => first(&mut fields.solver, bytes, pos, 1, |pos| read_str(bytes, pos, 1)),
+        "schedule" => first(&mut fields.schedule, bytes, pos, 1, |pos| {
+            non_null(bytes, pos, |pos| read_schedule(text, pos, 1))
+        }),
+        "cover" => first(&mut fields.cover, bytes, pos, 1, |pos| {
+            non_null(bytes, pos, |pos| read_str(bytes, pos, 1))
+        }),
+        "relaxed_makespan" => {
+            first(&mut fields.relaxed_makespan, bytes, pos, 1, |pos| read_number(bytes, pos, 1))
+        }
+        "makespan" => first(&mut fields.makespan, bytes, pos, 1, |pos| read_int(bytes, pos, 1)),
+        _ => skip_value(bytes, pos, 1),
+    })?;
+    end_of_text(bytes, pos)?;
+
+    let solver =
+        fields.solver.flatten().ok_or_else(|| WireError::new("missing string field \"solver\""))?;
+    let solver: &'static str = crate::config::intern(&solver);
+    let Some(schedule) = fields.schedule.flatten() else {
+        if let Some(relaxed) = fields.relaxed_makespan.flatten() {
             return Ok(Solution::from_relaxation(solver, relaxed));
         }
-        let makespan = json
-            .get("makespan")
-            .and_then(Json::as_i64)
+        let makespan = fields
+            .makespan
+            .flatten()
             .ok_or_else(|| WireError::new("missing integer field \"makespan\""))?;
         return Ok(Solution::from_makespan(solver, makespan));
     };
-    match schedule.get("repr").and_then(Json::as_str) {
-        Some("chain") => Ok(Solution::from_chain(solver, chain_schedule_from_json(schedule)?)),
+    match schedule.repr.flatten().as_deref() {
+        Some("chain") => Ok(Solution::from_chain(solver, chain_schedule(schedule.tasks)?)),
         Some("spider") => {
-            let decoded = spider_schedule_from_json(schedule)?;
-            match json.get("cover") {
-                None | Some(Json::Null) => Ok(Solution::from_spider(solver, decoded)),
-                Some(cover) => {
-                    let text = cover
-                        .as_str()
-                        .ok_or_else(|| WireError::new("\"cover\" must be a platform string"))?;
-                    let platform = Platform::parse(text)
-                        .map_err(|e| WireError::new(format!("invalid cover platform: {e}")))?;
-                    let spider = platform
-                        .as_spider()
-                        .cloned()
-                        .ok_or_else(|| WireError::new("\"cover\" must be a spider platform"))?;
-                    Ok(Solution::from_cover(solver, spider, decoded))
-                }
-            }
+            let decoded = spider_schedule(schedule.tasks)?;
+            let Some(cover) = fields.cover.flatten() else {
+                return Ok(Solution::from_spider(solver, decoded));
+            };
+            let text =
+                cover.ok_or_else(|| WireError::new("\"cover\" must be a platform string"))?;
+            let platform = Platform::parse(&text)
+                .map_err(|e| WireError::new(format!("invalid cover platform: {e}")))?;
+            let spider = platform
+                .as_spider()
+                .cloned()
+                .ok_or_else(|| WireError::new("\"cover\" must be a spider platform"))?;
+            Ok(Solution::from_cover(solver, spider, decoded))
         }
-        Some("tree") => Ok(Solution::from_tree(solver, tree_schedule_from_json(schedule)?)),
+        Some("tree") => Ok(Solution::from_tree(solver, tree_schedule(schedule.tasks)?)),
         Some(other) => Err(WireError::new(format!("unknown schedule repr {other:?}"))),
         None => Err(WireError::new("missing string field \"repr\"")),
     }
+}
+
+/// [`solution_from_text`] on the text of `json`: a decoded body takes the
+/// same path as a stored one.
+pub fn solution_from_json(json: &Json) -> Result<Solution, WireError> {
+    solution_from_text(&json.to_string())
 }
 
 /// Encodes a [`BatchSummary`] — the `"summary"` member of `/batch`
@@ -1048,6 +1296,205 @@ mod tests {
     use crate::platform::Platform;
     use crate::registry::SolverRegistry;
 
+    /// The tree-walking decoders the one-pass reader replaced, kept as the
+    /// reference it is checked against.
+    mod reference {
+        use super::*;
+
+        pub(super) fn tree_schedule_from_json(json: &Json) -> Result<TreeSchedule, WireError> {
+            match json.get("repr").and_then(Json::as_str) {
+                Some("tree") => {}
+                Some(other) => {
+                    return Err(WireError::new(format!("expected repr \"tree\", got {other:?}")));
+                }
+                None => return Err(WireError::new("missing string field \"repr\"")),
+            }
+            let items = json
+                .get("tasks")
+                .and_then(Json::as_arr)
+                .ok_or_else(|| WireError::new("missing array field \"tasks\""))?;
+            let mut tasks = Vec::with_capacity(items.len());
+            for (i, item) in items.iter().enumerate() {
+                let field = |key: &str| -> Result<i64, WireError> {
+                    item.get(key).and_then(Json::as_i64).ok_or_else(|| {
+                        WireError::new(format!("tasks[{i}]: missing integer \"{key}\""))
+                    })
+                };
+                let node = field("node")?;
+                if node < 1 {
+                    return Err(WireError::new(format!(
+                        "tasks[{i}]: node must be at least 1, got {node}"
+                    )));
+                }
+                let start = field("start")?;
+                let work = field("work")?;
+                let comms = item
+                    .get("comms")
+                    .and_then(Json::as_arr)
+                    .ok_or_else(|| WireError::new(format!("tasks[{i}]: missing array \"comms\"")))?
+                    .iter()
+                    .map(|t| {
+                        t.as_i64().ok_or_else(|| {
+                            WireError::new(format!("tasks[{i}]: non-integer emission time"))
+                        })
+                    })
+                    .collect::<Result<Vec<i64>, WireError>>()?;
+                if comms.is_empty() {
+                    // Every node sits below at least one link, so a routable
+                    // task has at least one emission time.
+                    return Err(WireError::new(format!("tasks[{i}]: \"comms\" must not be empty")));
+                }
+                tasks.push(TreeTask::new(node as usize, start, CommVector::new(comms), work));
+            }
+            Ok(TreeSchedule::new(tasks))
+        }
+
+        /// Reads one required integer field of a schedule task object.
+        fn task_int(item: &Json, i: usize, key: &str) -> Result<i64, WireError> {
+            item.get(key)
+                .and_then(Json::as_i64)
+                .ok_or_else(|| WireError::new(format!("tasks[{i}]: missing integer \"{key}\"")))
+        }
+
+        /// Reads and validates the `"comms"` array of a schedule task object.
+        fn task_comms(item: &Json, i: usize) -> Result<Vec<i64>, WireError> {
+            let comms = item
+                .get("comms")
+                .and_then(Json::as_arr)
+                .ok_or_else(|| WireError::new(format!("tasks[{i}]: missing array \"comms\"")))?
+                .iter()
+                .map(|t| {
+                    t.as_i64().ok_or_else(|| {
+                        WireError::new(format!("tasks[{i}]: non-integer emission time"))
+                    })
+                })
+                .collect::<Result<Vec<i64>, WireError>>()?;
+            if comms.is_empty() {
+                return Err(WireError::new(format!("tasks[{i}]: \"comms\" must not be empty")));
+            }
+            Ok(comms)
+        }
+
+        /// The `"tasks"` array of a schedule object.
+        fn schedule_tasks(json: &Json) -> Result<&[Json], WireError> {
+            json.get("tasks")
+                .and_then(Json::as_arr)
+                .ok_or_else(|| WireError::new("missing array field \"tasks\""))
+        }
+
+        fn chain_schedule_from_json(json: &Json) -> Result<ChainSchedule, WireError> {
+            let mut tasks: Vec<TaskAssignment> = Vec::new();
+            for (i, item) in schedule_tasks(json)?.iter().enumerate() {
+                let proc = task_int(item, i, "proc")?;
+                if proc < 1 {
+                    return Err(WireError::new(format!(
+                        "tasks[{i}]: proc must be at least 1, got {proc}"
+                    )));
+                }
+                let start = task_int(item, i, "start")?;
+                let work = task_int(item, i, "work")?;
+                let comms = task_comms(item, i)?;
+                if comms.len() != proc as usize {
+                    return Err(WireError::new(format!(
+                        "tasks[{i}]: \"comms\" must carry exactly {proc} emission time(s), got {}",
+                        comms.len()
+                    )));
+                }
+                if let Some(prev) = tasks.last() {
+                    if prev.comms.first() > comms[0] {
+                        return Err(WireError::new(format!(
+                            "tasks[{i}]: tasks must be listed in master-emission order"
+                        )));
+                    }
+                }
+                tasks.push(TaskAssignment::new(proc as usize, start, CommVector::new(comms), work));
+            }
+            Ok(ChainSchedule::new(tasks))
+        }
+
+        fn spider_schedule_from_json(json: &Json) -> Result<SpiderSchedule, WireError> {
+            let mut tasks: Vec<SpiderTask> = Vec::new();
+            for (i, item) in schedule_tasks(json)?.iter().enumerate() {
+                let leg = task_int(item, i, "leg")?;
+                let depth = task_int(item, i, "depth")?;
+                if leg < 0 {
+                    return Err(WireError::new(format!(
+                        "tasks[{i}]: leg must be non-negative, got {leg}"
+                    )));
+                }
+                if depth < 1 {
+                    return Err(WireError::new(format!(
+                        "tasks[{i}]: depth must be at least 1, got {depth}"
+                    )));
+                }
+                let start = task_int(item, i, "start")?;
+                let work = task_int(item, i, "work")?;
+                let comms = task_comms(item, i)?;
+                if comms.len() != depth as usize {
+                    return Err(WireError::new(format!(
+                        "tasks[{i}]: \"comms\" must carry exactly {depth} emission time(s), got {}",
+                        comms.len()
+                    )));
+                }
+                tasks.push(SpiderTask::new(
+                    NodeId { leg: leg as usize, depth: depth as usize },
+                    start,
+                    CommVector::new(comms),
+                    work,
+                ));
+            }
+            Ok(SpiderSchedule::new(tasks))
+        }
+
+        pub(super) fn solution_from_json(json: &Json) -> Result<Solution, WireError> {
+            let solver = json
+                .get("solver")
+                .and_then(Json::as_str)
+                .ok_or_else(|| WireError::new("missing string field \"solver\""))?;
+            let solver: &'static str = crate::config::intern(solver);
+            let schedule = match json.get("schedule") {
+                None | Some(Json::Null) => None,
+                Some(schedule) => Some(schedule),
+            };
+            let Some(schedule) = schedule else {
+                if let Some(relaxed) = json.get("relaxed_makespan").and_then(Json::as_f64) {
+                    return Ok(Solution::from_relaxation(solver, relaxed));
+                }
+                let makespan = json
+                    .get("makespan")
+                    .and_then(Json::as_i64)
+                    .ok_or_else(|| WireError::new("missing integer field \"makespan\""))?;
+                return Ok(Solution::from_makespan(solver, makespan));
+            };
+            match schedule.get("repr").and_then(Json::as_str) {
+                Some("chain") => {
+                    Ok(Solution::from_chain(solver, chain_schedule_from_json(schedule)?))
+                }
+                Some("spider") => {
+                    let decoded = spider_schedule_from_json(schedule)?;
+                    match json.get("cover") {
+                        None | Some(Json::Null) => Ok(Solution::from_spider(solver, decoded)),
+                        Some(cover) => {
+                            let text = cover.as_str().ok_or_else(|| {
+                                WireError::new("\"cover\" must be a platform string")
+                            })?;
+                            let platform = Platform::parse(text).map_err(|e| {
+                                WireError::new(format!("invalid cover platform: {e}"))
+                            })?;
+                            let spider = platform.as_spider().cloned().ok_or_else(|| {
+                                WireError::new("\"cover\" must be a spider platform")
+                            })?;
+                            Ok(Solution::from_cover(solver, spider, decoded))
+                        }
+                    }
+                }
+                Some("tree") => Ok(Solution::from_tree(solver, tree_schedule_from_json(schedule)?)),
+                Some(other) => Err(WireError::new(format!("unknown schedule repr {other:?}"))),
+                None => Err(WireError::new("missing string field \"repr\"")),
+            }
+        }
+    }
+
     #[test]
     fn values_round_trip_through_text() {
         let cases = [
@@ -1115,19 +1562,6 @@ mod tests {
         }
         for case in &cases {
             assert_eq!(Json::validate(case).is_ok(), Json::parse(case).is_ok(), "{case:?}");
-        }
-    }
-
-    #[test]
-    fn object_members_leave_values_as_text() {
-        let text = " {\"a\": 1, \"b\\n\":[1, {\"c\": \"x\"}] ,\"a\":null} ";
-        let members = object_members(text).unwrap();
-        let got: Vec<(&str, &str)> =
-            members.iter().map(|(k, v)| (k.as_str(), &text[v.clone()])).collect();
-        assert_eq!(got, [("a", "1"), ("b\n", "[1, {\"c\": \"x\"}]"), ("a", "null")]);
-        assert_eq!(object_members("{}").unwrap(), []);
-        for bad in ["[1]", "{\"a\":1} x", "{\"a\" 1}", "{\"a\":[}", "", "7"] {
-            assert!(object_members(bad).is_err(), "{bad:?}");
         }
     }
 
@@ -1302,6 +1736,194 @@ mod tests {
         ] {
             let parsed = Json::parse(body).unwrap();
             assert!(solution_from_json(&parsed).is_err(), "{body} must be rejected");
+        }
+    }
+
+    /// Decodes `text` with the one-pass reader and with the reference
+    /// (parse, then walk the tree), asserts that the two agree, error
+    /// messages included, and gives the reader's result. A `"schedule"`
+    /// member is also decoded as a tree schedule both ways.
+    fn read_as_the_tree_does(text: &str) -> Result<Solution, WireError> {
+        let parsed = Json::parse(text);
+        let read = solution_from_text(text);
+        let reference = parsed.clone().and_then(|json| reference::solution_from_json(&json));
+        assert_eq!(read, reference, "{text:?}");
+        if let Some(schedule) = parsed.ok().as_ref().and_then(|json| json.get("schedule")) {
+            assert_eq!(
+                tree_schedule_from_json(schedule),
+                reference::tree_schedule_from_json(schedule),
+                "{text:?}"
+            );
+        }
+        read
+    }
+
+    /// Every registered solver on a mixed fleet, as solved and as restored
+    /// from its canonical instance, then an `exact` tree witness, a cover
+    /// solution, a fractional relaxation and a makespan-only solution.
+    fn solutions_of_every_shape() -> Vec<Solution> {
+        let registry = SolverRegistry::global();
+        let mut solutions = Vec::new();
+        for instance in crate::fleet::mixed_fleet(40) {
+            for solver in registry.solvers().filter(|s| s.supports(instance.kind())) {
+                let canon = crate::canon::CanonicalInstance::of(&instance, solver.name(), None);
+                if let Ok(canonical) = solver.solve(canon.instance()) {
+                    solutions.push(canon.restore(&canonical));
+                }
+                solutions.extend(solver.solve(&instance));
+            }
+        }
+        let tree = Platform::parse("tree\nnode 0 1 2\nnode 1 2 3\nnode 0 4 5\n").unwrap();
+        let fork = Platform::fork(&[(1, 2), (2, 3)]).unwrap();
+        solutions.extend([
+            registry.solve("exact", &Instance::new(tree.clone(), 3)).unwrap(),
+            registry.solve("optimal", &Instance::new(tree, 4)).unwrap(),
+            registry.solve("divisible", &Instance::new(fork, 5)).unwrap(),
+            Solution::from_makespan("optimal", 42),
+        ]);
+        solutions
+    }
+
+    #[test]
+    fn the_reader_decodes_every_solution_as_the_tree_decoder_does() {
+        let solutions = solutions_of_every_shape();
+        let shapes = |pick: fn(&Solution) -> bool| solutions.iter().filter(|s| pick(s)).count();
+        assert!(shapes(|s| s.chain_schedule().is_some()) > 0);
+        assert!(shapes(|s| s.sub_platform().is_none() && s.spider_schedule().is_some()) > 0);
+        assert!(shapes(|s| s.sub_platform().is_some()) > 0);
+        assert!(shapes(|s| s.tree_schedule().is_some()) > 0);
+        assert!(shapes(|s| s.relaxed_makespan().is_some_and(|t| t.fract() != 0.0)) > 0);
+        for solution in solutions {
+            let text = solution_to_json(&solution).to_string();
+            assert_eq!(read_as_the_tree_does(&text), Ok(solution), "{text}");
+            // Whitespace around every token reads the same.
+            let spaced: String = text
+                .chars()
+                .map(|c| match c {
+                    '{' | '}' | '[' | ']' | ',' | ':' => format!(" \n{c}\t\r "),
+                    c => c.to_string(),
+                })
+                .collect();
+            assert_eq!(read_as_the_tree_does(&spaced), read_as_the_tree_does(&text));
+        }
+    }
+
+    #[test]
+    fn the_reader_agrees_with_the_tree_decoder_on_hand_written_bodies() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let task = r#"{"proc": 1, "start": 2, "work": 3, "comms": [0]}"#;
+        let mut bodies: Vec<String> = [
+            // Members in another order.
+            r#"{"schedule": {"tasks": [{"comms": [0], "work": 3, "start": 2, "proc": 1}], "repr": "chain"}, "solver": "optimal"}"#,
+            r#"{"makespan": 7, "schedule": null, "solver": "optimal"}"#,
+            r#"{"cover": "spider\nleg 1 2\n", "schedule": {"tasks": [{"comms": [0], "work": 2, "start": 1, "depth": 1, "leg": 0}], "repr": "spider"}, "solver": "optimal"}"#,
+            // Duplicate keys: the first counts.
+            r#"{"solver": "optimal", "solver": 5, "makespan": 3, "makespan": "x"}"#,
+            r#"{"solver": 5, "solver": "optimal", "makespan": 3}"#,
+            r#"{"solver": "optimal", "schedule": null, "schedule": {"repr": "ring"}, "makespan": 3}"#,
+            r#"{"solver": "optimal", "schedule": {"repr": "chain", "repr": "ring", "tasks": [], "tasks": 7}}"#,
+            r#"{"solver": "optimal", "schedule": {"repr": "chain", "tasks": [{"proc": 1, "proc": 2, "start": 0, "work": 1, "comms": [0], "comms": [0, 1]}]}}"#,
+            r#"{"solver": "optimal", "schedule": {"repr": "chain", "tasks": [{"proc": "x", "proc": 1, "start": 0, "work": 1, "comms": [0]}]}}"#,
+            r#"{"solver": "optimal", "cover": 3, "cover": "spider\nleg 1 2\n", "schedule": {"repr": "spider", "tasks": []}}"#,
+            r#"{"solver": "optimal", "cover": null, "cover": 3, "schedule": {"repr": "spider", "tasks": []}}"#,
+            r#"{"solver": "optimal", "cover": 3, "schedule": {"repr": "chain", "tasks": []}}"#,
+            r#"{"solver": "optimal", "relaxed_makespan": "x", "relaxed_makespan": 2.5, "makespan": 3}"#,
+            r#"{"solver": "optimal", "relaxed_makespan": 2.5, "makespan": "x"}"#,
+            // Escaped keys and values.
+            r#"{"solver": "optimal", "schedule": {"re\u0070r": "ch\u0061in", "tasks": []}}"#,
+            r#"{"s\u006flver": "opt\u0069mal", "m\u0061kespan": 4}"#,
+            r#"{"solver": "optimal", "m\u0061kespan": 5, "makespan": 6}"#,
+            r#"{"solver": "optimal", "schedule": {"repr": "chain", "tasks": [{"pr\u006fc": 1, "start": 0, "work": 1, "c\u006fmms": [0]}]}}"#,
+            r#"{"solver": "opt\"imal\\\n", "makespan": 4}"#,
+            // Exact integers however written, 16 digits, and 2^53, which
+            // is not exact.
+            r#"{"solver": "optimal", "makespan": 1.0}"#,
+            r#"{"solver": "optimal", "makespan": 1e2}"#,
+            r#"{"solver": "optimal", "makespan": -0}"#,
+            r#"{"solver": "optimal", "makespan": 1234567890123456}"#,
+            r#"{"solver": "optimal", "makespan": 9007199254740991}"#,
+            r#"{"solver": "optimal", "makespan": 9007199254740992}"#,
+            r#"{"solver": "optimal", "makespan": 1.5}"#,
+            r#"{"solver": "optimal", "relaxed_makespan": -0, "makespan": 3}"#,
+            r#"{"solver": "optimal", "schedule": {"repr": "chain", "tasks": [{"proc": 1.0, "start": 1e1, "work": -0, "comms": [0.0]}]}}"#,
+            r#"{"solver": "optimal", "schedule": {"repr": "tree", "tasks": [{"node": 1, "start": 1234567890123456, "work": 1, "comms": [9007199254740992]}]}}"#,
+            // Values of every type where the decoders skip them.
+            r#"{"solver": "optimal", "makespan": 3, "extra": [true, false, null, {"a": [1, "b"]}], "witnessed": false}"#,
+            r#"{"solver": "optimal", "schedule": {"repr": "tree", "tasks": [7, null, []]}}"#,
+            r#"{"solver": "optimal", "schedule": [], "makespan": 3}"#,
+            // Whitespace, trailing data, and texts that are no solution.
+            "  {\"solver\":\"optimal\",\"makespan\":3}\n\t ",
+            r#"{"solver": "optimal", "makespan": 3} x"#,
+            r#"{"solver": "optimal", "makespan": 3}{}"#,
+            r#"{"solver": "optimal", "makespan": 3,}"#,
+            r#"{"solver": "optimal", "schedule": nul}"#,
+            r#"{"solver": "optimal", "schedule": nullx}"#,
+            "[]",
+            "null",
+            "7",
+            "\"optimal\"",
+            "",
+            "{",
+            "{}",
+        ]
+        .map(String::from)
+        .to_vec();
+        // Nesting up to and past the cap: in a member the decoders skip,
+        // in a task, and in place of an emission time.
+        for depth in [58, 59, 60, 61, 62, 63, 64, 65, 200] {
+            bodies.push(format!(
+                r#"{{"solver": "optimal", "makespan": 3, "deep": {}}}"#,
+                nested(depth)
+            ));
+            bodies.push(format!(
+                r#"{{"solver": "optimal", "schedule": {{"repr": "chain", "tasks": [{}, {{"deep": {}}}]}}}}"#,
+                task,
+                nested(depth)
+            ));
+            bodies.push(format!(
+                r#"{{"solver": "optimal", "schedule": {{"repr": "chain", "tasks": [{{"proc": 1, "start": 0, "work": 1, "comms": [{}]}}]}}}}"#,
+                nested(depth)
+            ));
+        }
+        for body in &bodies {
+            let _ = read_as_the_tree_does(body);
+        }
+        // The first member of a name counts, escaped or not, and a number
+        // is an integer by its value, however it is written.
+        for (body, makespan) in [
+            (r#"{"solver": "optimal", "solver": 5, "makespan": 3, "makespan": "x"}"#, 3),
+            (r#"{"s\u006flver": "opt\u0069mal", "m\u0061kespan": 4}"#, 4),
+            (r#"{"solver": "optimal", "m\u0061kespan": 5, "makespan": 6}"#, 5),
+            (r#"{"solver": "optimal", "makespan": 1.0}"#, 1),
+            (r#"{"solver": "optimal", "makespan": 1e2}"#, 100),
+            (r#"{"solver": "optimal", "makespan": -0}"#, 0),
+            (r#"{"solver": "optimal", "makespan": 1234567890123456}"#, 1_234_567_890_123_456),
+        ] {
+            let expected = Solution::from_makespan("optimal", makespan);
+            assert_eq!(solution_from_text(body), Ok(expected), "{body}");
+        }
+        let escaped =
+            r#"{"solver": "optimal", "schedule": {"re\u0070r": "ch\u0061in", "tasks": []}}"#;
+        assert!(solution_from_text(escaped).unwrap().chain_schedule().is_some());
+    }
+
+    #[test]
+    fn the_reader_agrees_with_the_tree_decoder_on_cut_and_mutated_bodies() {
+        let instance = Instance::new(Platform::parse("spider\nleg 2 3 3 5\nleg 1 4\n").unwrap(), 6);
+        let solution = SolverRegistry::global().solve("spider-optimal", &instance).unwrap();
+        let text = solution_to_json(&solution).to_string();
+        assert!(text.len() > 500, "a medium body: {text}");
+        for end in 0..=text.len() {
+            let _ = read_as_the_tree_does(&text[..end]);
+        }
+        let mut bytes = text.into_bytes();
+        for at in 0..bytes.len() {
+            let was = bytes[at];
+            for b in *b"{}[]\",:\\ 1-.en" {
+                bytes[at] = b;
+                let _ = read_as_the_tree_does(std::str::from_utf8(&bytes).unwrap());
+            }
+            bytes[at] = was;
         }
     }
 

@@ -21,30 +21,63 @@ use mst_verify::sim::{embed_chain, embed_spider, simulate};
 use std::fmt::Write as _;
 use std::fs;
 
+/// What runs a command.
+type Command = fn(&Args) -> Result<String, String>;
+
+/// Every command, the options it reads, and what runs it. [`usage`] lists
+/// each command with exactly these options.
+const COMMANDS: [(&str, &[&str], Command); 18] = [
+    ("schedule", &["tasks", "solver", "out", "gantt"], cmd_schedule),
+    ("plan", &["deadline", "cap", "solver"], cmd_plan),
+    ("solvers", &["config", "registry"], cmd_solvers),
+    ("tenants", &["config"], cmd_tenants),
+    ("batch", &["count", "tasks", "size", "solver", "profile", "deadline"], cmd_batch),
+    ("serve", &["addr", "threads", "solvers-config", "store"], cmd_serve),
+    (
+        "loadgen",
+        &[
+            "addr",
+            "tenants",
+            "rate",
+            "seconds",
+            "seed",
+            "out",
+            "check",
+            "tolerance",
+            "p99-limit",
+            "solvers-config",
+            "server-metrics",
+        ],
+        crate::loadgen::cmd_loadgen,
+    ),
+    ("top", &["addr", "interval-ms", "iterations"], crate::top::cmd_top),
+    ("chaos", &["addr", "seed", "minutes"], cmd_chaos),
+    ("check-model", &["max-procs", "max-tasks", "max-weight"], cmd_check_model),
+    ("fuzz", &["minutes", "seed", "corpus"], cmd_fuzz),
+    ("history", &["tenant", "solver", "limit"], cmd_history),
+    ("validate", &[], cmd_validate),
+    ("gantt", &[], cmd_gantt),
+    ("generate", &["size", "profile", "seed"], cmd_generate),
+    ("stats", &["tasks"], cmd_stats),
+    ("diff", &[], cmd_diff),
+    ("curve", &["max"], cmd_curve),
+];
+
 /// Top-level dispatch; returns the output to print or a usage error.
+/// `--help` after any command prints the help text and runs nothing; an
+/// option the command does not read is refused.
 pub fn run(args: &Args) -> Result<String, String> {
-    match args.command.as_str() {
-        "schedule" => cmd_schedule(args),
-        "plan" => cmd_plan(args),
-        "validate" => cmd_validate(args),
-        "gantt" => cmd_gantt(args),
-        "generate" => cmd_generate(args),
-        "stats" => cmd_stats(args),
-        "diff" => cmd_diff(args),
-        "curve" => cmd_curve(args),
-        "solvers" => cmd_solvers(args),
-        "tenants" => cmd_tenants(args),
-        "batch" => cmd_batch(args),
-        "serve" => cmd_serve(args),
-        "loadgen" => crate::loadgen::cmd_loadgen(args),
-        "top" => crate::top::cmd_top(args),
-        "chaos" => cmd_chaos(args),
-        "check-model" => cmd_check_model(args),
-        "fuzz" => cmd_fuzz(args),
-        "history" => cmd_history(args),
-        "" | "help" | "--help" => Ok(usage()),
-        other => Err(format!("unknown command {other:?}\n\n{}", usage())),
+    if matches!(args.command.as_str(), "" | "help") || args.flag("help") {
+        return Ok(usage());
     }
+    let Some((name, options, command)) = COMMANDS.iter().find(|(name, ..)| *name == args.command)
+    else {
+        return Err(format!("unknown command {:?}\n\n{}", args.command, usage()));
+    };
+    if let Some(key) = args.options.keys().find(|key| !options.contains(&key.as_str())) {
+        return Err(format!("mst {name} has no option --{key}\n\n{}", usage()));
+    }
+    command(args)
 }
 
 /// The help text.
@@ -1153,6 +1186,47 @@ mod tests {
         assert!(err.contains("non-negative"), "{err}");
         let err = run_line("fuzz --minutes 500").unwrap_err();
         assert!(err.contains("between 0 and 120"), "{err}");
+    }
+
+    #[test]
+    fn help_after_any_command_prints_usage_and_runs_nothing() {
+        // A server would bind and block here: `--help` must return first.
+        assert_eq!(run_line("serve --help"), Ok(usage()));
+        assert_eq!(run_line("serve --addr 127.0.0.1:0 --help"), Ok(usage()));
+        assert_eq!(run_line("batch chain --count -1 --help"), Ok(usage()));
+    }
+
+    #[test]
+    fn options_a_command_does_not_read_are_refused() {
+        let err = run_line("serve --addr 127.0.0.1:0 --stroe x").unwrap_err();
+        assert!(err.starts_with("mst serve has no option --stroe"), "{err}");
+        let err = run_line("history results.log --store x").unwrap_err();
+        assert!(err.contains("--store"), "{err}");
+        assert!(run_line("validate a b --tasks 3").unwrap_err().contains("--tasks"));
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_options_each_command_reads() {
+        let text = usage();
+        let lines: Vec<&str> = text.lines().map(str::trim).collect();
+        for (name, options, _) in COMMANDS {
+            let head = format!("mst {name}");
+            let at = lines
+                .iter()
+                .position(|line| line.split(' ').take(2).eq(head.split(' ')))
+                .unwrap_or_else(|| panic!("usage has no synopsis for {head}"));
+            // A synopsis runs on over the lines that open with `[`.
+            let synopsis = lines[at + 1..].iter().take_while(|line| line.starts_with('['));
+            let mut listed: Vec<&str> = std::iter::once(&lines[at])
+                .chain(synopsis)
+                .flat_map(|line| line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+                .filter_map(|word| word.strip_prefix("--"))
+                .collect();
+            let mut expected = options.to_vec();
+            listed.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(listed, expected, "{head}");
+        }
     }
 
     #[test]

@@ -625,7 +625,9 @@ fn render_solution(
 /// bounded-backoff window are skipped outright (a dead disk must not
 /// tax every solve with an I/O timeout). The first probe that succeeds
 /// clears the state; records solved while degraded are simply absent
-/// from history, which warm start already tolerates.
+/// from history, which warm start already tolerates. A record the store
+/// refuses as such (too large for a frame, or an integer a frame cannot
+/// hold exactly) is counted as a failure but does not degrade the store.
 fn append_record(
     state: &ServiceState,
     tenant: &TenantExec,
@@ -655,6 +657,9 @@ fn append_record(
         Ok(()) => {
             state.store_health.record_success();
             tenant.stats().store_records.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            state.store_health.record_refusal()
         }
         Err(_) => state.store_health.record_failure(),
     }

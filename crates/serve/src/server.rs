@@ -206,6 +206,13 @@ impl StoreHealth {
             Some(Instant::now() + backoff);
     }
 
+    /// Records an append the store refused for the record itself
+    /// ([`std::io::ErrorKind::InvalidInput`]): counted as a failure, but
+    /// it says nothing about the disk, so the store does not degrade.
+    pub fn record_refusal(&self) {
+        self.failures_total.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Whether the store write path is currently degraded.
     pub fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::Relaxed)

@@ -12,16 +12,20 @@
 //! where its solution lies in the file, plus the small fields a history
 //! page shows, so memory grows by a few hundred bytes per record however
 //! large the solutions are. History pages walk the index and never read
-//! the file; warm start reads each solution back and decodes it once.
+//! the file; warm start reads each solution back and decodes it once,
+//! straight from its text (`mst_api::wire::solution_from_text`), with no
+//! `Json` tree between.
 //!
-//! Opening a log streams it frame by frame and checks each frame's
-//! framing, UTF-8, JSON syntax (the solution with a scan that builds
-//! nothing) and small-field types. At the first frame that fails, open
-//! **truncates the torn tail** left by a crash or `SIGKILL` mid-append,
-//! so recovery is automatic: everything before the first bad byte
-//! survives, everything after it is dropped. A well-formed record whose
-//! solution this build cannot decode (one written by a newer build, say)
-//! is kept: history lists it and warm start skips it.
+//! Opening a log streams it frame by frame and checks each frame in one
+//! pass over its bytes: framing, UTF-8, JSON syntax (the solution with a
+//! scan that builds nothing) and small-field types. At the first frame
+//! that fails, open **truncates the torn tail** left by a crash or
+//! `SIGKILL` mid-append, so recovery is automatic: everything before the
+//! first bad byte survives, everything after it is dropped. Appends
+//! refuse a record whose frame open would read as corruption. A
+//! well-formed record whose solution this build cannot decode (one
+//! written by a newer build, say) is kept: history lists it and warm
+//! start skips it.
 //!
 //! [`FlakyStore`] wraps any backend with a toggleable write-failure
 //! injection point, so degraded-mode tests can force the append path to
@@ -36,7 +40,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use mst_api::wire::{object_members, quoted, solution_from_json, Json, WireError};
+use mst_api::wire::{quoted, read_object, solution_from_json, solution_from_text, Json, WireError};
 use mst_api::{CacheKey, Solution};
 use mst_platform::Time;
 use std::fs::{File, OpenOptions};
@@ -110,7 +114,7 @@ impl Record {
             makespan,
             scheduled,
             elapsed_us,
-        } = Summary::from_fields(|key| json.get(key).cloned())?;
+        } = Summary::from_fields(HEAD.map(|key| json.get(key).cloned()))?;
         let solution = json
             .get("solution")
             .ok_or_else(|| WireError::new("missing object field \"solution\""))?
@@ -158,41 +162,55 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Reads the fields through `field`, which gives a member's value by
-    /// name, checking their types: the one check of the small fields for
-    /// [`Record::from_json`] and for every frame [`FileStore::open`]
-    /// reads.
-    fn from_fields(field: impl Fn(&str) -> Option<Json>) -> Result<Summary, WireError> {
-        let text = |key: &str| match field(key) {
+    /// Checks the types of the [`HEAD`] fields, each given as the value of
+    /// the first member of its name: the one check of the small fields for
+    /// [`Record::from_json`] and for every frame [`FileStore::open`] reads.
+    fn from_fields(fields: [Option<Json>; HEAD.len()]) -> Result<Summary, WireError> {
+        let [tenant, solver, platform, tasks, deadline, canon_hash, makespan, scheduled, elapsed_us] =
+            fields;
+        let text = |value: Option<Json>, key: &str| match value {
             Some(Json::Str(text)) => Ok(text),
             _ => Err(WireError::new(format!("missing string field \"{key}\""))),
         };
-        let non_negative = |key: &str| {
-            field(key).and_then(|value| value.as_i64()).filter(|&n| n >= 0).ok_or_else(|| {
+        let non_negative = |value: Option<Json>, key: &str| {
+            value.and_then(|value| value.as_i64()).filter(|&n| n >= 0).ok_or_else(|| {
                 WireError::new(format!("missing non-negative integer field \"{key}\""))
             })
         };
-        let deadline = match field("deadline") {
+        let deadline = match deadline {
             None | Some(Json::Null) => None,
             Some(value) => Some(
                 value.as_i64().ok_or_else(|| WireError::new("\"deadline\" must be an integer"))?,
             ),
         };
         Ok(Summary {
-            tenant: text("tenant")?,
-            solver: text("solver")?,
-            platform: text("platform")?,
-            tasks: non_negative("tasks")? as usize,
+            tenant: text(tenant, "tenant")?,
+            solver: text(solver, "solver")?,
+            platform: text(platform, "platform")?,
+            tasks: non_negative(tasks, "tasks")? as usize,
             deadline,
-            canon_hash: text("canon_hash")?,
-            makespan: field("makespan")
+            canon_hash: text(canon_hash, "canon_hash")?,
+            makespan: makespan
                 .and_then(|value| value.as_i64())
                 .ok_or_else(|| WireError::new("missing integer field \"makespan\""))?,
-            scheduled: non_negative("scheduled")? as usize,
-            elapsed_us: non_negative("elapsed_us")? as u64,
+            scheduled: non_negative(scheduled, "scheduled")? as usize,
+            elapsed_us: non_negative(elapsed_us, "elapsed_us")? as u64,
         })
     }
 }
+
+/// The small fields of a record, in the order [`write_frame`] writes them.
+const HEAD: [&str; 9] = [
+    "tenant",
+    "solver",
+    "platform",
+    "tasks",
+    "deadline",
+    "canon_hash",
+    "makespan",
+    "scheduled",
+    "elapsed_us",
+];
 
 /// The callback of [`StoreBackend::replay`]: the position of the
 /// record's tenant in the requested list, then its cache key and decoded
@@ -402,8 +420,7 @@ impl Entry {
     /// text; `None` when either does not decode.
     fn decode(&self, text: &[u8], names: &Names) -> Option<(CacheKey, Solution)> {
         let hash = self.canon_hash.key()?;
-        let json = Json::parse(std::str::from_utf8(text).ok()?).ok()?;
-        let solution = solution_from_json(&json).ok()?;
+        let solution = solution_from_text(std::str::from_utf8(text).ok()?).ok()?;
         let solver = names.name(self.solver).to_string();
         Some((CacheKey { hash, solver, deadline: self.deadline }, solution))
     }
@@ -512,27 +529,50 @@ fn read_frame(
     Ok(parse_frame(payload))
 }
 
-/// Checks one frame's payload without building its solution: UTF-8, a
-/// JSON object, and the small fields as [`Record::from_json`] checks
-/// them. The solution member must be there and be valid JSON, but need
-/// not decode in this build.
+/// Checks one frame's payload in one pass, without building its solution:
+/// UTF-8, a JSON object, and the small fields as [`Record::from_json`]
+/// checks them. The solution member must be there and be valid JSON, but
+/// need not decode in this build.
 fn parse_frame(payload: &[u8]) -> Option<(Summary, Range<usize>)> {
     let text = std::str::from_utf8(payload).ok()?;
-    let members = object_members(text).ok()?;
+    let mut head: [Option<Json>; HEAD.len()] = Default::default();
+    let mut solution = None;
     // The first member of a name counts, as in `Json::get`.
-    let member = |key: &str| members.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
-    let summary = Summary::from_fields(|key| Json::parse(&text[member(key)?]).ok()).ok()?;
-    Some((summary, member("solution")?))
+    read_object(text, |key, value| {
+        match HEAD.iter().position(|&name| name == key) {
+            Some(i) if head[i].is_none() => head[i] = Some(value.parse()?),
+            None if key == "solution" && solution.is_none() => solution = Some(value.skip()?),
+            _ => {}
+        }
+        Ok(())
+    })
+    .ok()?;
+    Some((Summary::from_fields(head).ok()?, solution?))
 }
 
 /// Appends `record`'s frame to `out`, written straight from its fields
 /// (the bytes `record.to_json().to_string()` would give), and returns
-/// where in `out` its solution text lies. A payload over
-/// [`MAX_FRAME_BYTES`] is refused with [`io::ErrorKind::InvalidInput`]
-/// and `out` left as it was: [`read_frame`] would read it as corruption,
-/// and opening the log would truncate it there, losing that record and
-/// every record appended after it.
+/// where in `out` its solution text lies.
+///
+/// Two kinds of record are refused with [`io::ErrorKind::InvalidInput`],
+/// and `out` left as it was, because [`read_frame`] would read their frames as
+/// corruption, and opening the log would truncate it there, losing that
+/// record and every record appended after it: a payload over
+/// [`MAX_FRAME_BYTES`], and a small field of 2^53 or more in magnitude
+/// (JSON numbers are doubles here, so the frame would print it rounded
+/// and [`Summary::from_fields`] refuses to read it back).
 fn write_frame(record: &Record, out: &mut Vec<u8>) -> io::Result<Range<usize>> {
+    let integers = [
+        ("tasks", record.tasks as u64),
+        ("deadline", record.deadline.map_or(0, i64::unsigned_abs)),
+        ("makespan", record.makespan.unsigned_abs()),
+        ("scheduled", record.scheduled as u64),
+        ("elapsed_us", record.elapsed_us),
+    ];
+    if let Some((key, n)) = integers.into_iter().find(|&(_, n)| n >= 1 << 53) {
+        let message = format!("a record's \"{key}\" of magnitude {n} is not below 2^53");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+    }
     let start = out.len();
     out.extend_from_slice(&[0; 4]);
     write!(
@@ -883,6 +923,42 @@ mod tests {
     }
 
     #[test]
+    fn integers_a_frame_cannot_hold_are_refused_before_any_byte_is_written() {
+        // JSON numbers are doubles: a frame would print such a field
+        // rounded, and open would refuse to read it back and cut the log
+        // there, losing that record and every record appended after it.
+        let path = tmp("wide");
+        let store = FileStore::open(&path).unwrap();
+        let instance = Instance::new(Platform::parse("chain\n1000000000000000 1\n").unwrap(), 10);
+        let solution = SolverRegistry::global().solve("optimal", &instance).unwrap();
+        assert_eq!(solution.makespan(), 10_000_000_000_000_001);
+        let wide = Record {
+            platform: instance.platform.to_text(),
+            makespan: solution.makespan(),
+            solution: solution_to_json(&solution),
+            ..sample("a", "optimal", 10)
+        };
+        let err = store.append(&wide).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        let limit: i64 = 1 << 53;
+        let mut fields = [sample("a", "optimal", 3), sample("a", "optimal", 3)];
+        fields[0].deadline = Some(-limit);
+        fields[1].elapsed_us = limit as u64;
+        for record in &fields {
+            assert_eq!(store.append(record).unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        }
+        let mut largest = sample("b", "exact", 5);
+        largest.deadline = Some(limit - 1);
+        store.append(&largest).unwrap();
+        assert_eq!(store.len(), 1);
+        drop(store);
+        let reopened = FileStore::open(&path).unwrap();
+        assert_eq!(reopened.len(), 1, "the record after the refusals survives");
+        assert_eq!(records(&reopened)[0].deadline, Some(limit - 1));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn flaky_store_injects_and_clears_write_failures() {
         let path = tmp("flaky");
         let inner = std::sync::Arc::new(FileStore::open(&path).unwrap());
@@ -1007,6 +1083,35 @@ mod tests {
             (
                 format!(
                     r#"{{{fields}, "tasks": 1, "makespan": 1, "scheduled": 0, "elapsed_us": 0, "solution": {{]}}"#
+                ),
+                false,
+            ),
+            // Members in another order, and the solution first.
+            (
+                r#"{"solution": 7, "elapsed_us": 0, "scheduled": 0, "makespan": 1, "canon_hash": "00", "deadline": null, "tasks": 1, "platform": "p", "solver": "s", "tenant": "a"}"#.to_string(),
+                true,
+            ),
+            // The first member of a name counts, the solution's too.
+            (
+                format!(
+                    r#"{{"tasks": -1, {fields}, "tasks": 1, "makespan": 1, "scheduled": 0, "elapsed_us": 0, "solution": {{}}}}"#
+                ),
+                false,
+            ),
+            (
+                format!(
+                    r#"{{{fields}, "tasks": 1, "deadline": 3, "deadline": "x", "makespan": 1, "scheduled": 0, "elapsed_us": 0, "solution": 7, "solution": {{}}}}"#
+                ),
+                true,
+            ),
+            // Escaped keys are read by their value.
+            (
+                r#"{"t\u0065nant": "a", "solver": "s", "platform": "p", "canon_hash": "00", "tasks": 1, "makespan": 1, "scheduled": 0, "elapsed_us": 0, "s\u006flution": 7}"#.to_string(),
+                true,
+            ),
+            (
+                format!(
+                    r#"{{"t\u0065nant": 5, {fields}, "tasks": 1, "makespan": 1, "scheduled": 0, "elapsed_us": 0, "solution": 7}}"#
                 ),
                 false,
             ),

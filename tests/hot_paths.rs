@@ -3,7 +3,7 @@
 //! the one-pass wire codec must be **behaviour-preserving** — same
 //! results, fewer cycles.
 
-use master_slave_tasking::api::wire::{object_members, Json};
+use master_slave_tasking::api::wire::{read_object, Json};
 use master_slave_tasking::prelude::*;
 use mst_fork::{
     count_tasks_fork_by_deadline, expand_fork, expand_fork_sorted, max_tasks_fork_by_deadline,
@@ -194,21 +194,28 @@ const STRING_PIECES: [&str; 16] = [
 const MUTATIONS: [char; 17] =
     ['{', '}', '[', ']', ':', ',', '"', '\\', ' ', '0', '-', 'e', '.', 'n', '\u{1}', 'é', '😀'];
 
-/// The object checks of [`object_members`]: it accepts exactly the texts
-/// `Json::parse` reads as an object, and each value's range is the text
-/// of the value `Json::parse` gives.
+/// The object checks of [`read_object`]: it accepts exactly the texts
+/// `Json::parse` reads as an object, and visits its members in order,
+/// each value parsed where it stands or skipped over its own text.
 fn members_match_parse(text: &str) {
     let parsed = Json::parse(text);
-    match (object_members(text), parsed) {
-        (Ok(members), Ok(Json::Obj(expected))) => {
-            let got: Vec<(String, Json)> = members
-                .into_iter()
-                .map(|(key, value)| (key, Json::parse(&text[value]).unwrap()))
-                .collect();
-            assert_eq!(got, expected, "{text:?}");
+    let (mut parsed_members, mut skipped_members) = (Vec::new(), Vec::new());
+    let read = read_object(text, |key, value| {
+        parsed_members.push((key.to_string(), value.parse()?));
+        Ok(())
+    });
+    let skipped = read_object(text, |key, value| {
+        skipped_members.push((key.to_string(), Json::parse(&text[value.skip()?]).unwrap()));
+        Ok(())
+    });
+    assert_eq!(read.is_ok(), skipped.is_ok(), "{text:?}");
+    match (read, parsed) {
+        (Ok(()), Ok(Json::Obj(expected))) => {
+            assert_eq!(parsed_members, expected, "{text:?}");
+            assert_eq!(skipped_members, expected, "{text:?}");
         }
-        (Err(_), Ok(Json::Obj(_))) => panic!("object_members rejects the object {text:?}"),
-        (Ok(_), _) => panic!("object_members accepts the non-object {text:?}"),
+        (Err(_), Ok(Json::Obj(_))) => panic!("read_object rejects the object {text:?}"),
+        (Ok(()), _) => panic!("read_object accepts the non-object {text:?}"),
         (Err(_), _) => {}
     }
 }

@@ -417,6 +417,47 @@ fn a_restarted_server_answers_a_repeated_repair_from_its_log() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A chain whose 10-task makespan, 10000000000000001, is past 2^53: a
+/// JSON number here is a double and prints it rounded.
+const WIDE_CHAIN: &str = r#"{"platform": "chain\n1000000000000000 1\n", "tasks": 10}"#;
+
+#[test]
+fn a_record_the_log_cannot_hold_is_refused_without_degrading_the_store() {
+    let path = std::env::temp_dir()
+        .join(format!("mst-result-cache-wide-record-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let fig2 = r#"{"platform": "chain\n2 3\n3 5\n", "tasks": 5}"#;
+    let (addr, handle, runner) = start_store_server(&path);
+    let (status, body) = post(addr, "/solve", WIDE_CHAIN);
+    assert_eq!(status, 200, "{body}");
+    let (status, health) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{health}");
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
+    assert!(
+        health.contains("\"store_degraded\":false"),
+        "a refused record is no disk fault: {health}"
+    );
+    assert_eq!(metric(addr, "store_failures_total"), 1, "the refusal is counted");
+    let (status, body) = post(addr, "/solve", fig2);
+    assert_eq!(status, 200, "{body}");
+    let history = |addr| {
+        let (status, body) = get(addr, "/history");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(int_field(&body, "total"), 1, "only the Figure-2 record: {body}");
+        assert!(body.contains("\"makespan\":14"), "{body}");
+    };
+    history(addr);
+    handle.shutdown();
+    runner.join().unwrap();
+
+    // The log reopens whole: the record after the refusal survives.
+    let (addr, handle, runner) = start_store_server(&path);
+    history(addr);
+    handle.shutdown();
+    runner.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn history_endpoint_requires_a_store() {
     let server = Server::bind(ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() })
