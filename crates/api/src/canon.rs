@@ -511,6 +511,33 @@ mod tests {
         }
     }
 
+    /// Stored logs key warm start by the hash, so a change to how it is
+    /// computed must keep these values: each topology at the `Full` level
+    /// (a common factor, unsorted legs and subtrees), then `ScaleOnly`
+    /// and `Identity`.
+    #[test]
+    fn hashes_keep_their_recorded_values() {
+        let fork = "fork\n3 5\n1 2\n2 2\n";
+        let spider = "spider\nleg 4 4 2 6\nleg 2 2\n";
+        for (text, tasks, solver, hash) in [
+            ("chain\n4 6\n2 8\n", 5, "optimal", "9bcdbd52db8fe354e45a3c0048ac0e37"),
+            (fork, 4, "optimal", "7e03b67323733efbe4113ecb37511bc4"),
+            (spider, 6, "optimal", "908cc8aeb77dc6bc06f4b7492624cc20"),
+            (
+                "tree\nnode 0 3 6\nnode 1 3 3\nnode 0 6 9\n",
+                4,
+                "optimal",
+                "bea4aded4a8c5b2e365e2a34606025b3",
+            ),
+            (spider, 6, "eager", "95a7df4fc8865b963b531f755c16938c"),
+            (fork, 4, "divisible", "2ed950573b5da8c630b4fcc38e186678"),
+        ] {
+            let instance = Instance::new(Platform::parse(text).unwrap(), tasks);
+            let canon = CanonicalInstance::of(&instance, solver, None);
+            assert_eq!(canon.hash_hex(), hash, "{text:?} with {tasks} tasks under {solver}");
+        }
+    }
+
     #[test]
     fn zero_task_and_single_processor_degenerates_hold() {
         let inst = chain_instance(&[(5, 5)], 0);

@@ -19,7 +19,8 @@
 //! * [`solution_to_json`] — makespan, scheduled-task count and (for
 //!   witnessed solutions) the full schedule, task by task, **losslessly**:
 //!   every task carries its complete communication vector and work time,
-//!   so clients can reconstruct and re-verify the witness;
+//!   so clients can reconstruct and re-verify the witness. The schedule
+//!   is written once, as text (below);
 //! * [`solution_from_text`] — the full inverse: chain, spider (with or
 //!   without a recorded cover) and tree witnesses, relaxations and
 //!   makespan-only solutions all decode back to the identical
@@ -40,6 +41,22 @@
 //!   clients can dispatch on a stable kind string instead of scraping
 //!   the human-readable message.
 //!
+//! # Schedules are written once, as text
+//!
+//! A schedule is most of a solution's bytes: one object per task, with
+//! its emission times. [`solution_to_json`] does not build it as a
+//! `Json` tree, with a `String` per member key and a `Vec` per task, only
+//! to print the tree and drop it. A private schedule writer prints it
+//! from the [`Solution`] in one pass into a [`Json::Raw`]: JSON text that
+//! prints verbatim, so a `/solve` reply, a `/batch` NDJSON line and a
+//! store frame each copy it, and that is parsed, once, only if `==` or an
+//! accessor looks inside. The writer's bytes are the tree's: both print
+//! each integer with one printer, and a differential test pins the writer
+//! to the tree-building encoder it replaced. The seven top-level members
+//! stay an ordinary [`Json::Obj`]: they are a few values per solution,
+//! and callers append members of their own to it (`"cached"`,
+//! `"feasible"`, an NDJSON line's `"index"`).
+//!
 //! ```
 //! use mst_api::wire::{instance_from_json, solution_to_json, Json};
 //! use mst_api::SolverRegistry;
@@ -57,13 +74,14 @@ use crate::error::SolveError;
 use crate::instance::Instance;
 use crate::platform::Platform;
 use crate::solution::{ScheduleRepr, Solution};
-use mst_platform::NodeId;
+use mst_platform::{NodeId, Time};
 use mst_schedule::{
     ChainSchedule, CommVector, SpiderSchedule, SpiderTask, TaskAssignment, TreeSchedule, TreeTask,
 };
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Deepest permitted nesting while parsing — adversarial `[[[[...]]]]`
 /// bodies fail fast instead of exhausting the stack.
@@ -97,7 +115,7 @@ impl std::error::Error for WireError {}
 ///
 /// Objects preserve insertion order (they are association lists, not
 /// maps) so serialized bodies are deterministic.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Json {
     /// `null`.
     Null,
@@ -111,9 +129,52 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in insertion order.
     Obj(Vec<(String, Json)>),
+    /// JSON text this module wrote, such as the schedule of
+    /// [`solution_to_json`]. It prints verbatim; `==` and the accessors
+    /// answer as they would on [`Json::parse`] of the text.
+    Raw(Box<RawJson>),
+}
+
+/// The payload of [`Json::Raw`]: JSON text written by this module, which
+/// alone builds one, so the text is always valid JSON. It is parsed at
+/// most once, the first time `==` or an accessor looks inside it.
+#[derive(Debug, Clone)]
+pub struct RawJson {
+    text: String,
+    parsed: OnceLock<Json>,
+}
+
+impl RawJson {
+    /// The text's value, parsed on first use.
+    fn value(&self) -> &Json {
+        self.parsed.get_or_init(|| Json::parse(&self.text).expect("wire writes valid JSON"))
+    }
+}
+
+impl PartialEq for Json {
+    fn eq(&self, other: &Json) -> bool {
+        match (self.resolved(), other.resolved()) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::Num(a), Json::Num(b)) => a == b,
+            (Json::Str(a), Json::Str(b)) => a == b,
+            (Json::Arr(a), Json::Arr(b)) => a == b,
+            (Json::Obj(a), Json::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Json {
+    /// The value itself, or a [`Json::Raw`]'s text parsed; never a `Raw`,
+    /// since [`Json::parse`] builds none.
+    fn resolved(&self) -> &Json {
+        match self {
+            Json::Raw(raw) => raw.value(),
+            value => value,
+        }
+    }
+
     /// Parses `text` as a single JSON value; trailing non-whitespace is
     /// an error, as is nesting deeper than an internal cap.
     pub fn parse(text: &str) -> Result<Json, WireError> {
@@ -137,7 +198,7 @@ impl Json {
 
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
+        match self.resolved() {
             Json::Str(s) => Some(s),
             _ => None,
         }
@@ -145,7 +206,7 @@ impl Json {
 
     /// The numeric payload, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
+        match self.resolved() {
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -158,7 +219,7 @@ impl Json {
 
     /// The boolean payload, if this is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
+        match self.resolved() {
             Json::Bool(b) => Some(*b),
             _ => None,
         }
@@ -166,7 +227,7 @@ impl Json {
 
     /// The elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
+        match self.resolved() {
             Json::Arr(items) => Some(items),
             _ => None,
         }
@@ -174,7 +235,7 @@ impl Json {
 
     /// The members, if this is an object.
     pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
+        match self.resolved() {
             Json::Obj(members) => Some(members),
             _ => None,
         }
@@ -208,10 +269,7 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => match exact_int(*n) {
-                Some(n) => write_int(f, n),
-                None => write!(f, "{n}"),
-            },
+            Json::Num(n) => write_number(f, *n),
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
@@ -235,13 +293,24 @@ impl fmt::Display for Json {
                 }
                 f.write_str("}")
             }
+            Json::Raw(raw) => f.write_str(&raw.text),
         }
     }
 }
 
-/// Writes `n` in decimal from a stack buffer: the bytes `write!` would
-/// give, without going through the formatting machinery.
-fn write_int(f: &mut fmt::Formatter<'_>, n: i64) -> fmt::Result {
+/// Writes the number `n` as [`Json::Num`] prints it: an exact integer
+/// with [`write_int`], any other value in `f64`'s `{}` form.
+fn write_number(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
+    match exact_int(n) {
+        Some(n) => write_int(out, n),
+        None => write!(out, "{n}"),
+    }
+}
+
+/// Writes `n` in decimal from a stack buffer, a digit at a time: the
+/// bytes `write!` would give, without going through the formatting
+/// machinery.
+fn write_int(out: &mut impl fmt::Write, n: i64) -> fmt::Result {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
     let mut rest = n.unsigned_abs();
@@ -257,7 +326,7 @@ fn write_int(f: &mut fmt::Formatter<'_>, n: i64) -> fmt::Result {
         i -= 1;
         buf[i] = b'-';
     }
-    f.write_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"))
+    buf[i..].iter().try_for_each(|&d| out.write_char(d as char))
 }
 
 /// Whether a string byte must be escaped on the wire. Every such byte is
@@ -815,31 +884,10 @@ pub fn instance_from_json(json: &Json) -> Result<Instance, WireError> {
 /// Encodes a tree schedule as
 /// `{"repr": "tree", "tasks": [{"task", "node", "start", "end", "work",
 /// "comms"}]}` — lossless: `comms` lists every emission time along the
-/// task's root path, so the witness reconstructs exactly.
+/// task's root path, so the witness reconstructs exactly. The value is
+/// a [`Json::Raw`], written in one pass by the schedule writer.
 pub fn tree_schedule_to_json(schedule: &TreeSchedule) -> Json {
-    Json::obj([
-        ("repr", Json::str("tree")),
-        (
-            "tasks",
-            Json::Arr(
-                schedule
-                    .tasks()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        Json::obj([
-                            ("task", Json::int(i as i64 + 1)),
-                            ("node", Json::int(t.node as i64)),
-                            ("start", Json::int(t.start)),
-                            ("end", Json::int(t.end())),
-                            ("work", Json::int(t.work)),
-                            ("comms", comms_to_json(&t.comms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    raw(schedule.n(), |out| write_tree(out, schedule))
 }
 
 /// Decodes a tree schedule from its wire object, through the reader of
@@ -860,9 +908,94 @@ pub fn tree_schedule_from_json(json: &Json) -> Result<TreeSchedule, WireError> {
     }
 }
 
-/// The emission times of a communication vector as a JSON array.
-fn comms_to_json(comms: &CommVector) -> Json {
-    Json::Arr(comms.times().iter().map(|&t| Json::int(t)).collect())
+/// The [`Json::Raw`] of the text `write` prints, sized for `tasks`
+/// schedule tasks.
+fn raw(tasks: usize, write: impl FnOnce(&mut String) -> fmt::Result) -> Json {
+    let mut text = String::with_capacity(32 + 80 * tasks);
+    write(&mut text).expect("a String takes every write");
+    Json::Raw(Box::new(RawJson { text, parsed: OnceLock::new() }))
+}
+
+/// The schedule writer: prints `schedule` in one pass, with the bytes
+/// [`Json`]'s `Display` gives for the object `{"repr": .., "tasks":
+/// [{"task", <place>, "start", "end", "work", "comms"}, ..]}`, where a
+/// chain task's place is `"proc"`, a spider task's `"leg"` and
+/// `"depth"`, and a tree task's `"node"`.
+fn write_schedule(out: &mut String, schedule: &ScheduleRepr) -> fmt::Result {
+    match schedule {
+        ScheduleRepr::Chain(s) => write_tasks(out, "chain", s.tasks(), |out, t| {
+            write_member(out, "proc", t.proc as i64)?;
+            write_times(out, t.start, t.end(), t.work, &t.comms)
+        }),
+        ScheduleRepr::Spider(s) => write_tasks(out, "spider", s.tasks(), |out, t| {
+            write_member(out, "leg", t.node.leg as i64)?;
+            write_member(out, "depth", t.node.depth as i64)?;
+            write_times(out, t.start, t.end(), t.work, &t.comms)
+        }),
+        ScheduleRepr::Tree(s) => write_tree(out, s),
+    }
+}
+
+fn write_tree(out: &mut String, schedule: &TreeSchedule) -> fmt::Result {
+    write_tasks(out, "tree", schedule.tasks(), |out, t| {
+        write_member(out, "node", t.node as i64)?;
+        write_times(out, t.start, t.end(), t.work, &t.comms)
+    })
+}
+
+/// Writes `{"repr":"<repr>","tasks":[..]}`, each task opened with its
+/// `"task"` number and finished by `task`.
+fn write_tasks<T>(
+    out: &mut String,
+    repr: &str,
+    tasks: &[T],
+    task: impl Fn(&mut String, &T) -> fmt::Result,
+) -> fmt::Result {
+    out.push_str("{\"repr\":\"");
+    out.push_str(repr);
+    out.push_str("\",\"tasks\":[");
+    for (i, t) in tasks.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"task\":");
+        write_number(out, (i as i64 + 1) as f64)?;
+        task(out, t)?;
+        out.push('}');
+    }
+    out.push_str("]}");
+    Ok(())
+}
+
+/// Writes the member `,"<key>":<value>` of a task object.
+fn write_member(out: &mut String, key: &str, value: i64) -> fmt::Result {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    write_number(out, value as f64)
+}
+
+/// Writes the members that follow a task's place: its times, then its
+/// emission times.
+fn write_times(
+    out: &mut String,
+    start: Time,
+    end: Time,
+    work: Time,
+    comms: &CommVector,
+) -> fmt::Result {
+    write_member(out, "start", start)?;
+    write_member(out, "end", end)?;
+    write_member(out, "work", work)?;
+    out.push_str(",\"comms\":[");
+    for (i, &t) in comms.times().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_number(out, t as f64)?;
+    }
+    out.push(']');
+    Ok(())
 }
 
 /// Encodes a solution: makespan, scheduled-task count, and (when
@@ -872,55 +1005,15 @@ fn comms_to_json(comms: &CommVector) -> Json {
 /// vector (`"comms"`) and per-task work alongside the derived
 /// `start`/`end`, so a client can rebuild the exact witness — tree
 /// witnesses round-trip through [`tree_schedule_from_json`].
+///
+/// The result is an object of seven members. The `"schedule"` member is
+/// a [`Json::Raw`] that the schedule writer prints in one pass; the
+/// others stay tree members, so callers can append their own (`"cached"`,
+/// `"feasible"`, an NDJSON line's `"index"`).
 pub fn solution_to_json(solution: &Solution) -> Json {
     let schedule = match solution.schedule() {
         None => Json::Null,
-        Some(ScheduleRepr::Chain(s)) => Json::obj([
-            ("repr", Json::str("chain")),
-            (
-                "tasks",
-                Json::Arr(
-                    s.tasks()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| {
-                            Json::obj([
-                                ("task", Json::int(i as i64 + 1)),
-                                ("proc", Json::int(t.proc as i64)),
-                                ("start", Json::int(t.start)),
-                                ("end", Json::int(t.end())),
-                                ("work", Json::int(t.work)),
-                                ("comms", comms_to_json(&t.comms)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Some(ScheduleRepr::Spider(s)) => Json::obj([
-            ("repr", Json::str("spider")),
-            (
-                "tasks",
-                Json::Arr(
-                    s.tasks()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| {
-                            Json::obj([
-                                ("task", Json::int(i as i64 + 1)),
-                                ("leg", Json::int(t.node.leg as i64)),
-                                ("depth", Json::int(t.node.depth as i64)),
-                                ("start", Json::int(t.start)),
-                                ("end", Json::int(t.end())),
-                                ("work", Json::int(t.work)),
-                                ("comms", comms_to_json(&t.comms)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Some(ScheduleRepr::Tree(s)) => tree_schedule_to_json(s),
+        Some(schedule) => raw(solution.n(), |out| write_schedule(out, schedule)),
     };
     let relaxed = match solution.relaxed_makespan() {
         Some(t) => Json::Num(t),
@@ -1296,10 +1389,106 @@ mod tests {
     use crate::platform::Platform;
     use crate::registry::SolverRegistry;
 
-    /// The tree-walking decoders the one-pass reader replaced, kept as the
-    /// reference it is checked against.
+    /// The tree-building schedule encoder the schedule writer replaced,
+    /// and the tree-walking decoders the one-pass reader replaced, kept as
+    /// the references they are checked against.
     mod reference {
         use super::*;
+
+        /// [`super::solution_to_json`] with its schedule built as a tree.
+        pub(super) fn solution_to_json(solution: &Solution) -> Json {
+            let mut json = super::solution_to_json(solution);
+            if let (Json::Obj(members), Some(schedule)) = (&mut json, solution.schedule()) {
+                for (key, value) in members {
+                    if key == "schedule" {
+                        *value = schedule_to_json(schedule);
+                    }
+                }
+            }
+            json
+        }
+
+        fn schedule_to_json(schedule: &ScheduleRepr) -> Json {
+            match schedule {
+                ScheduleRepr::Chain(s) => Json::obj([
+                    ("repr", Json::str("chain")),
+                    (
+                        "tasks",
+                        Json::Arr(
+                            s.tasks()
+                                .iter()
+                                .enumerate()
+                                .map(|(i, t)| {
+                                    Json::obj([
+                                        ("task", Json::int(i as i64 + 1)),
+                                        ("proc", Json::int(t.proc as i64)),
+                                        ("start", Json::int(t.start)),
+                                        ("end", Json::int(t.end())),
+                                        ("work", Json::int(t.work)),
+                                        ("comms", comms_to_json(&t.comms)),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                ]),
+                ScheduleRepr::Spider(s) => Json::obj([
+                    ("repr", Json::str("spider")),
+                    (
+                        "tasks",
+                        Json::Arr(
+                            s.tasks()
+                                .iter()
+                                .enumerate()
+                                .map(|(i, t)| {
+                                    Json::obj([
+                                        ("task", Json::int(i as i64 + 1)),
+                                        ("leg", Json::int(t.node.leg as i64)),
+                                        ("depth", Json::int(t.node.depth as i64)),
+                                        ("start", Json::int(t.start)),
+                                        ("end", Json::int(t.end())),
+                                        ("work", Json::int(t.work)),
+                                        ("comms", comms_to_json(&t.comms)),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                ]),
+                ScheduleRepr::Tree(s) => tree_schedule_to_json(s),
+            }
+        }
+
+        pub(super) fn tree_schedule_to_json(schedule: &TreeSchedule) -> Json {
+            Json::obj([
+                ("repr", Json::str("tree")),
+                (
+                    "tasks",
+                    Json::Arr(
+                        schedule
+                            .tasks()
+                            .iter()
+                            .enumerate()
+                            .map(|(i, t)| {
+                                Json::obj([
+                                    ("task", Json::int(i as i64 + 1)),
+                                    ("node", Json::int(t.node as i64)),
+                                    ("start", Json::int(t.start)),
+                                    ("end", Json::int(t.end())),
+                                    ("work", Json::int(t.work)),
+                                    ("comms", comms_to_json(&t.comms)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ])
+        }
+
+        /// The emission times of a communication vector as a JSON array.
+        fn comms_to_json(comms: &CommVector) -> Json {
+            Json::Arr(comms.times().iter().map(|&t| Json::int(t)).collect())
+        }
 
         pub(super) fn tree_schedule_from_json(json: &Json) -> Result<TreeSchedule, WireError> {
             match json.get("repr").and_then(Json::as_str) {
@@ -1806,6 +1995,96 @@ mod tests {
                 .collect();
             assert_eq!(read_as_the_tree_does(&spaced), read_as_the_tree_does(&text));
         }
+    }
+
+    /// Hand-built witnesses of each repr with negative and zero times, and
+    /// times of 2^53 or more, which a JSON number prints rounded.
+    fn solutions_with_edge_times() -> Vec<Solution> {
+        const BIG: Time = 1 << 53;
+        let chain = ChainSchedule::new(vec![
+            TaskAssignment::new(1, 0, CommVector::new(vec![-5]), 0),
+            TaskAssignment::new(2, BIG + 1, CommVector::new(vec![-3, BIG - 1]), 1 << 60),
+        ]);
+        let spider = SpiderSchedule::new(vec![
+            SpiderTask::new(
+                NodeId { leg: 0, depth: 2 },
+                -BIG - 3,
+                CommVector::new(vec![0, BIG]),
+                -1,
+            ),
+            SpiderTask::new(NodeId { leg: 3, depth: 1 }, i64::MIN / 2, CommVector::new(vec![7]), 0),
+        ]);
+        let tree = TreeSchedule::new(vec![TreeTask::new(
+            4,
+            0,
+            CommVector::new(vec![-(BIG + 5), 0, 9 * BIG + 1]),
+            BIG,
+        )]);
+        vec![
+            Solution::from_chain("optimal", chain),
+            Solution::from_spider("optimal", spider),
+            Solution::from_tree("exact", tree),
+        ]
+    }
+
+    #[test]
+    fn the_writer_prints_every_schedule_as_the_tree_did() {
+        let mut solutions = solutions_of_every_shape();
+        let edge_times = solutions_with_edge_times();
+        solutions.extend(edge_times.iter().cloned());
+        let shapes = |pick: fn(&Solution) -> bool| solutions.iter().filter(|s| pick(s)).count();
+        assert!(shapes(|s| s.chain_schedule().is_some()) > 0);
+        assert!(shapes(|s| s.sub_platform().is_none() && s.spider_schedule().is_some()) > 0);
+        assert!(shapes(|s| s.sub_platform().is_some()) > 0);
+        assert!(shapes(|s| s.tree_schedule().is_some()) > 0);
+        assert!(shapes(|s| s.relaxed_makespan().is_some_and(|t| t.fract() != 0.0)) > 0);
+        assert!(shapes(|s| !s.is_witnessed() && s.relaxed_makespan().is_none()) > 0);
+        // Negative, zero, and 2^53 + 1 and -(2^53 + 3) printed rounded.
+        let edge_text: String =
+            edge_times.iter().map(|s| reference::solution_to_json(s).to_string()).collect();
+        for time in ["[-5]", ":0,", ":9007199254740992,", ":-9007199254740996,"] {
+            assert!(edge_text.contains(time), "{time} in {edge_text}");
+        }
+        for solution in &solutions {
+            let json = solution_to_json(solution);
+            let text = json.to_string();
+            assert_eq!(text, reference::solution_to_json(solution).to_string());
+            assert_eq!(Json::parse(&text).unwrap(), json, "{text}");
+            let tasks = json.get("schedule").and_then(|s| s.get("tasks")).and_then(Json::as_arr);
+            assert_eq!(tasks.map_or(0, <[Json]>::len), solution.n(), "{text}");
+            if let Some(tree) = solution.tree_schedule() {
+                let written = tree_schedule_to_json(tree);
+                assert_eq!(written.to_string(), reference::tree_schedule_to_json(tree).to_string());
+                assert_eq!(Some(&written), json.get("schedule"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_raw_value_answers_as_its_parsed_text() {
+        let instance = Instance::new(Platform::parse("chain\n2 3\n3 5\n").unwrap(), 5);
+        let solution = SolverRegistry::global().solve("optimal", &instance).unwrap();
+        let schedule = solution_to_json(&solution).get("schedule").unwrap().clone();
+        assert!(matches!(schedule, Json::Raw(_)));
+        let parsed = Json::parse(&schedule.to_string()).unwrap();
+        assert_eq!(schedule, parsed);
+        assert_eq!(parsed, schedule);
+        assert_eq!(schedule.as_obj(), parsed.as_obj());
+        assert_eq!(schedule.get("repr").and_then(Json::as_str), Some("chain"));
+        for other in [Json::Null, Json::Arr(Vec::new()), Json::obj([("repr", Json::str("chain"))])]
+        {
+            assert_ne!(schedule, other);
+        }
+        assert_eq!(schedule.as_arr(), None);
+        assert_eq!(schedule.as_f64(), None);
+        assert_eq!(schedule.as_bool(), None);
+        assert_eq!(schedule.as_str(), None);
+    }
+
+    /// Request decoding builds `Json` trees: a value stays four words.
+    #[test]
+    fn a_json_value_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Json>(), 32);
     }
 
     #[test]

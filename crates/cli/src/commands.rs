@@ -20,6 +20,7 @@ use mst_schedule::{check_chain, check_spider, gantt, metrics};
 use mst_verify::sim::{embed_chain, embed_spider, simulate};
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Write as _;
 
 /// What runs a command.
 type Command = fn(&Args) -> Result<String, String>;
@@ -437,8 +438,10 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     let server = mst_serve::Server::bind(config).map_err(|e| format!("cannot serve: {e}"))?;
     mst_serve::install_sigint_handler();
     // Announce readiness before blocking so scripts (and the CI smoke)
-    // know when to start talking to us.
-    println!("mst-serve listening on http://{} (ctrl-c to stop)", server.addr());
+    // know when to start talking to us. A banner nobody reads (a closed
+    // pipe) does not stop the server.
+    let banner = format!("mst-serve listening on http://{} (ctrl-c to stop)\n", server.addr());
+    let _ = std::io::stdout().write_all(banner.as_bytes());
     let report = server.run().map_err(|e| format!("server failed: {e}"))?;
     Ok(format!(
         "shut down after {} connection(s), {} request(s), {} instance(s) solved\n",

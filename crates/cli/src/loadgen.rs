@@ -527,19 +527,20 @@ pub fn run_load_with(
     let ticker = options.live_status.then(|| {
         let live = Arc::clone(&live);
         std::thread::spawn(move || {
+            // Stderr is unbuffered; a write that fails (a closed pipe) is
+            // dropped.
             while !live.done.load(Ordering::Acquire) {
-                eprint!(
+                let _ = write!(
+                    std::io::stderr(),
                     "\r  loadgen: {}/{total} sent, {} ok, {} errors   ",
                     live.sent.load(Ordering::Relaxed),
                     live.ok.load(Ordering::Relaxed),
                     live.errors.load(Ordering::Relaxed),
                 );
-                let _ = std::io::stderr().flush();
                 std::thread::sleep(Duration::from_millis(200));
             }
             // Blank the ticker line so the report starts on a clean row.
-            eprint!("\r{:64}\r", "");
-            let _ = std::io::stderr().flush();
+            let _ = write!(std::io::stderr(), "\r{:64}\r", "");
         })
     });
     let started = Instant::now();

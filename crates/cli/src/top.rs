@@ -114,13 +114,13 @@ pub fn cmd_top(args: &Args) -> Result<String, String> {
             // compose with --out-style redirection and tests.
             return Ok(frame);
         }
-        if tty {
-            // Clear + home keeps the tables anchored like top(1).
-            print!("\x1b[2J\x1b[H{frame}");
-        } else {
-            print!("{frame}");
+        let mut stdout = std::io::stdout();
+        // Clear + home keeps the tables anchored like top(1).
+        let clear = if tty { "\x1b[2J\x1b[H" } else { "" };
+        if write!(stdout, "{clear}{frame}").and_then(|()| stdout.flush()).is_err() {
+            // The reader has gone (a closed pipe): nothing is left to show.
+            return Ok(String::new());
         }
-        let _ = std::io::stdout().flush();
         std::thread::sleep(Duration::from_millis(interval_ms));
     }
 }

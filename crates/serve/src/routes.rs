@@ -622,8 +622,9 @@ fn render_solution(
 /// that produced the record. The failure flips the service's
 /// [`StoreHealth`](crate::server::StoreHealth) to degraded — visible in
 /// `/healthz` and `/metrics` — and subsequent appends inside the
-/// bounded-backoff window are skipped outright (a dead disk must not
-/// tax every solve with an I/O timeout). The first probe that succeeds
+/// bounded-backoff window are skipped outright, before their record is
+/// built (a dead disk must not tax every solve with an I/O timeout, nor
+/// with encoding a record it drops). The first probe that succeeds
 /// clears the state; records solved while degraded are simply absent
 /// from history, which warm start already tolerates. A record the store
 /// refuses as such (too large for a frame, or an integer a frame cannot
@@ -637,6 +638,9 @@ fn append_record(
     elapsed_us: u64,
 ) {
     let Some(store) = &state.store else { return };
+    if !state.store_health.should_attempt() {
+        return;
+    }
     let _store_span = mst_obs::span(mst_obs::Stage::Store);
     let record = Record {
         tenant: tenant.policy().name.clone(),
@@ -650,9 +654,6 @@ fn append_record(
         elapsed_us,
         solution: solution_to_json(canonical),
     };
-    if !state.store_health.should_attempt() {
-        return;
-    }
     match store.append(&record) {
         Ok(()) => {
             state.store_health.record_success();
