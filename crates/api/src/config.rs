@@ -47,9 +47,9 @@
 //! worker pool. `/session` takes no `"registry"` field; an
 //! `X-Api-Token` header picks the tenant instead.
 //!
-//! Since the execution-policy redesign a registry spec is a full
-//! **tenant spec**: alongside the solver layering it may carry
-//! execution limits ([`TenantLimits`]) that `mst-serve` turns into a
+//! A registry spec is a full **tenant spec**: alongside the solver
+//! layering it may carry execution limits. [`RegistrySet::parse`] reads
+//! each tenant spec into one [`ExecPolicy`], which `mst-serve` runs as a
 //! per-tenant [`crate::exec::TenantExec`]:
 //!
 //! ```json
@@ -92,6 +92,7 @@
 //! interned once into a process-wide leak-free-enough pool — config
 //! loading happens at startup, not per request.
 
+use crate::exec::{ExecPolicy, RateLimit};
 use crate::registry::SolverRegistry;
 use crate::solver::Solver;
 use crate::solvers::{
@@ -104,6 +105,7 @@ use mst_platform::Time;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Why a solver configuration could not be parsed or built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,7 +230,7 @@ fn check_keys(obj: &Json, allowed: &[&str], what: &str) -> Result<(), ConfigErro
 }
 
 /// The execution-limit keys a tenant spec may carry alongside its
-/// registry layering (see [`TenantLimits`]).
+/// registry layering (see [`policy_from_spec`]).
 const EXEC_KEYS: [&str; 8] = [
     "token",
     "threads",
@@ -240,44 +242,11 @@ const EXEC_KEYS: [&str; 8] = [
     "window_ms",
 ];
 
-/// Execution limits of one tenant spec: everything about *how much
-/// machine* a tenant gets, as opposed to *which solvers* it sees.
-///
-/// All fields are optional; `None` means "the service default" (shared
-/// pool, unlimited admission, the server-wide instance cap, no
-/// per-request deadline budget). `mst-serve` resolves a parsed
-/// `TenantLimits` into an executable policy via
-/// [`crate::exec::ExecPolicy`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TenantLimits {
-    /// `X-Api-Token` header value routing to this tenant (defaults to
-    /// the tenant's configured name).
-    pub token: Option<String>,
-    /// Dedicated worker-pool parallelism; `None` shares the fallback
-    /// pool.
-    pub threads: Option<usize>,
-    /// Max concurrently admitted requests; `None` is unlimited.
-    pub quota: Option<usize>,
-    /// Per-request instance cap; `None` defers to the server-wide cap.
-    pub max_instances: Option<usize>,
-    /// Per-request wall-clock budget in milliseconds; `None` never
-    /// self-cancels.
-    pub deadline_ms: Option<u64>,
-    /// Canonical solution-cache capacity in entries; `Some(0)` disables
-    /// caching, `None` uses [`crate::cache::DEFAULT_CACHE_ENTRIES`].
-    pub cache_entries: Option<usize>,
-    /// Time-windowed rate limit: requests admitted per
-    /// [`TenantLimits::window_ms`] window; `None` is unlimited.
-    pub requests_per_window: Option<u64>,
-    /// The rate-limit window in milliseconds; `None` with a rate set
-    /// uses a one-second window. Setting a window without
-    /// `requests_per_window` is a config error.
-    pub window_ms: Option<u64>,
-}
-
-/// Parses the [`TenantLimits`] members of a tenant spec (each optional,
-/// each strictly positive where numeric).
-fn limits_from_spec(spec: &Json) -> Result<TenantLimits, ConfigError> {
+/// Parses one tenant spec into the policy of tenant `name`: the registry
+/// from [`registry_from_spec`], and each limit key (optional, strictly
+/// positive where numeric) into the policy field it sets.
+fn policy_from_spec(name: &str, spec: &Json) -> Result<ExecPolicy, ConfigError> {
+    let registry = registry_from_spec(spec)?;
     let positive = |key: &'static str| -> Result<Option<u64>, ConfigError> {
         match spec.get(key) {
             None | Some(Json::Null) => Ok(None),
@@ -314,21 +283,26 @@ fn limits_from_spec(spec: &Json) -> Result<TenantLimits, ConfigError> {
             "\"window_ms\" without \"requests_per_window\" limits nothing; set both",
         ));
     }
-    Ok(TenantLimits {
+    Ok(ExecPolicy {
+        name: name.to_string(),
         token,
+        registry,
         threads: positive("threads")?.map(|n| n as usize),
         quota: positive("quota")?.map(|n| n as usize),
         max_instances: positive("max_instances")?.map(|n| n as usize),
-        deadline_ms: positive("deadline_ms")?,
+        deadline: positive("deadline_ms")?.map(Duration::from_millis),
         cache_entries,
-        requests_per_window,
-        window_ms,
+        // The window defaults to one second when only the rate is set.
+        rate: requests_per_window.map(|requests| RateLimit {
+            requests,
+            window: Duration::from_millis(window_ms.unwrap_or(1_000)),
+        }),
     })
 }
 
 /// Builds one [`SolverRegistry`] from a registry-spec object (the
 /// solver-layering half of a tenant spec; execution-limit keys are
-/// accepted and handled by [`TenantLimits`] parsing).
+/// accepted here and read by [`RegistrySet::parse`]).
 pub fn registry_from_spec(spec: &Json) -> Result<SolverRegistry, ConfigError> {
     if spec.as_obj().is_none() {
         return Err(ConfigError::new("a registry spec must be a JSON object"));
@@ -430,14 +404,13 @@ pub fn registry_from_spec(spec: &Json) -> Result<SolverRegistry, ConfigError> {
     Ok(registry)
 }
 
-/// A set of config-built tenants: one default plus named per-tenant
-/// registries with execution limits, as served by `mst serve
-/// --solvers-config`.
+/// A set of config-built tenants, as served by `mst serve
+/// --solvers-config`: the default tenant's policy, named `"default"`,
+/// plus the named tenants' policies in config order.
 #[derive(Debug, Clone)]
 pub struct RegistrySet {
-    default: SolverRegistry,
-    default_limits: TenantLimits,
-    named: Vec<(String, SolverRegistry, TenantLimits)>,
+    default: ExecPolicy,
+    named: Vec<ExecPolicy>,
 }
 
 impl RegistrySet {
@@ -450,11 +423,7 @@ impl RegistrySet {
     /// limits, with no named tenants: how an embedder serves solvers
     /// of its own.
     pub fn of(registry: SolverRegistry) -> RegistrySet {
-        RegistrySet {
-            default: registry,
-            default_limits: TenantLimits::default(),
-            named: Vec::new(),
-        }
+        RegistrySet { default: ExecPolicy::new("default", registry), named: Vec::new() }
     }
 
     /// Parses a config document. Two shapes are accepted:
@@ -468,97 +437,70 @@ impl RegistrySet {
             return Err(ConfigError::new("the config must be a JSON object"));
         }
         let is_set = json.get("default").is_some() || json.get("registries").is_some();
-        if !is_set {
+        let default = if is_set {
+            check_keys(&json, &["default", "registries"], "config")?;
+            match json.get("default") {
+                Some(spec) => policy_from_spec("default", spec)
+                    .map_err(|e| ConfigError::new(format!("\"default\": {}", e.message)))?,
+                None => ExecPolicy::new("default", SolverRegistry::global().clone()),
+            }
+        } else {
             // A bare registry spec; its own key whitelist rejects typos
             // like "registeries" instead of silently dropping tenants.
-            let set = RegistrySet {
-                default: registry_from_spec(&json)?,
-                default_limits: limits_from_spec(&json)?,
-                named: Vec::new(),
-            };
-            if let Some(token) = &set.default_limits.token {
-                return Err(ConfigError::new(format!(
-                    "the default tenant takes no \"token\" ({token:?} would shadow anonymous \
-                     requests); give the tenant a name under \"registries\""
-                )));
-            }
-            return Ok(set);
-        }
-        check_keys(&json, &["default", "registries"], "config")?;
-        let (default, default_limits) = match json.get("default") {
-            Some(spec) => {
-                let at = |e: ConfigError| ConfigError::new(format!("\"default\": {}", e.message));
-                (registry_from_spec(spec).map_err(at)?, limits_from_spec(spec).map_err(at)?)
-            }
-            None => (SolverRegistry::global().clone(), TenantLimits::default()),
+            policy_from_spec("default", &json)?
         };
-        if let Some(token) = &default_limits.token {
+        if let Some(token) = &default.token {
             return Err(ConfigError::new(format!(
                 "the default tenant takes no \"token\" ({token:?} would shadow anonymous \
                  requests); give the tenant a name under \"registries\""
             )));
         }
-        let mut named: Vec<(String, SolverRegistry, TenantLimits)> = Vec::new();
+        let mut named: Vec<ExecPolicy> = Vec::new();
         if let Some(registries) = json.get("registries") {
             let members = registries
                 .as_obj()
                 .ok_or_else(|| ConfigError::new("\"registries\" must be an object"))?;
             for (name, spec) in members {
-                if name == "default" || named.iter().any(|(n, _, _)| n == name) {
+                if name == "default" || named.iter().any(|p| &p.name == name) {
                     return Err(ConfigError::new(format!("registry {name:?} defined twice")));
                 }
-                let at =
-                    |e: ConfigError| ConfigError::new(format!("registry {name:?}: {}", e.message));
-                let registry = registry_from_spec(spec).map_err(at)?;
-                let limits = limits_from_spec(spec).map_err(at)?;
+                let policy = policy_from_spec(name, spec)
+                    .map_err(|e| ConfigError::new(format!("registry {name:?}: {}", e.message)))?;
                 // Effective tokens must be unambiguous: two tenants
                 // answering the same `X-Api-Token` value cannot both
                 // win the route.
-                let token = limits.token.as_deref().unwrap_or(name);
-                if let Some((other, _, _)) =
-                    named.iter().find(|(n, _, l)| l.token.as_deref().unwrap_or(n) == token)
-                {
+                let token = policy.effective_token();
+                if let Some(other) = named.iter().find(|p| p.effective_token() == token) {
                     return Err(ConfigError::new(format!(
-                        "tenants {other:?} and {name:?} share the API token {token:?}"
+                        "tenants {:?} and {name:?} share the API token {token:?}",
+                        other.name
                     )));
                 }
-                named.push((name.clone(), registry, limits));
+                named.push(policy);
             }
         }
-        Ok(RegistrySet { default, default_limits, named })
+        Ok(RegistrySet { default, named })
     }
 
-    /// The default registry (requests that pin nothing).
-    pub fn default_registry(&self) -> &SolverRegistry {
+    /// The default tenant's policy (requests that name no tenant).
+    pub fn default_policy(&self) -> &ExecPolicy {
         &self.default
     }
 
-    /// The default tenant's execution limits (anonymous requests).
-    pub fn default_limits(&self) -> &TenantLimits {
-        &self.default_limits
-    }
-
-    /// A named tenant registry; `None` (not the default!) when unknown,
+    /// A named tenant's policy; `None` (not the default!) when unknown,
     /// so callers can distinguish a typo from an intentional fallback.
-    pub fn get(&self, name: &str) -> Option<&SolverRegistry> {
-        self.named.iter().find(|(n, _, _)| n == name).map(|(_, r, _)| r)
+    pub fn get(&self, name: &str) -> Option<&ExecPolicy> {
+        self.named.iter().find(|p| p.name == name)
     }
 
-    /// A named tenant's execution limits.
-    pub fn limits(&self, name: &str) -> Option<&TenantLimits> {
-        self.named.iter().find(|(n, _, _)| n == name).map(|(_, _, l)| l)
+    /// The named tenants' policies, in config order.
+    pub fn named(&self) -> &[ExecPolicy] {
+        &self.named
     }
 
     /// The tenant registry names, in config order.
     pub fn names(&self) -> Vec<&str> {
-        self.named.iter().map(|(n, _, _)| n.as_str()).collect()
-    }
-
-    /// Every named tenant as `(name, registry, limits)`, in config
-    /// order — what `mst-serve` and `mst tenants` resolve policies
-    /// from.
-    pub fn tenants(&self) -> impl Iterator<Item = (&str, &SolverRegistry, &TenantLimits)> {
-        self.named.iter().map(|(n, r, l)| (n.as_str(), r, l))
+        self.named.iter().map(|p| p.name.as_str()).collect()
     }
 }
 
@@ -672,7 +614,7 @@ mod tests {
         // A bare spec is the default registry.
         let set = RegistrySet::parse(r#"{"base": "defaults"}"#).unwrap();
         assert!(set.names().is_empty());
-        assert_eq!(set.default_registry().names(), SolverRegistry::global().names());
+        assert_eq!(set.default_policy().registry.names(), SolverRegistry::global().names());
 
         // A full set with tenants.
         let set = RegistrySet::parse(
@@ -686,13 +628,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(set.names(), vec!["lean", "aliased"]);
-        assert!(set.default_registry().get("random-9").is_some());
-        assert_eq!(set.get("lean").unwrap().names(), vec!["optimal", "exact"]);
-        assert!(set.get("aliased").unwrap().get("best").is_some());
+        assert!(set.default_policy().registry.get("random-9").is_some());
+        assert_eq!(set.get("lean").unwrap().registry.names(), vec!["optimal", "exact"]);
+        assert!(set.get("aliased").unwrap().registry.get("best").is_some());
         assert!(set.get("nope").is_none());
 
         // The builtin set is the no-config fallback.
-        assert_eq!(RegistrySet::builtin().default_registry().len(), SolverRegistry::global().len());
+        let builtin = RegistrySet::builtin();
+        assert_eq!(builtin.default_policy().registry.len(), SolverRegistry::global().len());
+        assert_eq!(builtin.default_policy().name, "default");
     }
 
     #[test]
@@ -726,28 +670,41 @@ mod tests {
                         "threads": 2,
                         "quota": 4,
                         "max_instances": 50000,
-                        "deadline_ms": 2000
+                        "deadline_ms": 2000,
+                        "cache_entries": 128,
+                        "requests_per_window": 40,
+                        "window_ms": 500
                     },
                     "lab": {"base": "empty", "solvers": [{"solver": "optimal"}]}
                 }
             }"#,
         )
         .unwrap();
-        assert_eq!(set.default_limits().quota, Some(16));
-        assert_eq!(set.default_limits().token, None);
-        let acme = set.limits("acme").unwrap();
-        assert_eq!(acme.token.as_deref(), Some("acme-secret"));
+        assert_eq!(set.default_policy().quota, Some(16));
+        assert_eq!(set.default_policy().token, None);
+        let acme = set.get("acme").unwrap();
+        assert_eq!(acme.name, "acme");
+        assert_eq!(acme.effective_token(), "acme-secret");
         assert_eq!(acme.threads, Some(2));
         assert_eq!(acme.quota, Some(4));
         assert_eq!(acme.max_instances, Some(50_000));
-        assert_eq!(acme.deadline_ms, Some(2000));
-        // Limits default to None everywhere they are omitted.
-        assert_eq!(set.limits("lab"), Some(&TenantLimits::default()));
-        assert!(set.limits("nope").is_none());
-        let tenants: Vec<&str> = set.tenants().map(|(n, _, _)| n).collect();
+        assert_eq!(acme.deadline, Some(Duration::from_millis(2000)));
+        assert_eq!(acme.cache_entries, Some(128));
+        assert_eq!(acme.rate, Some(RateLimit { requests: 40, window: Duration::from_millis(500) }));
+        // Limits default to None everywhere they are omitted, and the
+        // name is the fallback token.
+        let lab = set.get("lab").unwrap();
+        assert_eq!(
+            (lab.token.as_ref(), lab.threads, lab.quota, lab.max_instances),
+            (None, None, None, None)
+        );
+        assert_eq!((lab.deadline, lab.cache_entries, lab.rate), (None, None, None));
+        assert_eq!(lab.effective_token(), "lab");
+        assert!(set.get("nope").is_none());
+        let tenants: Vec<&str> = set.named().iter().map(|p| p.name.as_str()).collect();
         assert_eq!(tenants, vec!["acme", "lab"]);
         // The registry half of the tenant spec still applies.
-        assert_eq!(set.get("acme").unwrap().names(), vec!["optimal", "exact"]);
+        assert_eq!(acme.registry.names(), vec!["optimal", "exact"]);
     }
 
     #[test]
@@ -777,10 +734,10 @@ mod tests {
         }
         // A bare spec may carry limits too (they apply to the default).
         let bare = RegistrySet::parse(r#"{"base": "defaults", "quota": 3}"#).unwrap();
-        assert_eq!(bare.default_limits().quota, Some(3));
+        assert_eq!(bare.default_policy().quota, Some(3));
         // cache_entries: 0 is valid — it disables the tenant's cache.
         let off = RegistrySet::parse(r#"{"registries": {"a": {"cache_entries": 0}}}"#).unwrap();
-        assert_eq!(off.limits("a").unwrap().cache_entries, Some(0));
+        assert_eq!(off.get("a").unwrap().cache_entries, Some(0));
     }
 
     #[test]
@@ -789,13 +746,13 @@ mod tests {
             r#"{"registries": {"a": {"requests_per_window": 100, "window_ms": 250}}}"#,
         )
         .unwrap();
-        let limits = set.limits("a").unwrap();
-        assert_eq!(limits.requests_per_window, Some(100));
-        assert_eq!(limits.window_ms, Some(250));
-        // The window defaults (to one second) when only the rate is set.
+        let rate = set.get("a").unwrap().rate;
+        assert_eq!(rate, Some(RateLimit { requests: 100, window: Duration::from_millis(250) }));
+        // The window defaults to one second when only the rate is set.
         let rate_only =
             RegistrySet::parse(r#"{"registries": {"a": {"requests_per_window": 5}}}"#).unwrap();
-        assert_eq!(rate_only.limits("a").unwrap().window_ms, None);
+        let rate = rate_only.get("a").unwrap().rate;
+        assert_eq!(rate, Some(RateLimit { requests: 5, window: Duration::from_secs(1) }));
         for (text, needle) in [
             (r#"{"registries": {"a": {"requests_per_window": 0}}}"#, "positive"),
             (r#"{"registries": {"a": {"window_ms": -5, "requests_per_window": 1}}}"#, "positive"),

@@ -5,9 +5,12 @@
 //! thread budgets, admission control, per-request deadline budgets and
 //! cooperative cancellation — as a first-class API:
 //!
-//! * [`ExecPolicy`] — the resolved policy bundle: a registry, an
-//!   optional dedicated worker-thread budget, an admission quota, a
-//!   per-request instance cap and a wall-clock deadline budget;
+//! * [`ExecPolicy`] — one tenant's policy: its name and token, a
+//!   registry, an optional dedicated worker-thread budget, an admission
+//!   quota, a per-request instance cap, a wall-clock deadline budget, a
+//!   cache size and a rate limit. [`crate::RegistrySet::parse`] reads
+//!   each config tenant spec straight into one; embedders build their
+//!   own with [`ExecPolicy::new`] and its builder methods;
 //! * [`TenantExec`] — a policy made executable: it owns the tenant's
 //!   [`Batch`] engine (over a **dedicated** [`WorkerPool`] when the
 //!   policy budgets threads, the shared fallback pool otherwise), an
@@ -50,7 +53,6 @@
 
 use crate::batch::Batch;
 use crate::cache::{SolutionCache, DEFAULT_CACHE_ENTRIES};
-use crate::config::TenantLimits;
 use crate::registry::SolverRegistry;
 use mst_sim::{CancelToken, WorkerPool};
 use std::fmt;
@@ -118,28 +120,6 @@ impl ExecPolicy {
             deadline: None,
             cache_entries: None,
             rate: None,
-        }
-    }
-
-    /// A policy resolved from a parsed config tenant spec.
-    pub fn from_limits(
-        name: impl Into<String>,
-        registry: SolverRegistry,
-        limits: &TenantLimits,
-    ) -> ExecPolicy {
-        ExecPolicy {
-            name: name.into(),
-            token: limits.token.clone(),
-            registry,
-            threads: limits.threads,
-            quota: limits.quota,
-            max_instances: limits.max_instances,
-            deadline: limits.deadline_ms.map(Duration::from_millis),
-            cache_entries: limits.cache_entries,
-            rate: limits.requests_per_window.map(|requests| RateLimit {
-                requests,
-                window: Duration::from_millis(limits.window_ms.unwrap_or(1_000)),
-            }),
         }
     }
 
@@ -504,6 +484,47 @@ mod tests {
     }
 
     #[test]
+    fn policies_resolve_from_config_limits() {
+        let set = crate::config::RegistrySet::parse(
+            r#"{"registries": {
+                "acme": {
+                    "token": "key",
+                    "threads": 2,
+                    "quota": 3,
+                    "max_instances": 1000,
+                    "deadline_ms": 250,
+                    "cache_entries": 128,
+                    "requests_per_window": 40,
+                    "window_ms": 500
+                },
+                "x": {"requests_per_window": 7}
+            }}"#,
+        )
+        .unwrap();
+        let p = set.get("acme").unwrap().clone();
+        assert_eq!(p.effective_token(), "key");
+        assert_eq!(p.threads, Some(2));
+        assert_eq!(p.quota, Some(3));
+        assert_eq!(p.max_instances, Some(1000));
+        assert_eq!(p.deadline, Some(Duration::from_millis(250)));
+        assert_eq!(p.cache_entries, Some(128));
+        assert_eq!(
+            p.rate,
+            Some(RateLimit { requests: 40, window: Duration::from_millis(500) }),
+            "rate limits resolve from the config keys"
+        );
+        // The window defaults to one second when only the rate is set.
+        let q = set.get("x").unwrap();
+        assert_eq!(q.rate, Some(RateLimit { requests: 7, window: Duration::from_secs(1) }));
+        assert_eq!(TenantExec::new(p, shared_pool()).cache().capacity(), 128);
+        // The name is the fallback token.
+        let bare = ExecPolicy::new("acme", SolverRegistry::global().clone());
+        assert_eq!(bare.effective_token(), "acme");
+        let token = TenantExec::new(bare, shared_pool()).cancel_token();
+        assert!(token.deadline().is_none(), "no budget, no deadline");
+    }
+
+    #[test]
     fn quota_slots_are_taken_released_and_reusable() {
         let exec = TenantExec::new(policy().quota(2), shared_pool());
         let a = exec.admit().unwrap();
@@ -627,41 +648,5 @@ mod tests {
         // The engine is fully reusable after a cancelled sweep.
         let again = exec.batch().solve_all(&instances[..64]);
         assert!(again.iter().all(|r| r.is_ok()));
-    }
-
-    #[test]
-    fn policies_resolve_from_config_limits() {
-        let limits = TenantLimits {
-            token: Some("key".into()),
-            threads: Some(2),
-            quota: Some(3),
-            max_instances: Some(1000),
-            deadline_ms: Some(250),
-            cache_entries: Some(128),
-            requests_per_window: Some(40),
-            window_ms: Some(500),
-        };
-        let p = ExecPolicy::from_limits("acme", SolverRegistry::global().clone(), &limits);
-        assert_eq!(p.effective_token(), "key");
-        assert_eq!(p.threads, Some(2));
-        assert_eq!(p.quota, Some(3));
-        assert_eq!(p.max_instances, Some(1000));
-        assert_eq!(p.deadline, Some(Duration::from_millis(250)));
-        assert_eq!(p.cache_entries, Some(128));
-        assert_eq!(
-            p.rate,
-            Some(RateLimit { requests: 40, window: Duration::from_millis(500) }),
-            "rate limits resolve from the config keys"
-        );
-        // The window defaults to one second when only the rate is set.
-        let rate_only = TenantLimits { requests_per_window: Some(7), ..TenantLimits::default() };
-        let q = ExecPolicy::from_limits("x", SolverRegistry::global().clone(), &rate_only);
-        assert_eq!(q.rate, Some(RateLimit { requests: 7, window: Duration::from_secs(1) }));
-        assert_eq!(TenantExec::new(p, shared_pool()).cache().capacity(), 128);
-        // The name is the fallback token.
-        let bare = ExecPolicy::new("acme", SolverRegistry::global().clone());
-        assert_eq!(bare.effective_token(), "acme");
-        let token = TenantExec::new(bare, shared_pool()).cancel_token();
-        assert!(token.deadline().is_none(), "no budget, no deadline");
     }
 }

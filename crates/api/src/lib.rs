@@ -4,7 +4,8 @@
 //! entry point:
 //!
 //! * [`Platform`] — chain, fork, spider or tree, with uniform
-//!   construction, validation, accessors and text-format round-trip;
+//!   construction, validation, accessors and a text-format round-trip
+//!   ([`mod@format`]);
 //! * [`Instance`] — a platform plus a task budget;
 //! * [`Solver`] — `solve(&Instance) -> Result<Solution, SolveError>`,
 //!   with a [`Solver::by_deadline`] capability flag for the paper's
@@ -70,6 +71,7 @@ pub mod config;
 pub mod error;
 pub mod exec;
 pub mod fleet;
+pub mod format;
 pub mod instance;
 pub mod platform;
 pub mod registry;
@@ -82,7 +84,7 @@ pub mod wire;
 pub use batch::{Batch, BatchSummary};
 pub use cache::{CacheKey, CachedSolve, SolutionCache};
 pub use canon::{CanonLevel, CanonicalInstance};
-pub use config::{ConfigError, RegistrySet, TenantLimits};
+pub use config::{ConfigError, RegistrySet};
 pub use error::SolveError;
 pub use exec::{AdmissionError, AdmitGuard, ExecPolicy, TenantExec, TenantStats};
 pub use instance::Instance;

@@ -1,6 +1,8 @@
-//! The unified [`Platform`] type: one value over every topology.
+//! The unified [`Platform`] type: one value over every topology, with
+//! uniform construction, validation and accessors. Its line-oriented
+//! text form, [`Platform::parse`] and [`Platform::to_text`], is
+//! documented in [`crate::format`].
 
-use mst_platform::format::{self, Instance as TextInstance};
 use mst_platform::{Chain, Fork, PlatformError, Processor, Spider, Time, Tree};
 use std::fmt;
 
@@ -78,18 +80,6 @@ impl Platform {
     /// Builds a tree platform from `(parent, c, w)` triples.
     pub fn tree(triples: &[(usize, Time, Time)]) -> Result<Platform, PlatformError> {
         Ok(Platform::Tree(Tree::from_triples(triples)?))
-    }
-
-    /// Parses a platform from the workspace's instance text format
-    /// (see [`mst_platform::format`]).
-    pub fn parse(text: &str) -> Result<Platform, PlatformError> {
-        Ok(format::parse(text)?.into())
-    }
-
-    /// Serialises the platform to the instance text format; the result
-    /// round-trips through [`Platform::parse`].
-    pub fn to_text(&self) -> String {
-        format::to_text(&self.clone().into())
     }
 
     /// The topology family.
@@ -242,28 +232,6 @@ impl From<Spider> for Platform {
 impl From<Tree> for Platform {
     fn from(t: Tree) -> Platform {
         Platform::Tree(t)
-    }
-}
-
-impl From<TextInstance> for Platform {
-    fn from(inst: TextInstance) -> Platform {
-        match inst {
-            TextInstance::Chain(c) => Platform::Chain(c),
-            TextInstance::Fork(f) => Platform::Fork(f),
-            TextInstance::Spider(s) => Platform::Spider(s),
-            TextInstance::Tree(t) => Platform::Tree(t),
-        }
-    }
-}
-
-impl From<Platform> for TextInstance {
-    fn from(p: Platform) -> TextInstance {
-        match p {
-            Platform::Chain(c) => TextInstance::Chain(c),
-            Platform::Fork(f) => TextInstance::Fork(f),
-            Platform::Spider(s) => TextInstance::Spider(s),
-            Platform::Tree(t) => TextInstance::Tree(t),
-        }
     }
 }
 

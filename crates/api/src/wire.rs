@@ -30,9 +30,6 @@
 //! * [`read_object`] — the members of an object, each parsed or skipped
 //!   where it stands, for readers that need only some of them (the
 //!   store's frame check);
-//! * [`summary_to_json`] / [`summary_from_json`] — the
-//!   [`BatchSummary`] codec behind `/batch` replies (lossless,
-//!   `cache_hits` included);
 //! * [`tree_schedule_to_json`] / [`tree_schedule_from_json`] — the
 //!   round-trip for the universal tree witness format, validating types
 //!   without trusting the payload (feasibility stays the oracle's job);
@@ -69,7 +66,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::BatchSummary;
 use crate::error::SolveError;
 use crate::instance::Instance;
 use crate::platform::Platform;
@@ -1020,7 +1016,7 @@ pub fn solution_to_json(solution: &Solution) -> Json {
         None => Json::Null,
     };
     let cover = match solution.sub_platform() {
-        Some(spider) => Json::str(Platform::Spider(spider.clone()).to_text()),
+        Some(spider) => Json::str(crate::format::spider_text(spider)),
         None => Json::Null,
     };
     Json::obj([
@@ -1311,50 +1307,6 @@ pub fn solution_from_text(text: &str) -> Result<Solution, WireError> {
 /// same path as a stored one.
 pub fn solution_from_json(json: &Json) -> Result<Solution, WireError> {
     solution_from_text(&json.to_string())
-}
-
-/// Encodes a [`BatchSummary`] — the `"summary"` member of `/batch`
-/// replies and NDJSON trailer lines.
-pub fn summary_to_json(summary: &BatchSummary) -> Json {
-    Json::obj([
-        ("solved", Json::int(summary.solved as i64)),
-        ("failed", Json::int(summary.failed as i64)),
-        ("cancelled", Json::int(summary.cancelled as i64)),
-        ("cache_hits", Json::int(summary.cache_hits as i64)),
-        ("total_tasks", Json::int(summary.total_tasks as i64)),
-        ("total_makespan", Json::int(summary.total_makespan)),
-        ("max_makespan", Json::int(summary.max_makespan)),
-    ])
-}
-
-/// Decodes a [`summary_to_json`] body. Counters must be non-negative
-/// integers; `cache_hits` is optional (pre-cache producers omit it).
-pub fn summary_from_json(json: &Json) -> Result<BatchSummary, WireError> {
-    let count = |key: &str| -> Result<usize, WireError> {
-        match json.get(key) {
-            None if key == "cache_hits" => Ok(0),
-            value => {
-                value.and_then(Json::as_i64).filter(|&n| n >= 0).map(|n| n as usize).ok_or_else(
-                    || WireError::new(format!("missing non-negative integer field \"{key}\"")),
-                )
-            }
-        }
-    };
-    Ok(BatchSummary {
-        solved: count("solved")?,
-        failed: count("failed")?,
-        cancelled: count("cancelled")?,
-        cache_hits: count("cache_hits")?,
-        total_tasks: count("total_tasks")?,
-        total_makespan: json
-            .get("total_makespan")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| WireError::new("missing integer field \"total_makespan\""))?,
-        max_makespan: json
-            .get("max_makespan")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| WireError::new("missing integer field \"max_makespan\""))?,
-    })
 }
 
 /// The stable machine-readable kind string of a [`SolveError`], used by
@@ -2203,38 +2155,6 @@ mod tests {
                 let _ = read_as_the_tree_does(std::str::from_utf8(&bytes).unwrap());
             }
             bytes[at] = was;
-        }
-    }
-
-    #[test]
-    fn summaries_round_trip_and_validate() {
-        let summary = BatchSummary {
-            solved: 7,
-            failed: 2,
-            cancelled: 1,
-            cache_hits: 4,
-            total_tasks: 35,
-            total_makespan: 480,
-            max_makespan: 99,
-        };
-        let json = summary_to_json(&summary);
-        let back = summary_from_json(&Json::parse(&json.to_string()).unwrap()).unwrap();
-        assert_eq!(back, summary);
-        // cache_hits is optional for pre-cache producers.
-        let legacy = Json::parse(
-            r#"{"solved": 1, "failed": 0, "cancelled": 0,
-                "total_tasks": 5, "total_makespan": 14, "max_makespan": 14}"#,
-        )
-        .unwrap();
-        assert_eq!(summary_from_json(&legacy).unwrap().cache_hits, 0);
-        for body in [
-            r#"{}"#,
-            r#"{"solved": -1, "failed": 0, "cancelled": 0, "cache_hits": 0,
-                "total_tasks": 0, "total_makespan": 0, "max_makespan": 0}"#,
-            r#"{"solved": 1, "failed": 0, "cancelled": 0, "cache_hits": 0,
-                "total_tasks": 0, "max_makespan": 0}"#,
-        ] {
-            assert!(summary_from_json(&Json::parse(body).unwrap()).is_err(), "{body}");
         }
     }
 

@@ -98,19 +98,7 @@ impl ChaosReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            // Escape the bare minimum for a valid JSON string.
-            let escaped: String = violation
-                .chars()
-                .map(|c| match c {
-                    '"' => "\\\"".to_string(),
-                    '\\' => "\\\\".to_string(),
-                    '\n' => "\\n".to_string(),
-                    c => c.to_string(),
-                })
-                .collect();
-            out.push('"');
-            out.push_str(&escaped);
-            out.push('"');
+            write!(out, "{}", mst_api::wire::quoted(violation)).unwrap();
         }
         writeln!(out, "], \"ok\": {}}}}}", self.violations.is_empty()).unwrap();
         out
@@ -403,6 +391,16 @@ mod tests {
         assert!(json.contains("quote \\\" backslash \\\\ newline \\n done"), "{json}");
         report.violations.clear();
         assert!(report.to_json().contains("\"ok\": true"));
+    }
+
+    #[test]
+    fn violations_quoting_control_characters_stay_valid_json() {
+        use mst_api::wire::Json;
+        let violation = "reply \"HTTP/1.1 500\r\n\tbody\u{1}\" at C:\\log";
+        let report = ChaosReport { violations: vec![violation.into()], ..ChaosReport::default() };
+        let json = Json::parse(&report.to_json()).expect("the report is valid JSON");
+        let listed = json.get("chaos").and_then(|c| c.get("violations")).and_then(Json::as_arr);
+        assert_eq!(listed.and_then(|v| v.first()).and_then(Json::as_str), Some(violation));
     }
 
     #[test]

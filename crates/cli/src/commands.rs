@@ -10,7 +10,6 @@
 
 use crate::args::Args;
 use mst_api::{Batch, Instance, Platform, ScheduleRepr, SolverRegistry, TopologyKind};
-use mst_platform::format::to_text;
 use mst_platform::{HeterogeneityProfile, Spider, Tree};
 use mst_schedule::format::{
     chain_schedule_from_text, chain_schedule_to_text, spider_schedule_from_text,
@@ -21,6 +20,7 @@ use mst_verify::sim::{embed_chain, embed_spider, simulate};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
+use std::sync::Arc;
 
 /// What runs a command.
 type Command = fn(&Args) -> Result<String, String>;
@@ -292,12 +292,13 @@ fn cmd_solvers(args: &Args) -> Result<String, String> {
     let registry = match (&set, args.opt("registry")) {
         (None, Some(_)) => return Err("--registry needs --config".into()),
         (None, None) => SolverRegistry::global().clone(),
-        (Some(set), None) => set.default_registry().clone(),
+        (Some(set), None) => set.default_policy().registry.clone(),
         (Some(set), Some(name)) => set
             .get(name)
             .ok_or_else(|| {
                 format!("no registry named {name:?} in the config (available: {:?})", set.names())
             })?
+            .registry
             .clone(),
     };
     let mut out = String::new();
@@ -339,25 +340,21 @@ fn cmd_tenants(args: &Args) -> Result<String, String> {
         "tenant", "token", "threads", "quota", "max-instances", "deadline-ms"
     )
     .unwrap();
-    let fmt_opt = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |n| n.to_string());
-    let mut row =
-        |name: &str, registry: &mst_api::SolverRegistry, limits: &mst_api::TenantLimits| {
-            writeln!(
-                out,
-                "{:<14} {:<16} {:<8} {:<6} {:<14} {:<12} {}",
-                name,
-                limits.token.as_deref().unwrap_or(if name == "default" { "-" } else { name }),
-                limits.threads.map_or_else(|| "shared".to_string(), |n| n.to_string()),
-                fmt_opt(limits.quota.map(|n| n as u64)),
-                fmt_opt(limits.max_instances.map(|n| n as u64)),
-                fmt_opt(limits.deadline_ms),
-                registry.len(),
-            )
-            .unwrap();
-        };
-    row("default", set.default_registry(), set.default_limits());
-    for (name, registry, limits) in set.tenants() {
-        row(name, registry, limits);
+    let fmt_opt = |v: Option<u128>| v.map_or_else(|| "-".to_string(), |n| n.to_string());
+    for policy in std::iter::once(set.default_policy()).chain(set.named()) {
+        let name = policy.name.as_str();
+        writeln!(
+            out,
+            "{:<14} {:<16} {:<8} {:<6} {:<14} {:<12} {}",
+            name,
+            policy.token.as_deref().unwrap_or(if name == "default" { "-" } else { name }),
+            policy.threads.map_or_else(|| "shared".to_string(), |n| n.to_string()),
+            fmt_opt(policy.quota.map(|n| n as u128)),
+            fmt_opt(policy.max_instances.map(|n| n as u128)),
+            fmt_opt(policy.deadline.map(|budget| budget.as_millis())),
+            policy.registry.len(),
+        )
+        .unwrap();
     }
     Ok(out)
 }
@@ -424,15 +421,18 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         Some(_) => Some(positive_opt(args, "threads", 1)? as usize),
     };
     let registries = load_registry_set(args, "solvers-config")?;
-    let store = match args.opt("store") {
+    let store_backend: Option<Arc<dyn mst_store::StoreBackend>> = match args.opt("store") {
         Some("") => return Err("--store expects a file path".into()),
-        other => other.map(String::from),
+        Some(path) => Some(Arc::new(
+            mst_store::FileStore::open(path).map_err(|e| format!("cannot serve: {e}"))?,
+        )),
+        None => None,
     };
     let config = mst_serve::ServeConfig {
         addr,
         threads,
         registries,
-        store,
+        store_backend,
         ..mst_serve::ServeConfig::default()
     };
     let server = mst_serve::Server::bind(config).map_err(|e| format!("cannot serve: {e}"))?;
@@ -663,7 +663,7 @@ fn cmd_generate(args: &Args) -> Result<String, String> {
     // (topology, profile, seed, size).
     let kind = topology_by_name(kind)?;
     let platform = Instance::generate(kind, profile, seed, size, 1).platform;
-    Ok(to_text(&platform.into()))
+    Ok(platform.to_text())
 }
 
 fn cmd_stats(args: &Args) -> Result<String, String> {
@@ -743,7 +743,6 @@ fn cmd_curve(args: &Args) -> Result<String, String> {
 mod tests {
     use super::*;
     use mst_api::verify;
-    use mst_platform::format::parse as parse_instance;
     use std::path::PathBuf;
 
     fn tmp(name: &str, contents: &str) -> PathBuf {
@@ -836,7 +835,7 @@ mod tests {
     fn generate_emits_parseable_instances() {
         for kind in ["chain", "fork", "spider", "tree"] {
             let out = run_line(&format!("generate {kind} --size 4 --seed 3")).unwrap();
-            assert!(parse_instance(&out).is_ok(), "{kind}: {out}");
+            assert!(Platform::parse(&out).is_ok(), "{kind}: {out}");
         }
         assert!(run_line("generate ring --size 4").is_err());
         assert!(run_line("generate chain --profile alien").is_err());
@@ -956,6 +955,98 @@ mod tests {
         let bad = tmp("tenants-bad.json", r#"{"registries": {"a": {"threads": 0}}}"#);
         let err = run_line(&format!("tenants --config {}", bad.display())).unwrap_err();
         assert!(err.contains("positive"), "{err}");
+    }
+
+    /// A config that sets every tenant limit key on some tenant:
+    /// `cache_entries` both `0` and positive, and `requests_per_window`
+    /// both with and without `window_ms`, plus limits on the default.
+    const EVERY_LIMIT: &str = r#"{
+        "default": {"quota": 16, "max_instances": 900, "cache_entries": 0, "requests_per_window": 5},
+        "registries": {
+            "acme": {
+                "only": ["optimal", "exact"],
+                "token": "acme-secret",
+                "threads": 2,
+                "quota": 4,
+                "max_instances": 50000,
+                "deadline_ms": 2000,
+                "cache_entries": 128,
+                "requests_per_window": 40,
+                "window_ms": 500
+            },
+            "lab": {
+                "base": "empty",
+                "solvers": [{"solver": "optimal"}],
+                "cache_entries": 0,
+                "requests_per_window": 7
+            },
+            "plain": {}
+        }
+    }"#;
+
+    #[test]
+    fn tenant_policies_print_the_same_bytes_in_the_cli_and_over_http() {
+        use std::io::{Read as _, Write as _};
+        let config = tmp("tenants-pinned.json", EVERY_LIMIT);
+        let out = run_line(&format!("tenants --config {}", config.display())).unwrap();
+        let expected = "\
+tenant         token            threads  quota  max-instances  deadline-ms  solvers
+default        -                shared   16     900            -            13
+acme           acme-secret      2        4      50000          2000         2
+lab            lab              shared   -      -              -            1
+plain          plain            shared   -      -              -            13
+";
+        assert_eq!(out, expected);
+        let expected = "\
+tenant         token            threads  quota  max-instances  deadline-ms  solvers
+default        -                shared   -      -              -            13
+";
+        assert_eq!(run_line("tenants").unwrap(), expected);
+        let out =
+            run_line(&format!("solvers --config {} --registry acme", config.display())).unwrap();
+        let expected = "\
+named registries: acme, lab, plain
+name               chain   fork   spider  tree  deadline  description
+optimal            yes     yes    yes     yes   yes       best known algorithm per \
+            topology (optimal; trees: best spider cover)
+exact              yes     yes    yes     yes   -         branch-and-bound over \
+            assignment sequences (exponential; small instances)
+";
+        assert_eq!(out, expected);
+
+        let server = mst_serve::Server::bind(mst_serve::ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            registries: Some(mst_api::RegistrySet::parse(EVERY_LIMIT).unwrap()),
+            ..mst_serve::ServeConfig::default()
+        })
+        .unwrap();
+        let (addr, handle) = (server.addr(), server.handle());
+        let runner = std::thread::spawn(move || server.run().unwrap());
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(b"GET /tenants HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        handle.shutdown();
+        runner.join().unwrap();
+        let body = reply.split_once("\r\n\r\n").map(|(_, body)| body).unwrap_or_default();
+        assert_eq!(
+            body,
+            concat!(
+                r#"{"tenants":["#,
+                r#"{"name":"default","token":false,"threads":null,"quota":16,"max_instances":900,"#,
+                r#""deadline_ms":null,"rate_limit":{"requests_per_window":5,"window_ms":1000},"#,
+                r#""solvers":13},"#,
+                r#"{"name":"acme","token":true,"threads":2,"quota":4,"max_instances":50000,"#,
+                r#""deadline_ms":2000,"rate_limit":{"requests_per_window":40,"window_ms":500},"#,
+                r#""solvers":2},"#,
+                r#"{"name":"lab","token":false,"threads":null,"quota":null,"max_instances":null,"#,
+                r#""deadline_ms":null,"rate_limit":{"requests_per_window":7,"window_ms":1000},"#,
+                r#""solvers":1},"#,
+                r#"{"name":"plain","token":false,"threads":null,"quota":null,"max_instances":null,"#,
+                r#""deadline_ms":null,"rate_limit":null,"solvers":13}]}"#,
+            ),
+            "{reply}"
+        );
     }
 
     #[test]

@@ -708,10 +708,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<String, String> {
             mst_api::RegistrySet::parse(&text).map_err(|e| format!("config {config_path}: {e}"))?;
         // Each named tenant's effective X-Api-Token (explicit `token =`
         // or the tenant name), same resolution the server applies.
-        options.tokens = set
-            .tenants()
-            .map(|(name, _, limits)| limits.token.clone().unwrap_or_else(|| name.to_string()))
-            .collect();
+        options.tokens = set.named().iter().map(|p| p.effective_token().to_string()).collect();
         if options.tokens.is_empty() {
             return Err(format!(
                 "--solvers-config {config_path} defines no named tenants to authenticate as"

@@ -21,9 +21,10 @@
 //! paper where emission and start times live in `N`.
 //!
 //! The crate also ships seeded random [`generator`]s for the heterogeneity
-//! regimes exercised by the experiment harness, and a small hand-rolled
-//! text [`mod@format`] so instances can be stored in files without pulling a
-//! serialization framework.
+//! regimes exercised by the experiment harness. Platforms are stored as
+//! text by the unified `mst_api::Platform` (`Platform::parse` and
+//! `Platform::to_text`), the one type that holds any of the four
+//! topologies.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,7 +32,6 @@
 pub mod chain;
 pub mod error;
 pub mod fork;
-pub mod format;
 pub mod generator;
 pub mod presets;
 pub mod processor;

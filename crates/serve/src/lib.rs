@@ -53,8 +53,8 @@
 //!   live schedule survives a degrading platform.
 //!
 //! The service itself degrades rather than fails: a broken persistent
-//! store ([`ServeConfig::store`]) flips `/healthz` to `store_degraded`
-//! and the append path to bounded-backoff retries
+//! store ([`ServeConfig::store_backend`]) flips `/healthz` to
+//! `store_degraded` and the append path to bounded-backoff retries
 //! ([`server::StoreHealth`]) while solves keep flowing.
 //!
 //! Requests and responses use the JSON wire codec of [`mst_api::wire`];

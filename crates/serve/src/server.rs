@@ -30,7 +30,7 @@ use crate::event::run_event;
 use crate::metrics::Metrics;
 use mst_api::{ExecPolicy, RegistrySet, TenantExec};
 use mst_sim::{shared_pool, WorkerPool};
-use mst_store::{FileStore, StoreBackend};
+use mst_store::StoreBackend;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -81,27 +81,25 @@ pub struct ServeConfig {
     /// probes the client socket, so an abandoned or over-budget sweep
     /// stops within one chunk of work.
     pub batch_chunk: usize,
-    /// Config-driven tenants (`mst serve --solvers-config`): the set's
-    /// default registry backs anonymous requests; named tenant specs
-    /// become per-tenant [`TenantExec`]s routable by `X-Api-Token`
-    /// header. An anonymous `/solve` or `/batch` may still name a
-    /// tenant with the `"registry"` body field: that tenant's registry,
-    /// cache and history answer it, while the default tenant admits it
-    /// and lends it its pool. `None` serves the built-in global registry
-    /// with no tenant policies.
+    /// Config-driven tenants (`mst serve --solvers-config`): every
+    /// policy of the set becomes a [`TenantExec`]. The default policy
+    /// backs anonymous requests; named tenants are routable by
+    /// `X-Api-Token` header. An anonymous `/solve` or `/batch` may still
+    /// name a tenant with the `"registry"` body field: that tenant's
+    /// registry, cache and history answer it, while the default tenant
+    /// admits it and lends it its pool. `None` serves
+    /// [`RegistrySet::builtin`]: the built-in global registry with no
+    /// named tenants.
     pub registries: Option<RegistrySet>,
-    /// Path of the persistent result store (`mst serve --store`). When
-    /// set, every solved instance is appended to an [`FileStore`]
-    /// record log, `GET /history` serves it, and binding **warm-starts**
-    /// each tenant's solution cache from the prior records — a
-    /// restarted server answers repeated instances from cache
-    /// immediately. `None` serves without persistence.
-    pub store: Option<String>,
-    /// A pre-built store backend, taking precedence over
-    /// [`ServeConfig::store`] when set. This is the injection point for
-    /// degraded-mode tests and embedders: hand the server a
-    /// [`mst_store::FlakyStore`] (or any custom backend) and watch the
-    /// solve path keep serving while appends fail.
+    /// The persistent result store. When set, every solved instance is
+    /// appended to it, `GET /history` serves it, and binding
+    /// **warm-starts** each tenant's solution cache from the prior
+    /// records — a restarted server answers repeated instances from
+    /// cache immediately. `mst serve --store` opens a
+    /// [`mst_store::FileStore`] record log here; tests and embedders
+    /// may hand in any backend, such as a [`mst_store::FlakyStore`] to
+    /// watch the solve path keep serving while appends fail. `None`
+    /// serves without persistence.
     pub store_backend: Option<Arc<dyn StoreBackend>>,
     /// Most connections the event loop holds open at once; beyond it,
     /// new connections are answered `503` + `Retry-After: 1` at accept.
@@ -132,7 +130,6 @@ impl Default for ServeConfig {
             max_requests_per_connection: 256,
             batch_chunk: 512,
             registries: None,
-            store: None,
             store_backend: None,
             max_connections: 10_000,
             stream_high_water: 256 * 1024,
@@ -413,40 +410,11 @@ impl Server {
             Some(threads) => Arc::new(WorkerPool::with_parallelism(threads)),
             None => shared_pool(),
         };
-        let (default_exec, tenants) = match &config.registries {
-            Some(set) => {
-                let default = TenantExec::new(
-                    ExecPolicy::from_limits(
-                        "default",
-                        set.default_registry().clone(),
-                        set.default_limits(),
-                    ),
-                    Arc::clone(&pool),
-                );
-                let tenants = set
-                    .tenants()
-                    .map(|(name, registry, limits)| {
-                        TenantExec::new(
-                            ExecPolicy::from_limits(name, registry.clone(), limits),
-                            Arc::clone(&pool),
-                        )
-                    })
-                    .collect();
-                (default, tenants)
-            }
-            None => (
-                TenantExec::new(
-                    ExecPolicy::new("default", mst_api::SolverRegistry::global().clone()),
-                    Arc::clone(&pool),
-                ),
-                Vec::new(),
-            ),
-        };
-        let store: Option<Arc<dyn StoreBackend>> = match (&config.store_backend, &config.store) {
-            (Some(backend), _) => Some(Arc::clone(backend)),
-            (None, Some(path)) => Some(Arc::new(FileStore::open(path)?)),
-            (None, None) => None,
-        };
+        let set = config.registries.clone().unwrap_or_else(RegistrySet::builtin);
+        let exec = |policy: &ExecPolicy| TenantExec::new(policy.clone(), Arc::clone(&pool));
+        let default_exec = exec(set.default_policy());
+        let tenants: Vec<TenantExec> = set.named().iter().map(exec).collect();
+        let store = config.store_backend.clone();
         if let Some(store) = &store {
             warm_start(store.as_ref(), &default_exec, &tenants)?;
         }
@@ -552,6 +520,7 @@ pub use mst_net::install_sigint_handler;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mst_store::FileStore;
     use std::io::{Read as _, Write as _};
     use std::net::TcpStream;
 

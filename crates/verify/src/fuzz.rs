@@ -14,7 +14,7 @@
 //! persisted as JSON and replayed at the start of the next run, turning
 //! past counterexamples into a regression suite.
 
-use crate::props::{check_instance, Outcome, PropertyViolation};
+use crate::props::{check_instance, Tally};
 use mst_api::wire::Json;
 use mst_api::{Instance, Platform, SolverRegistry, TopologyKind};
 use mst_platform::{Chain, Fork, HeterogeneityProfile, Spider, Time, Tree};
@@ -42,48 +42,30 @@ pub struct FuzzReport {
     pub minutes: f64,
     /// Fresh random instances checked.
     pub iterations: usize,
-    /// Solver invocations that produced a solution.
-    pub solves: usize,
-    /// Mutated schedules cross-checked oracle-vs-simulator.
-    pub mutations: usize,
-    /// Deadline-duality checks run (see [`crate::props`]).
-    pub duality_checks: usize,
-    /// Monotonicity checks run (see [`crate::props`]).
-    pub monotonicity_checks: usize,
-    /// Instances where branch-and-bound ground truth was applied.
-    pub bnb_instances: usize,
     /// Corpus entries replayed before fuzzing.
     pub corpus_replayed: usize,
-    /// Minimized property violations (empty means the gate held).
-    pub violations: Vec<PropertyViolation>,
+    /// The gate's counts over every instance checked, and the minimized
+    /// property violations (none means the gate held).
+    pub tally: Tally,
 }
 
 impl FuzzReport {
     /// `true` iff no property was violated.
     pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+        self.tally.violations.is_empty()
     }
 
     /// The report as a JSON string (the CI artifact format).
     pub fn to_json(&self) -> String {
-        let listed: Vec<Json> =
-            self.violations.iter().take(50).map(PropertyViolation::to_json).collect();
-        Json::obj([
-            ("command", Json::str("fuzz")),
-            ("seed", Json::int(self.seed as i64)),
-            ("minutes", Json::Num(self.minutes)),
-            ("iterations", Json::int(self.iterations as i64)),
-            ("solves", Json::int(self.solves as i64)),
-            ("mutations", Json::int(self.mutations as i64)),
-            ("duality_checks", Json::int(self.duality_checks as i64)),
-            ("monotonicity_checks", Json::int(self.monotonicity_checks as i64)),
-            ("bnb_instances", Json::int(self.bnb_instances as i64)),
-            ("corpus_replayed", Json::int(self.corpus_replayed as i64)),
-            ("ok", Json::Bool(self.ok())),
-            ("violations_total", Json::int(self.violations.len() as i64)),
-            ("violations", Json::Arr(listed)),
-        ])
-        .to_string()
+        self.tally.report_json(
+            [
+                ("command", Json::str("fuzz")),
+                ("seed", Json::int(self.seed as i64)),
+                ("minutes", Json::Num(self.minutes)),
+                ("iterations", Json::int(self.iterations as i64)),
+            ],
+            [("corpus_replayed", Json::int(self.corpus_replayed as i64))],
+        )
     }
 }
 
@@ -203,32 +185,26 @@ fn minimize(registry: &SolverRegistry, instance: &Instance, property: &str) -> I
     }
 }
 
-/// Folds an instance's outcome into the report, minimizing each failed
+/// Folds an instance's tally into the report, minimizing each failed
 /// property once.
 fn record(
     registry: &SolverRegistry,
     instance: &Instance,
-    outcome: Outcome,
+    mut tally: Tally,
     report: &mut FuzzReport,
     corpus: &Option<PathBuf>,
     written: &mut usize,
 ) {
-    report.solves += outcome.solves;
-    report.mutations += outcome.mutations;
-    report.duality_checks += outcome.duality_checks;
-    report.monotonicity_checks += outcome.monotonicity_checks;
-    if outcome.bnb_checked {
-        report.bnb_instances += 1;
-    }
+    let violations = std::mem::take(&mut tally.violations);
+    report.tally.absorb(tally);
     let mut seen: Vec<&'static str> = Vec::new();
-    for violation in outcome.violations {
+    for violation in violations {
         if seen.contains(&violation.property) {
             continue;
         }
         seen.push(violation.property);
         let minimized = minimize(registry, instance, violation.property);
-        let minimized_outcome = check_instance(registry, &minimized);
-        let reported = minimized_outcome
+        let reported = check_instance(registry, &minimized)
             .violations
             .into_iter()
             .find(|v| v.property == violation.property)
@@ -247,7 +223,7 @@ fn record(
             let _ = std::fs::create_dir_all(dir);
             let _ = std::fs::write(path, body);
         }
-        report.violations.push(reported);
+        report.tally.violations.push(reported);
     }
 }
 
@@ -275,10 +251,9 @@ fn replay_corpus(
         };
         let Ok(instance) = Instance::parse(platform, tasks.max(1) as usize) else { continue };
         report.corpus_replayed += 1;
-        let outcome = check_instance(registry, &instance);
         // Replayed entries are already minimal; corpus rewriting is
         // suppressed by passing no corpus directory here.
-        record(registry, &instance, outcome, report, &None, written);
+        record(registry, &instance, check_instance(registry, &instance), report, &None, written);
     }
 }
 
@@ -288,13 +263,8 @@ pub fn run(registry: &SolverRegistry, config: &FuzzConfig) -> FuzzReport {
         seed: config.seed,
         minutes: config.minutes,
         iterations: 0,
-        solves: 0,
-        mutations: 0,
-        duality_checks: 0,
-        monotonicity_checks: 0,
-        bnb_instances: 0,
         corpus_replayed: 0,
-        violations: Vec::new(),
+        tally: Tally::default(),
     };
     let mut written = 0usize;
     if let Some(dir) = &config.corpus {
@@ -311,9 +281,9 @@ pub fn run(registry: &SolverRegistry, config: &FuzzConfig) -> FuzzReport {
         let tasks = 1 + rng.below(5) as usize;
         let instance = Instance::generate(kind, profile, rng.next(), size, tasks);
         report.iterations += 1;
-        let outcome = check_instance(registry, &instance);
-        record(registry, &instance, outcome, &mut report, &config.corpus, &mut written);
-        if report.violations.len() >= 20 {
+        let tally = check_instance(registry, &instance);
+        record(registry, &instance, tally, &mut report, &config.corpus, &mut written);
+        if report.tally.violations.len() >= 20 {
             break; // enough distinct failures to act on; stop burning time
         }
     }
@@ -336,14 +306,48 @@ mod tests {
     }
 
     #[test]
+    fn a_report_with_a_violation_prints_pinned_bytes() {
+        let report = FuzzReport {
+            seed: 9,
+            minutes: 0.5,
+            iterations: 40,
+            corpus_replayed: 2,
+            tally: Tally {
+                solves: 300,
+                mutations: 1200,
+                duality_checks: 150,
+                monotonicity_checks: 148,
+                bnb_instances: 12,
+                violations: vec![crate::PropertyViolation {
+                    property: "solver-below-exact",
+                    solver: "eager".into(),
+                    platform: "chain\n1 1\n".into(),
+                    tasks: 2,
+                    detail: "makespan 3 below exact 4".into(),
+                }],
+            },
+        };
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"command":"fuzz","seed":9,"minutes":0.5,"iterations":40,"solves":300,"#,
+                r#""mutations":1200,"duality_checks":150,"monotonicity_checks":148,"#,
+                r#""bnb_instances":12,"corpus_replayed":2,"ok":false,"violations_total":1,"#,
+                r#""violations":[{"property":"solver-below-exact","solver":"eager","#,
+                r#""platform":"chain\n1 1\n","tasks":2,"detail":"makespan 3 below exact 4"}]}"#,
+            )
+        );
+    }
+
+    #[test]
     fn short_run_finds_no_violations() {
         let registry = SolverRegistry::with_defaults();
         let report = run(&registry, &FuzzConfig { seed: 42, minutes: 0.02, corpus: None });
-        assert!(report.ok(), "{:?}", report.violations);
+        assert!(report.ok(), "{:?}", report.tally.violations);
         assert!(report.iterations > 0);
-        assert!(report.solves > 0);
-        assert!(report.duality_checks > 0);
-        assert!(report.monotonicity_checks > 0);
+        assert!(report.tally.solves > 0);
+        assert!(report.tally.duality_checks > 0);
+        assert!(report.tally.monotonicity_checks > 0);
     }
 
     #[test]
@@ -387,7 +391,7 @@ mod tests {
         let report =
             run(&registry, &FuzzConfig { seed: 1, minutes: 0.0, corpus: Some(dir.clone()) });
         assert_eq!(report.corpus_replayed, 1);
-        assert!(report.ok(), "{:?}", report.violations);
+        assert!(report.ok(), "{:?}", report.tally.violations);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -57,5 +57,5 @@ pub mod sim;
 
 pub use fuzz::{run as run_fuzz, FuzzConfig, FuzzReport};
 pub use model::{check_model, ModelBounds, ModelReport};
-pub use props::PropertyViolation;
+pub use props::{PropertyViolation, Tally};
 pub use sim::{simulate, simulate_solution, tree_witness, Rejection, SimVerdict};

@@ -14,7 +14,7 @@
 //! CI, large enough to contain every pipeline, port-sharing and
 //! route-shape interaction the Definition-1 semantics allow.
 
-use crate::props::{check_instance, Outcome, PropertyViolation};
+use crate::props::{check_instance, Tally};
 use mst_api::wire::Json;
 use mst_api::{Instance, Platform, SolverRegistry};
 use mst_platform::{Chain, Fork, Spider, Time, Tree};
@@ -45,52 +45,33 @@ pub struct ModelReport {
     pub platforms: usize,
     /// Instances checked (platforms × task counts).
     pub instances: usize,
-    /// Solver invocations that produced a solution.
-    pub solves: usize,
-    /// Mutated schedules cross-checked oracle-vs-simulator.
-    pub mutations: usize,
-    /// Deadline-duality checks run (see [`crate::props`]).
-    pub duality_checks: usize,
-    /// Monotonicity checks run (see [`crate::props`]).
-    pub monotonicity_checks: usize,
-    /// Instances where the branch-and-bound ground truth was applied.
-    pub bnb_instances: usize,
-    /// Every property violation found (empty means the gate holds).
-    pub violations: Vec<PropertyViolation>,
+    /// The gate's counts and violations over every instance (no
+    /// violation means the gate holds).
+    pub tally: Tally,
 }
 
 impl ModelReport {
     /// `true` iff no property was violated anywhere in the bounds.
     pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+        self.tally.violations.is_empty()
     }
 
     /// The report as a JSON string (the CI artifact format).
     pub fn to_json(&self) -> String {
-        let listed: Vec<Json> =
-            self.violations.iter().take(50).map(PropertyViolation::to_json).collect();
-        Json::obj([
-            ("command", Json::str("check-model")),
-            (
-                "bounds",
-                Json::obj([
-                    ("max_procs", Json::int(self.bounds.max_procs as i64)),
-                    ("max_tasks", Json::int(self.bounds.max_tasks as i64)),
-                    ("max_weight", Json::int(self.bounds.max_weight)),
-                ]),
-            ),
-            ("platforms", Json::int(self.platforms as i64)),
-            ("instances", Json::int(self.instances as i64)),
-            ("solves", Json::int(self.solves as i64)),
-            ("mutations", Json::int(self.mutations as i64)),
-            ("duality_checks", Json::int(self.duality_checks as i64)),
-            ("monotonicity_checks", Json::int(self.monotonicity_checks as i64)),
-            ("bnb_instances", Json::int(self.bnb_instances as i64)),
-            ("ok", Json::Bool(self.ok())),
-            ("violations_total", Json::int(self.violations.len() as i64)),
-            ("violations", Json::Arr(listed)),
-        ])
-        .to_string()
+        let bounds = Json::obj([
+            ("max_procs", Json::int(self.bounds.max_procs as i64)),
+            ("max_tasks", Json::int(self.bounds.max_tasks as i64)),
+            ("max_weight", Json::int(self.bounds.max_weight)),
+        ]);
+        self.tally.report_json(
+            [
+                ("command", Json::str("check-model")),
+                ("bounds", bounds),
+                ("platforms", Json::int(self.platforms as i64)),
+                ("instances", Json::int(self.instances as i64)),
+            ],
+            [],
+        )
     }
 }
 
@@ -204,31 +185,14 @@ pub fn check_model(registry: &SolverRegistry, bounds: &ModelBounds) -> ModelRepo
         bounds: bounds.clone(),
         platforms: platforms.len(),
         instances: 0,
-        solves: 0,
-        mutations: 0,
-        duality_checks: 0,
-        monotonicity_checks: 0,
-        bnb_instances: 0,
-        violations: Vec::new(),
+        tally: Tally::default(),
     };
-    let mut total = Outcome::default();
-    let mut bnb = 0usize;
     for platform in platforms {
         for tasks in 1..=bounds.max_tasks {
             report.instances += 1;
-            let outcome = check_instance(registry, &Instance::new(platform.clone(), tasks));
-            if outcome.bnb_checked {
-                bnb += 1;
-            }
-            total.absorb(outcome);
+            report.tally.absorb(check_instance(registry, &Instance::new(platform.clone(), tasks)));
         }
     }
-    report.solves = total.solves;
-    report.mutations = total.mutations;
-    report.duality_checks = total.duality_checks;
-    report.monotonicity_checks = total.monotonicity_checks;
-    report.bnb_instances = bnb;
-    report.violations = total.violations;
     report
 }
 
@@ -260,16 +224,22 @@ mod tests {
         let registry = SolverRegistry::with_defaults();
         let bounds = ModelBounds { max_procs: 2, max_tasks: 2, max_weight: 1 };
         let report = check_model(&registry, &bounds);
-        assert!(report.ok(), "{:?}", report.violations);
+        assert!(report.ok(), "{:?}", report.tally.violations);
         assert_eq!(report.instances, report.platforms * 2);
-        assert!(report.solves > 0);
-        assert!(report.mutations > 0);
-        assert!(report.duality_checks > 0);
-        assert!(report.monotonicity_checks > 0);
-        assert!(report.bnb_instances == report.instances);
-        let json = report.to_json();
-        assert!(json.contains("\"ok\":true"));
-        assert!(json.contains("\"command\":\"check-model\""));
+        assert!(report.tally.solves > 0);
+        assert!(report.tally.mutations > 0);
+        assert!(report.tally.duality_checks > 0);
+        assert!(report.tally.monotonicity_checks > 0);
+        assert!(report.tally.bnb_instances == report.instances);
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"command":"check-model","bounds":{"max_procs":2,"max_tasks":2,"max_weight":1},"#,
+                r#""platforms":8,"instances":16,"solves":98,"mutations":1003,"duality_checks":40,"#,
+                r#""monotonicity_checks":40,"bnb_instances":16,"ok":true,"violations_total":0,"#,
+                r#""violations":[]}"#,
+            )
+        );
     }
 
     #[test]

@@ -78,9 +78,11 @@ impl PropertyViolation {
     }
 }
 
-/// Tally of one [`check_instance`] run.
+/// The gate's counts and findings: what [`check_instance`] ran on one
+/// instance, and, folded with [`Tally::absorb`], on a whole model check
+/// or fuzz run. Both reports embed one.
 #[derive(Debug, Clone, Default)]
-pub struct Outcome {
+pub struct Tally {
     /// Solver invocations that returned a solution.
     pub solves: usize,
     /// Mutated schedules cross-checked oracle-vs-simulator.
@@ -91,21 +93,47 @@ pub struct Outcome {
     /// Monotonicity checks run (one per solver with a deadline
     /// variant).
     pub monotonicity_checks: usize,
-    /// Whether the exact branch-and-bound bound was applied.
-    pub bnb_checked: bool,
+    /// Instances where the exact branch-and-bound ground truth was
+    /// applied: 0 or 1 for one instance.
+    pub bnb_instances: usize,
     /// Every property violation found.
     pub violations: Vec<PropertyViolation>,
 }
 
-impl Outcome {
-    /// Folds another outcome into this one.
-    pub fn absorb(&mut self, other: Outcome) {
+impl Tally {
+    /// Folds another tally into this one.
+    pub fn absorb(&mut self, other: Tally) {
         self.solves += other.solves;
         self.mutations += other.mutations;
         self.duality_checks += other.duality_checks;
         self.monotonicity_checks += other.monotonicity_checks;
-        self.bnb_checked |= other.bnb_checked;
+        self.bnb_instances += other.bnb_instances;
         self.violations.extend(other.violations);
+    }
+
+    /// A gate report as JSON text: the report's `head` members, the
+    /// tally's counts, the report's `tail` members, then the verdict
+    /// (`ok`, `violations_total` and the first 50 violations).
+    pub(crate) fn report_json(
+        &self,
+        head: impl IntoIterator<Item = (&'static str, Json)>,
+        tail: impl IntoIterator<Item = (&'static str, Json)>,
+    ) -> String {
+        let count = |n: usize| Json::int(n as i64);
+        let counts = [
+            ("solves", count(self.solves)),
+            ("mutations", count(self.mutations)),
+            ("duality_checks", count(self.duality_checks)),
+            ("monotonicity_checks", count(self.monotonicity_checks)),
+            ("bnb_instances", count(self.bnb_instances)),
+        ];
+        let listed = self.violations.iter().take(50).map(PropertyViolation::to_json).collect();
+        let verdict = [
+            ("ok", Json::Bool(self.violations.is_empty())),
+            ("violations_total", count(self.violations.len())),
+            ("violations", Json::Arr(listed)),
+        ];
+        Json::obj(head.into_iter().chain(counts).chain(tail).chain(verdict)).to_string()
     }
 }
 
@@ -194,11 +222,11 @@ fn monotonicity(
 }
 
 /// Runs every gate property against one instance.
-pub fn check_instance(registry: &SolverRegistry, instance: &Instance) -> Outcome {
-    let mut out = Outcome::default();
+pub fn check_instance(registry: &SolverRegistry, instance: &Instance) -> Tally {
+    let mut out = Tally::default();
     let kind = instance.kind();
     let platform_text = instance.platform.to_text();
-    let fail = |out: &mut Outcome, property: &'static str, solver: &str, detail: String| {
+    let fail = |out: &mut Tally, property: &'static str, solver: &str, detail: String| {
         out.violations.push(PropertyViolation {
             property,
             solver: solver.to_string(),
@@ -215,7 +243,7 @@ pub fn check_instance(registry: &SolverRegistry, instance: &Instance) -> Outcome
     let exact_makespan = if small {
         match registry.solve("exact", instance) {
             Ok(sol) => {
-                out.bnb_checked = true;
+                out.bnb_instances = 1;
                 Some(sol.makespan())
             }
             Err(e) => {
@@ -478,7 +506,7 @@ mod tests {
             assert!(out.mutations > 0);
             assert!(out.duality_checks > 0);
             assert_eq!(out.monotonicity_checks, out.duality_checks);
-            assert!(out.bnb_checked);
+            assert_eq!(out.bnb_instances, 1);
         }
     }
 

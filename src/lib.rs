@@ -73,7 +73,7 @@ pub mod prelude {
     pub use mst_api::{
         verify, AdmissionError, Batch, BatchSummary, CacheKey, CanonicalInstance, ConfigError,
         ExecPolicy, Instance, Platform, RegistrySet, ScheduleRepr, Solution, SolutionCache,
-        SolveError, Solver, SolverRegistry, TenantExec, TenantLimits, TopologyKind,
+        SolveError, Solver, SolverRegistry, TenantExec, TopologyKind,
     };
     pub use mst_core::{schedule_chain, schedule_chain_by_deadline};
     pub use mst_obs::{HistSnapshot, Histogram, Kernel, Obs, Stage, Trace};

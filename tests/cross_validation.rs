@@ -126,13 +126,12 @@ fn metrics_are_consistent_with_schedules() {
 
 #[test]
 fn instance_files_round_trip_through_schedulers() {
-    use mst_platform::format::{parse, to_text, Instance};
     for seed in 0..20u64 {
         let g = GeneratorConfig::new(profiles(seed), seed + 31);
         let chain = g.chain(1 + (seed % 4) as usize);
-        let text = to_text(&Instance::Chain(chain.clone()));
-        let parsed = match parse(&text).expect("round trip") {
-            Instance::Chain(c) => c,
+        let text = Platform::Chain(chain.clone()).to_text();
+        let parsed = match Platform::parse(&text).expect("round trip") {
+            Platform::Chain(c) => c,
             other => panic!("wrong topology {other:?}"),
         };
         // Scheduling the parsed instance gives identical results.

@@ -1,9 +1,9 @@
 //! Property-based tests over the substrates: the fork algorithm, the
 //! instance format, the simulator/oracle agreement and the metrics.
 
+use mst_api::Platform;
 use mst_core::schedule_chain;
 use mst_fork::{max_tasks_fork_by_deadline, schedule_fork};
-use mst_platform::format::{parse, to_text, Instance};
 use mst_platform::{Chain, Fork, Spider, Time, Tree};
 use mst_schedule::metrics::chain_metrics;
 use mst_schedule::{check_chain, check_spider};
@@ -69,16 +69,16 @@ proptest! {
         chain in chain_strategy(6),
         fork in fork_strategy(6),
     ) {
-        for inst in [Instance::Chain(chain.clone()), Instance::Fork(fork.clone())] {
-            let text = to_text(&inst);
-            prop_assert_eq!(parse(&text).expect("round trip"), inst);
+        for platform in [Platform::Chain(chain.clone()), Platform::Fork(fork.clone())] {
+            let text = platform.to_text();
+            prop_assert_eq!(Platform::parse(&text).expect("round trip"), platform);
         }
     }
 
     #[test]
     fn parser_never_panics_on_noise(text in "[a-z0-9 \n#-]{0,120}") {
         // Errors are fine; panics are not.
-        let _ = parse(&text);
+        let _ = Platform::parse(&text);
     }
 
     #[test]

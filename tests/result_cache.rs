@@ -9,19 +9,18 @@
 //!   processor) and the deadline (`T_lim`) path;
 //! * **memoisation** — rescaled copies of one instance share a cache
 //!   entry through [`mst_api::cache::solve_through`];
-//! * **wire** — [`BatchSummary`] (now carrying `cache_hits`) round-trips
-//!   the summary codec losslessly;
 //! * **persistence** — a `--store` server killed and restarted serves
 //!   its **first** repeated `/batch` with a full cache-hit rate, and
 //!   `GET /history` returns the prior records.
 
 use master_slave_tasking::api::cache::solve_through;
 use master_slave_tasking::api::canon::level_for;
-use master_slave_tasking::api::wire::{summary_from_json, summary_to_json, Json};
+use master_slave_tasking::api::wire::Json;
 use master_slave_tasking::prelude::*;
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The platform with every communication and work time multiplied by
@@ -138,29 +137,6 @@ proptest! {
             assert_round_trip(&scaled, solver, Some(deadline * scale));
         }
     }
-
-    /// The `/batch` summary codec (now carrying `cache_hits`) is
-    /// lossless through serialize → print → parse → decode.
-    #[test]
-    fn batch_summaries_round_trip_the_wire(
-        counts in (0usize..5000, 0usize..5000, 0usize..5000),
-        tasks in 0usize..100_000,
-        makespans in (0i64..1_000_000, 0i64..10_000),
-    ) {
-        let (solved, failed, cancelled) = counts;
-        let (total_makespan, max_makespan) = makespans;
-        let mut summary = BatchSummary::of(&[]);
-        summary.solved = solved;
-        summary.failed = failed;
-        summary.cancelled = cancelled;
-        summary.total_tasks = tasks;
-        summary.total_makespan = total_makespan;
-        summary.max_makespan = max_makespan;
-        summary.cache_hits = solved.min(997);
-        let text = summary_to_json(&summary).to_string();
-        let back = summary_from_json(&Json::parse(&text).unwrap()).unwrap();
-        prop_assert_eq!(back, summary);
-    }
 }
 
 /// Regression: a covered-tree solution carries its spider cover as the
@@ -240,7 +216,7 @@ fn start_store_server(
 ) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<mst_serve::ServeReport>) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        store: Some(store.display().to_string()),
+        store_backend: Some(Arc::new(FileStore::open(store).expect("open the store"))),
         ..ServeConfig::default()
     })
     .expect("bind ephemeral port with store");

@@ -8,6 +8,7 @@ use master_slave_tasking::api::wire::{instance_to_json, solution_to_json, Json};
 use master_slave_tasking::prelude::*;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Binds a server on an ephemeral port and runs it on a background
@@ -558,7 +559,7 @@ fn start_lean_server(
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         registries: Some(RegistrySet::parse(LEAN_MASTER_ONLY).expect("valid config")),
-        store: Some(store.display().to_string()),
+        store_backend: Some(Arc::new(FileStore::open(store).expect("open the store"))),
         ..ServeConfig::default()
     })
     .expect("bind");

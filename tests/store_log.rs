@@ -265,8 +265,8 @@ fn undecodable_records_are_kept_listed_and_skipped() {
     FileStore::open(&path).unwrap().append(&record("default", "optimal", 5, 5)).unwrap();
     let size = std::fs::metadata(&path).unwrap().len();
 
-    let server =
-        bind(ServeConfig { store: Some(path.display().to_string()), ..ServeConfig::default() });
+    let store = Arc::new(FileStore::open(&path).unwrap());
+    let server = bind(ServeConfig { store_backend: Some(store), ..ServeConfig::default() });
     assert_eq!(std::fs::metadata(&path).unwrap().len(), size, "reopening truncated nothing");
     let handle = server.handle();
     let state = handle.state();

@@ -122,9 +122,9 @@ fn model_check_holds_at_small_bounds_through_the_facade() {
     let registry = SolverRegistry::with_defaults();
     let bounds = ModelBounds { max_procs: 2, max_tasks: 2, max_weight: 2 };
     let report = check_model(&registry, &bounds);
-    assert!(report.ok(), "{:?}", report.violations);
-    assert!(report.bnb_instances > 0);
-    assert!(report.mutations > 0);
+    assert!(report.ok(), "{:?}", report.tally.violations);
+    assert!(report.tally.bnb_instances > 0);
+    assert!(report.tally.mutations > 0);
     assert!(report.to_json().contains("\"ok\":true"));
 }
 
@@ -132,6 +132,6 @@ fn model_check_holds_at_small_bounds_through_the_facade() {
 fn fuzz_smoke_holds_through_the_facade() {
     let registry = SolverRegistry::with_defaults();
     let report = run_fuzz(&registry, &FuzzConfig { seed: 42, minutes: 0.01, corpus: None });
-    assert!(report.ok(), "{:?}", report.violations);
+    assert!(report.ok(), "{:?}", report.tally.violations);
     assert!(report.iterations > 0);
 }
