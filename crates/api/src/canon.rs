@@ -41,6 +41,7 @@ use mst_platform::{Chain, Fork, Processor, Spider, Time, Tree, TreeNode};
 use mst_schedule::{
     ChainSchedule, CommVector, SpiderSchedule, SpiderTask, TaskAssignment, TreeSchedule, TreeTask,
 };
+use std::fmt;
 
 /// How aggressively an instance may be normalised for a given solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,6 +109,15 @@ impl Fnv128 {
 
     fn finish(&self) -> u128 {
         self.0
+    }
+}
+
+/// Text written to the hasher is hashed as its UTF-8 bytes, so a value is
+/// digested as it is printed, without building its `String`.
+impl fmt::Write for Fnv128 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -278,7 +288,8 @@ impl CanonicalInstance {
         let canonical = Instance { platform, tasks: instance.tasks };
         let canon_deadline = deadline.map(|d| d / g);
         let mut h = Fnv128::new();
-        h.write(canonical.platform.to_text().as_bytes());
+        // Hashing cannot fail.
+        let _ = canonical.platform.write_text(&mut h);
         h.write(b"\n");
         h.write_i64(canonical.tasks as i64);
         let hash = h.finish();
@@ -396,7 +407,11 @@ impl CanonicalInstance {
 }
 
 fn scale_comms(comms: &CommVector, g: Time) -> CommVector {
-    CommVector::new(comms.times().iter().map(|&t| t * g).collect())
+    CommVector::from_fill(comms.len(), |times| {
+        for (t, &canonical) in times.iter_mut().zip(comms.times()) {
+            *t = canonical * g;
+        }
+    })
 }
 
 // Restore direction: multiplies back up (the inverse of `scaled_proc`,

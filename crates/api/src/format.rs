@@ -27,7 +27,7 @@
 
 use crate::platform::Platform;
 use mst_platform::{PlatformError, Processor, Spider, Time};
-use std::fmt::Write as _;
+use std::fmt;
 
 impl Platform {
     /// Parses a platform from its text form (see [`crate::format`]).
@@ -103,42 +103,59 @@ impl Platform {
     /// The platform's text form; it round-trips through
     /// [`Platform::parse`].
     pub fn to_text(&self) -> String {
-        let pairs = |header: &str, processors: &[Processor]| {
-            let mut out = format!("{header}\n");
-            for p in processors {
-                // Writing to a String cannot fail.
-                let _ = writeln!(out, "{} {}", p.comm, p.work);
-            }
-            out
-        };
+        let mut out = String::new();
+        // Writing to a String cannot fail.
+        let _ = self.write_text(&mut out);
+        out
+    }
+
+    /// Writes [`Platform::to_text`]'s bytes to `out`, so a caller that
+    /// only digests them builds no `String`.
+    pub(crate) fn write_text(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Platform::Chain(chain) => pairs("chain", chain.processors()),
-            Platform::Fork(fork) => pairs("fork", fork.slaves()),
-            Platform::Spider(spider) => spider_text(spider),
+            Platform::Chain(chain) => write_pairs(out, "chain", chain.processors()),
+            Platform::Fork(fork) => write_pairs(out, "fork", fork.slaves()),
+            Platform::Spider(spider) => write_spider(out, spider),
             Platform::Tree(tree) => {
-                let mut out = String::from("tree\n");
+                out.write_str("tree\n")?;
                 for n in tree.nodes() {
-                    let _ = writeln!(out, "node {} {} {}", n.parent, n.comm, n.work);
+                    writeln!(out, "node {} {} {}", n.parent, n.comm, n.work)?;
                 }
-                out
+                Ok(())
             }
         }
     }
 }
 
+/// A chain's or a fork's text form: the header, then one `c w` line per
+/// processor.
+fn write_pairs(out: &mut impl fmt::Write, header: &str, processors: &[Processor]) -> fmt::Result {
+    writeln!(out, "{header}")?;
+    for p in processors {
+        writeln!(out, "{} {}", p.comm, p.work)?;
+    }
+    Ok(())
+}
+
 /// A spider's text form, as [`Platform::to_text`] writes it; a tree
 /// solution's spider cover is printed with it.
 pub(crate) fn spider_text(spider: &Spider) -> String {
-    let mut out = String::from("spider\n");
-    for leg in spider.legs() {
-        out.push_str("leg");
-        for p in leg.processors() {
-            // Writing to a String cannot fail.
-            let _ = write!(out, " {} {}", p.comm, p.work);
-        }
-        out.push('\n');
-    }
+    let mut out = String::new();
+    // Writing to a String cannot fail.
+    let _ = write_spider(&mut out, spider);
     out
+}
+
+fn write_spider(out: &mut impl fmt::Write, spider: &Spider) -> fmt::Result {
+    out.write_str("spider\n")?;
+    for leg in spider.legs() {
+        out.write_str("leg")?;
+        for p in leg.processors() {
+            write!(out, " {} {}", p.comm, p.work)?;
+        }
+        out.write_char('\n')?;
+    }
+    Ok(())
 }
 
 fn parse_err(line: usize, message: impl Into<String>) -> PlatformError {

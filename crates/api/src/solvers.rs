@@ -13,7 +13,7 @@ use mst_baselines::{
 use mst_core::{schedule_chain, schedule_chain_by_deadline, schedule_chain_fast};
 use mst_fork::{max_tasks_fork_by_deadline, schedule_fork};
 use mst_platform::{NodeId, Spider, Time, Tree};
-use mst_schedule::{CommVector, SpiderSchedule, SpiderTask};
+use mst_schedule::{SpiderSchedule, SpiderTask};
 use mst_sim::{simulate_online, OnlinePolicy};
 use mst_spider::{schedule_spider, schedule_spider_by_deadline};
 use mst_tree::{best_cover_schedule, distinct_covers, tree_schedule_from_sequence, PathStrategy};
@@ -545,7 +545,7 @@ fn spider_schedule_from_sequence(
         .map(|&node_id| {
             let (emissions, start, _) = state.place(node_id);
             let id = address[node_id];
-            SpiderTask::new(id, start, CommVector::new(emissions), spider.node(id).work)
+            SpiderTask::new(id, start, emissions, spider.node(id).work)
         })
         .collect();
     SpiderSchedule::new(tasks)

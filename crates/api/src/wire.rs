@@ -1041,7 +1041,7 @@ struct TaskFields {
     start: First<i64>,
     work: First<i64>,
     /// `Some(None)` inside when an element is not an exact integer.
-    comms: First<Option<Vec<i64>>>,
+    comms: First<Option<CommVector>>,
 }
 
 /// The members of a schedule object.
@@ -1064,7 +1064,13 @@ struct SolutionFields {
     makespan: First<i64>,
 }
 
-fn read_task(text: &str, pos: &mut usize, depth: usize) -> Result<TaskFields, WireError> {
+/// Reads one task object; `scratch` gathers its emission times.
+fn read_task(
+    text: &str,
+    pos: &mut usize,
+    depth: usize,
+    scratch: &mut Vec<i64>,
+) -> Result<TaskFields, WireError> {
     let bytes = text.as_bytes();
     let mut task = TaskFields::default();
     read_fields(text, pos, depth, |key, pos| {
@@ -1078,7 +1084,7 @@ fn read_task(text: &str, pos: &mut usize, depth: usize) -> Result<TaskFields, Wi
             "work" => &mut task.work,
             "comms" => {
                 return first(&mut task.comms, bytes, pos, depth, |pos| {
-                    read_comms(bytes, pos, depth)
+                    read_comms(bytes, pos, depth, scratch)
                 })
             }
             _ => return skip_value(bytes, pos, depth),
@@ -1089,22 +1095,25 @@ fn read_task(text: &str, pos: &mut usize, depth: usize) -> Result<TaskFields, Wi
 }
 
 /// A task's `"comms"` under `pos`: `None` when it is not an array, and
-/// `Some(None)` when an element is not an exact integer.
+/// `Some(None)` when an element is not an exact integer. The times are
+/// gathered in `scratch`, which every task of a schedule shares, so a
+/// vector short enough to sit inline costs no allocation.
 fn read_comms(
     bytes: &[u8],
     pos: &mut usize,
     depth: usize,
-) -> Result<Option<Option<Vec<i64>>>, WireError> {
-    let mut times = Some(Vec::new());
+    scratch: &mut Vec<i64>,
+) -> Result<Option<Option<CommVector>>, WireError> {
+    scratch.clear();
+    let mut exact = true;
     let array = read_array(bytes, pos, depth, |pos| {
-        let time = read_int(bytes, pos, depth + 1)?;
-        match (time, times.as_mut()) {
-            (Some(time), Some(list)) => list.push(time),
-            _ => times = None,
+        match read_int(bytes, pos, depth + 1)? {
+            Some(time) if exact => scratch.push(time),
+            _ => exact = false,
         }
         Ok(())
     })?;
-    Ok(array.then_some(times))
+    Ok(array.then(|| exact.then(|| CommVector::from_slice(scratch))))
 }
 
 fn read_schedule(text: &str, pos: &mut usize, depth: usize) -> Result<ScheduleFields, WireError> {
@@ -1117,9 +1126,9 @@ fn read_schedule(text: &str, pos: &mut usize, depth: usize) -> Result<ScheduleFi
                 first(&mut schedule.repr, bytes, pos, depth, |pos| read_str(bytes, pos, depth))
             }
             "tasks" => first(&mut schedule.tasks, bytes, pos, depth, |pos| {
-                let mut tasks = Vec::new();
+                let (mut tasks, mut scratch) = (Vec::new(), Vec::new());
                 let array = read_array(bytes, pos, depth, |pos| {
-                    tasks.push(read_task(text, pos, depth + 1)?);
+                    tasks.push(read_task(text, pos, depth + 1, &mut scratch)?);
                     Ok(())
                 })?;
                 Ok(array.then_some(tasks))
@@ -1136,7 +1145,7 @@ fn required_int(field: First<i64>, i: usize, key: &str) -> Result<i64, WireError
 }
 
 /// Task `i`'s `"comms"`: an array of exact integers, not empty.
-fn required_comms(comms: First<Option<Vec<i64>>>, i: usize) -> Result<Vec<i64>, WireError> {
+fn required_comms(comms: First<Option<CommVector>>, i: usize) -> Result<CommVector, WireError> {
     let comms = comms
         .flatten()
         .ok_or_else(|| WireError::new(format!("tasks[{i}]: missing array \"comms\"")))?
@@ -1172,13 +1181,13 @@ fn chain_schedule(tasks: First<Vec<TaskFields>>) -> Result<ChainSchedule, WireEr
             )));
         }
         if let Some(prev) = tasks.last() {
-            if prev.comms.first() > comms[0] {
+            if prev.comms.first() > comms.first() {
                 return Err(WireError::new(format!(
                     "tasks[{i}]: tasks must be listed in master-emission order"
                 )));
             }
         }
-        tasks.push(TaskAssignment::new(proc as usize, start, CommVector::new(comms), work));
+        tasks.push(TaskAssignment::new(proc as usize, start, comms, work));
     }
     Ok(ChainSchedule::new(tasks))
 }
@@ -1209,7 +1218,7 @@ fn spider_schedule(tasks: First<Vec<TaskFields>>) -> Result<SpiderSchedule, Wire
         tasks.push(SpiderTask::new(
             NodeId { leg: leg as usize, depth: depth as usize },
             start,
-            CommVector::new(comms),
+            comms,
             work,
         ));
     }
@@ -1227,7 +1236,7 @@ fn tree_schedule(tasks: First<Vec<TaskFields>>) -> Result<TreeSchedule, WireErro
         let start = required_int(item.start, i, "start")?;
         let work = required_int(item.work, i, "work")?;
         let comms = required_comms(item.comms, i)?;
-        tasks.push(TreeTask::new(node as usize, start, CommVector::new(comms), work));
+        tasks.push(TreeTask::new(node as usize, start, comms, work));
     }
     Ok(TreeSchedule::new(tasks))
 }

@@ -46,20 +46,22 @@ impl<'a> TreeAsap<'a> {
 
     /// Routes the next task to `node`, committing every hop and the
     /// execution at the earliest feasible times. Returns
-    /// `(emissions, start, completion)` where `emissions[d]` is the
-    /// emission time on the `d`-th link of the task's root path.
-    pub fn place(&mut self, node: usize) -> (Vec<Time>, Time, Time) {
+    /// `(emissions, start, completion)` where `emissions.get(d)` is the
+    /// emission time on the `d`-th link (**1-based**) of the task's root
+    /// path.
+    pub fn place(&mut self, node: usize) -> (CommVector, Time, Time) {
         let path = self.tree.path_from_root(node);
-        let mut emissions = Vec::with_capacity(path.len());
         let mut available = 0; // when the task is ready at the current hop's sender
-        for &hop in &path {
-            let sender = self.tree.node(hop).parent;
-            let emit = available.max(self.out_port_free[sender]);
-            let latency = self.tree.node(hop).comm;
-            self.out_port_free[sender] = emit + latency;
-            emissions.push(emit);
-            available = emit + latency;
-        }
+        let emissions = CommVector::from_fill(path.len(), |emissions| {
+            for (slot, &hop) in emissions.iter_mut().zip(&path) {
+                let sender = self.tree.node(hop).parent;
+                let emit = available.max(self.out_port_free[sender]);
+                let latency = self.tree.node(hop).comm;
+                self.out_port_free[sender] = emit + latency;
+                *slot = emit;
+                available = emit + latency;
+            }
+        });
         let start = available.max(self.proc_free[node - 1]);
         let completion = start + self.tree.node(node).work;
         self.proc_free[node - 1] = completion;
@@ -91,7 +93,7 @@ pub fn asap_chain(chain: &Chain, sequence: &[usize]) -> ChainSchedule {
     let mut tasks = Vec::with_capacity(sequence.len());
     for &proc in sequence {
         let (emissions, start, _) = state.place(proc);
-        tasks.push(TaskAssignment::new(proc, start, CommVector::new(emissions), chain.w(proc)));
+        tasks.push(TaskAssignment::new(proc, start, emissions, chain.w(proc)));
     }
     ChainSchedule::new(tasks)
 }
@@ -160,8 +162,8 @@ mod tests {
         let mut state = TreeAsap::new(&tree);
         let (e1, s1, _) = state.place(1);
         let (e2, s2, _) = state.place(2);
-        assert_eq!(e1, vec![0]);
-        assert_eq!(e2, vec![3], "second emission waits for the port");
+        assert_eq!(e1.times(), [0]);
+        assert_eq!(e2.times(), [3], "second emission waits for the port");
         assert_eq!(s1, 3);
         assert_eq!(s2, 5);
         assert_eq!(state.makespan(), 6);

@@ -9,6 +9,7 @@
 //! generated instance sets across cores with [`Batch`].
 
 use crate::args::Args;
+use mst_api::cache::DEFAULT_CACHE_ENTRIES;
 use mst_api::{Batch, Instance, Platform, ScheduleRepr, SolverRegistry, TopologyKind};
 use mst_platform::{HeterogeneityProfile, Spider, Tree};
 use mst_schedule::format::{
@@ -336,8 +337,15 @@ fn cmd_tenants(args: &Args) -> Result<String, String> {
     let mut out = String::new();
     writeln!(
         out,
-        "{:<14} {:<16} {:<8} {:<6} {:<14} {:<12} solvers",
-        "tenant", "token", "threads", "quota", "max-instances", "deadline-ms"
+        "{:<14} {:<16} {:<8} {:<6} {:<14} {:<12} {:<8} {:<14} rate-limit",
+        "tenant",
+        "token",
+        "threads",
+        "quota",
+        "max-instances",
+        "deadline-ms",
+        "solvers",
+        "cache-entries"
     )
     .unwrap();
     let fmt_opt = |v: Option<u128>| v.map_or_else(|| "-".to_string(), |n| n.to_string());
@@ -345,7 +353,7 @@ fn cmd_tenants(args: &Args) -> Result<String, String> {
         let name = policy.name.as_str();
         writeln!(
             out,
-            "{:<14} {:<16} {:<8} {:<6} {:<14} {:<12} {}",
+            "{:<14} {:<16} {:<8} {:<6} {:<14} {:<12} {:<8} {:<14} {}",
             name,
             policy.token.as_deref().unwrap_or(if name == "default" { "-" } else { name }),
             policy.threads.map_or_else(|| "shared".to_string(), |n| n.to_string()),
@@ -353,6 +361,11 @@ fn cmd_tenants(args: &Args) -> Result<String, String> {
             fmt_opt(policy.max_instances.map(|n| n as u128)),
             fmt_opt(policy.deadline.map(|budget| budget.as_millis())),
             policy.registry.len(),
+            policy.cache_entries.unwrap_or(DEFAULT_CACHE_ENTRIES),
+            policy.rate.map_or_else(
+                || "-".to_string(),
+                |rate| format!("{}/{}ms", rate.requests, rate.window.as_millis())
+            ),
         )
         .unwrap();
     }
@@ -990,16 +1003,16 @@ mod tests {
         let config = tmp("tenants-pinned.json", EVERY_LIMIT);
         let out = run_line(&format!("tenants --config {}", config.display())).unwrap();
         let expected = "\
-tenant         token            threads  quota  max-instances  deadline-ms  solvers
-default        -                shared   16     900            -            13
-acme           acme-secret      2        4      50000          2000         2
-lab            lab              shared   -      -              -            1
-plain          plain            shared   -      -              -            13
+tenant         token            threads  quota  max-instances  deadline-ms  solvers  cache-entries  rate-limit
+default        -                shared   16     900            -            13       0              5/1000ms
+acme           acme-secret      2        4      50000          2000         2        128            40/500ms
+lab            lab              shared   -      -              -            1        0              7/1000ms
+plain          plain            shared   -      -              -            13       4096           -
 ";
         assert_eq!(out, expected);
         let expected = "\
-tenant         token            threads  quota  max-instances  deadline-ms  solvers
-default        -                shared   -      -              -            13
+tenant         token            threads  quota  max-instances  deadline-ms  solvers  cache-entries  rate-limit
+default        -                shared   -      -              -            13       4096           -
 ";
         assert_eq!(run_line("tenants").unwrap(), expected);
         let out =
@@ -1035,15 +1048,15 @@ exact              yes     yes    yes     yes   -         branch-and-bound over 
                 r#"{"tenants":["#,
                 r#"{"name":"default","token":false,"threads":null,"quota":16,"max_instances":900,"#,
                 r#""deadline_ms":null,"rate_limit":{"requests_per_window":5,"window_ms":1000},"#,
-                r#""solvers":13},"#,
+                r#""solvers":13,"cache_entries":0},"#,
                 r#"{"name":"acme","token":true,"threads":2,"quota":4,"max_instances":50000,"#,
                 r#""deadline_ms":2000,"rate_limit":{"requests_per_window":40,"window_ms":500},"#,
-                r#""solvers":2},"#,
+                r#""solvers":2,"cache_entries":128},"#,
                 r#"{"name":"lab","token":false,"threads":null,"quota":null,"max_instances":null,"#,
                 r#""deadline_ms":null,"rate_limit":{"requests_per_window":7,"window_ms":1000},"#,
-                r#""solvers":1},"#,
+                r#""solvers":1,"cache_entries":0},"#,
                 r#"{"name":"plain","token":false,"threads":null,"quota":null,"max_instances":null,"#,
-                r#""deadline_ms":null,"rate_limit":null,"solvers":13}]}"#,
+                r#""deadline_ms":null,"rate_limit":null,"solvers":13,"cache_entries":4096}]}"#,
             ),
             "{reply}"
         );

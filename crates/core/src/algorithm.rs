@@ -56,13 +56,13 @@ impl<'a> BackwardScheduler<'a> {
     /// reserved (later) communications.
     pub fn candidate(&self, k: usize) -> CommVector {
         let chain = self.chain;
-        let mut v = vec![0; k];
-        v[k - 1] = (self.state.occupancy(k) - chain.w(k) - chain.c(k))
-            .min(self.state.hull(k) - chain.c(k));
-        for j in (1..k).rev() {
-            v[j - 1] = (v[j] - chain.c(j)).min(self.state.hull(j) - chain.c(j));
-        }
-        CommVector::new(v)
+        CommVector::from_fill(k, |v| {
+            v[k - 1] = (self.state.occupancy(k) - chain.w(k) - chain.c(k))
+                .min(self.state.hull(k) - chain.c(k));
+            for j in (1..k).rev() {
+                v[j - 1] = (v[j] - chain.c(j)).min(self.state.hull(j) - chain.c(j));
+            }
+        })
     }
 
     /// Performs one backward step: evaluates all `p` candidates, commits

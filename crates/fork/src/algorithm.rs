@@ -134,7 +134,7 @@ fn realise(fork: &Fork, selected: &[(VirtualSlave, Time)], deadline: Time) -> Sp
         tasks.push(SpiderTask::new(
             NodeId { leg: v.source - 1, depth: 1 },
             start,
-            CommVector::new(vec![emit]),
+            CommVector::from_slice(&[emit]),
             fork.w(v.source),
         ));
     }

@@ -28,11 +28,12 @@
 //! exactly to the chain/spider rules above, which is what makes the tree
 //! checker a total oracle over every topology of the workspace.
 
-use crate::schedule::{ChainSchedule, SpiderSchedule};
+use crate::schedule::{ChainSchedule, SpiderSchedule, TaskAssignment};
 use crate::tree_schedule::TreeSchedule;
 use mst_platform::time::Interval;
 use mst_platform::{Chain, Spider, Time, Tree};
 use std::fmt;
+use std::ops::Range;
 
 /// One broken feasibility rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,29 +253,31 @@ pub fn check_chain(chain: &Chain, schedule: &ChainSchedule) -> FeasibilityReport
         }
     }
 
-    // Properties (3) and (4): pairwise resource exclusivity.
-    for i in 1..=n {
-        let a = schedule.task(i);
-        if a.proc < 1 || a.proc > p {
-            continue;
-        }
-        for j in (i + 1)..=n {
-            let b = schedule.task(j);
-            if b.proc < 1 || b.proc > p {
-                continue;
-            }
+    // Properties (3) and (4): pairwise resource exclusivity, over the
+    // tasks on a processor of the chain. Each one's emission times are
+    // read out of its vector once, not once per pair.
+    let latencies: Vec<Time> = chain.processors().iter().map(|proc| proc.comm).collect();
+    let placed: Vec<(usize, &TaskAssignment, &[Time])> = schedule
+        .tasks()
+        .iter()
+        .zip(1..)
+        .filter(|(t, _)| t.proc >= 1 && t.proc <= p)
+        .map(|(t, i)| (i, t, t.comms.times()))
+        .collect();
+    for (next, &(i, a, a_comms)) in placed.iter().enumerate() {
+        let work = chain.w(a.proc);
+        for &(j, b, b_comms) in &placed[next + 1..] {
             if a.proc == b.proc {
-                let ia = Interval::with_len(a.start, chain.w(a.proc));
-                let ib = Interval::with_len(b.start, chain.w(b.proc));
+                let ia = Interval::with_len(a.start, work);
+                let ib = Interval::with_len(b.start, work);
                 if ia.overlaps(&ib) {
                     violations.push(Violation::ExecutionOverlap { a: i, b: j, proc: a.proc });
                 }
             }
             let shared = a.proc.min(b.proc);
-            for k in 1..=shared {
-                let ia = Interval::with_len(a.comms.get(k), chain.c(k));
-                let ib = Interval::with_len(b.comms.get(k), chain.c(k));
-                if ia.overlaps(&ib) {
+            let links = a_comms[..shared].iter().zip(&b_comms[..shared]).zip(&latencies);
+            for (k, ((&ta, &tb), &c)) in (1..).zip(links) {
+                if Interval::with_len(ta, c).overlaps(&Interval::with_len(tb, c)) {
                     violations.push(Violation::CommunicationOverlap { a: i, b: j, link: k });
                 }
             }
@@ -306,15 +309,14 @@ pub fn check_spider(spider: &Spider, schedule: &SpiderSchedule) -> FeasibilityRe
     // disjoint, each occupying the port for the latency of its own leg's
     // first link.
     let n = schedule.n();
-    for i in 1..=n {
-        let a = schedule.task(i);
-        let ca = spider.leg(a.node.leg).c(1);
-        for j in (i + 1)..=n {
-            let b = schedule.task(j);
-            let cb = spider.leg(b.node.leg).c(1);
-            let ia = Interval::with_len(a.comms.first(), ca);
-            let ib = Interval::with_len(b.comms.first(), cb);
-            if ia.overlaps(&ib) {
+    let port: Vec<Interval> = schedule
+        .tasks()
+        .iter()
+        .map(|t| Interval::with_len(t.comms.first(), spider.leg(t.node.leg).c(1)))
+        .collect();
+    for (i, a) in (1..).zip(&port) {
+        for (j, b) in (i + 1..).zip(&port[i..]) {
+            if a.overlaps(b) {
                 violations.push(Violation::MasterPortOverlap { a: i, b: j });
             }
         }
@@ -344,8 +346,11 @@ pub fn check_tree(tree: &Tree, schedule: &TreeSchedule) -> FeasibilityReport {
     let n = schedule.n();
 
     // Per-task route validation; tasks failing it are excluded from the
-    // pairwise phase (their vectors cannot be addressed by depth).
-    let mut routes: Vec<Option<Vec<usize>>> = Vec::with_capacity(n);
+    // pairwise phase (their vectors cannot be addressed by depth). A
+    // routed task's links are `hops[range]`, read once for every pair:
+    // the node each link enters, its sender and its busy interval.
+    let mut hops: Vec<(usize, usize, Interval)> = Vec::new();
+    let mut routes: Vec<Option<Range<usize>>> = Vec::with_capacity(n);
     for i in 1..=n {
         let t = schedule.task(i);
         if t.node < 1 || t.node > tree.len() {
@@ -394,16 +399,21 @@ pub fn check_tree(tree: &Tree, schedule: &TreeSchedule) -> FeasibilityReport {
         if arrival > t.start {
             violations.push(Violation::StartedBeforeReceived { task: i, arrival, start: t.start });
         }
-        routes.push(Some(path));
+        let first = hops.len();
+        hops.extend(path.iter().zip(t.comms.times()).map(|(&hop, &emission)| {
+            let link = tree.node(hop);
+            (hop, link.parent, Interval::with_len(emission, link.comm))
+        }));
+        routes.push(Some(first..hops.len()));
     }
 
     // Pairwise exclusivity: executions per node (property 3) and the
     // one-port rule at every sender (property 4 plus out-port sharing).
     for i in 1..=n {
-        let Some(path_a) = &routes[i - 1] else { continue };
+        let Some(route_a) = &routes[i - 1] else { continue };
         let a = schedule.task(i);
         for j in (i + 1)..=n {
-            let Some(path_b) = &routes[j - 1] else { continue };
+            let Some(route_b) = &routes[j - 1] else { continue };
             let b = schedule.task(j);
             if a.node == b.node {
                 let w = tree.node(a.node).work;
@@ -413,15 +423,9 @@ pub fn check_tree(tree: &Tree, schedule: &TreeSchedule) -> FeasibilityReport {
                     violations.push(Violation::ExecutionOverlap { a: i, b: j, proc: a.node });
                 }
             }
-            for (da, &hop_a) in path_a.iter().enumerate() {
-                let sender = tree.node(hop_a).parent;
-                for (db, &hop_b) in path_b.iter().enumerate() {
-                    if tree.node(hop_b).parent != sender {
-                        continue;
-                    }
-                    let ia = Interval::with_len(a.comms.get(da + 1), tree.node(hop_a).comm);
-                    let ib = Interval::with_len(b.comms.get(db + 1), tree.node(hop_b).comm);
-                    if !ia.overlaps(&ib) {
+            for &(hop_a, sender, ia) in &hops[route_a.clone()] {
+                for &(hop_b, sender_b, ib) in &hops[route_b.clone()] {
+                    if sender_b != sender || !ia.overlaps(&ib) {
                         continue;
                     }
                     violations.push(if hop_a == hop_b {
@@ -476,6 +480,349 @@ mod tests {
 
     fn cv(times: &[Time]) -> CommVector {
         CommVector::new(times.to_vec())
+    }
+
+    /// The checkers before they read each task's emission times once
+    /// per check, kept as the reference their reports are checked
+    /// against.
+    mod reference {
+        use super::super::remap_violation;
+        use crate::feasibility::{FeasibilityReport, Violation};
+        use crate::schedule::{ChainSchedule, SpiderSchedule};
+        use crate::tree_schedule::TreeSchedule;
+        use mst_platform::time::Interval;
+        use mst_platform::{Chain, Spider, Tree};
+
+        pub(super) fn check_chain(chain: &Chain, schedule: &ChainSchedule) -> FeasibilityReport {
+            let mut violations = Vec::new();
+            let p = chain.len();
+            let n = schedule.n();
+
+            for i in 1..=n {
+                let t = schedule.task(i);
+                if t.proc < 1 || t.proc > p {
+                    violations.push(Violation::BadProcessor { task: i, proc: t.proc });
+                    continue;
+                }
+                if t.work != chain.w(t.proc) {
+                    violations.push(Violation::WorkMismatch {
+                        task: i,
+                        stored: t.work,
+                        actual: chain.w(t.proc),
+                    });
+                }
+                if t.comms.first() < 0 {
+                    violations.push(Violation::NegativeTime {
+                        task: i,
+                        what: format!("first emission {}", t.comms.first()),
+                    });
+                }
+                // Property (1): pipeline ordering along the route.
+                for k in 2..=t.proc {
+                    let arrival = t.comms.get(k - 1) + chain.c(k - 1);
+                    let emission = t.comms.get(k);
+                    if arrival > emission {
+                        violations.push(Violation::ReemittedBeforeReceived {
+                            task: i,
+                            link: k,
+                            arrival,
+                            emission,
+                        });
+                    }
+                }
+                // Property (2): reception precedes execution.
+                let arrival = t.comms.get(t.proc) + chain.c(t.proc);
+                if arrival > t.start {
+                    violations.push(Violation::StartedBeforeReceived {
+                        task: i,
+                        arrival,
+                        start: t.start,
+                    });
+                }
+            }
+
+            // Properties (3) and (4): pairwise resource exclusivity.
+            for i in 1..=n {
+                let a = schedule.task(i);
+                if a.proc < 1 || a.proc > p {
+                    continue;
+                }
+                for j in (i + 1)..=n {
+                    let b = schedule.task(j);
+                    if b.proc < 1 || b.proc > p {
+                        continue;
+                    }
+                    if a.proc == b.proc {
+                        let ia = Interval::with_len(a.start, chain.w(a.proc));
+                        let ib = Interval::with_len(b.start, chain.w(b.proc));
+                        if ia.overlaps(&ib) {
+                            violations.push(Violation::ExecutionOverlap {
+                                a: i,
+                                b: j,
+                                proc: a.proc,
+                            });
+                        }
+                    }
+                    let shared = a.proc.min(b.proc);
+                    for k in 1..=shared {
+                        let ia = Interval::with_len(a.comms.get(k), chain.c(k));
+                        let ib = Interval::with_len(b.comms.get(k), chain.c(k));
+                        if ia.overlaps(&ib) {
+                            violations.push(Violation::CommunicationOverlap {
+                                a: i,
+                                b: j,
+                                link: k,
+                            });
+                        }
+                    }
+                }
+            }
+
+            FeasibilityReport { violations, makespan: schedule.makespan_on(chain), tasks: n }
+        }
+
+        pub(super) fn check_spider(
+            spider: &Spider,
+            schedule: &SpiderSchedule,
+        ) -> FeasibilityReport {
+            let mut violations = Vec::new();
+
+            // Per-leg: restrict and reuse the chain checker. Task indices inside
+            // leg reports refer to positions within the leg restriction; remap to
+            // global indices for readability.
+            for (l, chain) in spider.legs().iter().enumerate() {
+                let leg_schedule = schedule.leg_schedule(l);
+                let global: Vec<usize> =
+                    (1..=schedule.n()).filter(|&i| schedule.task(i).node.leg == l).collect();
+                let report = check_chain(chain, &leg_schedule);
+                for v in report.violations {
+                    violations.push(remap_violation(v, &global));
+                }
+            }
+
+            // Master one-port: first-link emissions across all legs are pairwise
+            // disjoint, each occupying the port for the latency of its own leg's
+            // first link.
+            let n = schedule.n();
+            for i in 1..=n {
+                let a = schedule.task(i);
+                let ca = spider.leg(a.node.leg).c(1);
+                for j in (i + 1)..=n {
+                    let b = schedule.task(j);
+                    let cb = spider.leg(b.node.leg).c(1);
+                    let ia = Interval::with_len(a.comms.first(), ca);
+                    let ib = Interval::with_len(b.comms.first(), cb);
+                    if ia.overlaps(&ib) {
+                        violations.push(Violation::MasterPortOverlap { a: i, b: j });
+                    }
+                }
+            }
+
+            FeasibilityReport { violations, makespan: schedule.makespan_on(spider), tasks: n }
+        }
+
+        pub(super) fn check_tree(tree: &Tree, schedule: &TreeSchedule) -> FeasibilityReport {
+            let mut violations = Vec::new();
+            let n = schedule.n();
+
+            // Per-task route validation; tasks failing it are excluded from the
+            // pairwise phase (their vectors cannot be addressed by depth).
+            let mut routes: Vec<Option<Vec<usize>>> = Vec::with_capacity(n);
+            for i in 1..=n {
+                let t = schedule.task(i);
+                if t.node < 1 || t.node > tree.len() {
+                    violations.push(Violation::BadProcessor { task: i, proc: t.node });
+                    routes.push(None);
+                    continue;
+                }
+                let path = tree.path_from_root(t.node);
+                if t.comms.len() != path.len() {
+                    violations.push(Violation::RouteMismatch {
+                        task: i,
+                        expected: path.len(),
+                        got: t.comms.len(),
+                    });
+                    routes.push(None);
+                    continue;
+                }
+                if t.work != tree.node(t.node).work {
+                    violations.push(Violation::WorkMismatch {
+                        task: i,
+                        stored: t.work,
+                        actual: tree.node(t.node).work,
+                    });
+                }
+                if t.comms.first() < 0 {
+                    violations.push(Violation::NegativeTime {
+                        task: i,
+                        what: format!("first emission {}", t.comms.first()),
+                    });
+                }
+                // Property (1): pipeline ordering along the route.
+                for d in 2..=path.len() {
+                    let arrival = t.comms.get(d - 1) + tree.node(path[d - 2]).comm;
+                    let emission = t.comms.get(d);
+                    if arrival > emission {
+                        violations.push(Violation::ReemittedBeforeReceived {
+                            task: i,
+                            link: d,
+                            arrival,
+                            emission,
+                        });
+                    }
+                }
+                // Property (2): reception precedes execution.
+                let arrival = t.comms.get(path.len()) + tree.node(t.node).comm;
+                if arrival > t.start {
+                    violations.push(Violation::StartedBeforeReceived {
+                        task: i,
+                        arrival,
+                        start: t.start,
+                    });
+                }
+                routes.push(Some(path));
+            }
+
+            // Pairwise exclusivity: executions per node (property 3) and the
+            // one-port rule at every sender (property 4 plus out-port sharing).
+            for i in 1..=n {
+                let Some(path_a) = &routes[i - 1] else { continue };
+                let a = schedule.task(i);
+                for j in (i + 1)..=n {
+                    let Some(path_b) = &routes[j - 1] else { continue };
+                    let b = schedule.task(j);
+                    if a.node == b.node {
+                        let w = tree.node(a.node).work;
+                        let ia = Interval::with_len(a.start, w);
+                        let ib = Interval::with_len(b.start, w);
+                        if ia.overlaps(&ib) {
+                            violations.push(Violation::ExecutionOverlap {
+                                a: i,
+                                b: j,
+                                proc: a.node,
+                            });
+                        }
+                    }
+                    for (da, &hop_a) in path_a.iter().enumerate() {
+                        let sender = tree.node(hop_a).parent;
+                        for (db, &hop_b) in path_b.iter().enumerate() {
+                            if tree.node(hop_b).parent != sender {
+                                continue;
+                            }
+                            let ia = Interval::with_len(a.comms.get(da + 1), tree.node(hop_a).comm);
+                            let ib = Interval::with_len(b.comms.get(db + 1), tree.node(hop_b).comm);
+                            if !ia.overlaps(&ib) {
+                                continue;
+                            }
+                            violations.push(if hop_a == hop_b {
+                                Violation::CommunicationOverlap { a: i, b: j, link: hop_a }
+                            } else if sender == 0 {
+                                Violation::MasterPortOverlap { a: i, b: j }
+                            } else {
+                                Violation::PortOverlap { a: i, b: j, node: sender }
+                            });
+                        }
+                    }
+                }
+            }
+
+            FeasibilityReport { violations, makespan: schedule.makespan_on(tree), tasks: n }
+        }
+    }
+
+    /// A deterministic stream of draws for the differential tests.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// A time in `-2..18`: negative now and then, and close enough
+        /// to its neighbours that resources often clash.
+        fn time(&mut self) -> Time {
+            self.below(20) as Time - 2
+        }
+
+        fn latency(&mut self) -> Time {
+            1 + self.below(4) as Time
+        }
+
+        fn comms(&mut self, len: usize) -> CommVector {
+            CommVector::from_fill(len, |times| times.iter_mut().for_each(|t| *t = self.time()))
+        }
+    }
+
+    #[test]
+    fn reports_match_the_pairwise_reference() {
+        let mut draw = Draw(29);
+        for _ in 0..1_500 {
+            let pairs: Vec<(Time, Time)> =
+                (0..1 + draw.below(4)).map(|_| (draw.latency(), draw.latency())).collect();
+            let chain = Chain::from_pairs(&pairs).unwrap();
+            let p = chain.len();
+            // Processor p + 1 does not exist; a few tasks carry a wrong work.
+            let mut tasks: Vec<TaskAssignment> = (0..draw.below(10))
+                .map(|_| {
+                    let proc = 1 + draw.below(p + 1);
+                    let work = if draw.below(8) == 0 { 99 } else { chain.w(proc.min(p)) };
+                    TaskAssignment::new(proc, draw.time(), draw.comms(proc), work)
+                })
+                .collect();
+            tasks.sort_by_key(|t| t.comms.first());
+            let schedule = ChainSchedule::new(tasks);
+            assert_eq!(check_chain(&chain, &schedule), reference::check_chain(&chain, &schedule));
+
+            let legs: Vec<Vec<(Time, Time)>> = (0..1 + draw.below(3))
+                .map(|_| (0..1 + draw.below(3)).map(|_| (draw.latency(), draw.latency())).collect())
+                .collect();
+            let legs: Vec<&[(Time, Time)]> = legs.iter().map(Vec::as_slice).collect();
+            let spider = Spider::from_legs(&legs).unwrap();
+            let tasks: Vec<SpiderTask> = (0..draw.below(10))
+                .map(|_| {
+                    let leg = draw.below(spider.num_legs());
+                    let depth = 1 + draw.below(spider.leg(leg).len() + 1);
+                    SpiderTask::new(NodeId { leg, depth }, draw.time(), draw.comms(depth), 1)
+                })
+                .collect();
+            let schedule = SpiderSchedule::new(tasks);
+            assert_eq!(
+                check_spider(&spider, &schedule),
+                reference::check_spider(&spider, &schedule)
+            );
+
+            let triples: Vec<(usize, Time, Time)> = (0..1 + draw.below(6))
+                .map(|node| (draw.below(node + 1), draw.latency(), draw.latency()))
+                .collect();
+            let tree = Tree::from_triples(&triples).unwrap();
+            // Nodes 0 and len + 1 do not exist; some vectors miss their route.
+            let tasks: Vec<crate::TreeTask> = (0..draw.below(10))
+                .map(|_| {
+                    let node = draw.below(tree.len() + 2);
+                    let depth = if (1..=tree.len()).contains(&node) { tree.depth(node) } else { 1 };
+                    let len = match draw.below(6) {
+                        0 => depth + 1,
+                        1 => depth - 1,
+                        _ => depth,
+                    };
+                    let work =
+                        if node == 0 || node > tree.len() { 1 } else { tree.node(node).work };
+                    crate::TreeTask::new(node, draw.time(), draw.comms(len), work)
+                })
+                .collect();
+            let schedule = TreeSchedule::new(tasks);
+            assert_eq!(check_tree(&tree, &schedule), reference::check_tree(&tree, &schedule));
+        }
+        let (chain, schedule) = (Chain::paper_figure2(), figure2_schedule());
+        for m in crate::mutate::catalog(schedule.n()) {
+            if let Some(mutant) = crate::mutate::chain(&schedule, m) {
+                assert_eq!(check_chain(&chain, &mutant), reference::check_chain(&chain, &mutant));
+            }
+        }
     }
 
     fn figure2_schedule() -> ChainSchedule {

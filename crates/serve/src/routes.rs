@@ -57,7 +57,7 @@
 use crate::http::{Request, Response};
 use crate::server::ServiceState;
 use crate::service::{ResponseBody, StreamWriter};
-use mst_api::cache::{self, Lookup};
+use mst_api::cache::{self, Lookup, DEFAULT_CACHE_ENTRIES};
 use mst_api::exec::{AdmissionError, TenantExec};
 use mst_api::fleet::SweepSpec;
 use mst_api::repair::{degraded_suffix, empty_witness, FailureEvent, RepairError};
@@ -451,6 +451,10 @@ fn tenants(state: &ServiceState) -> Response {
                     },
                 ),
                 ("solvers", Json::int(policy.registry.len() as i64)),
+                (
+                    "cache_entries",
+                    Json::int(policy.cache_entries.unwrap_or(DEFAULT_CACHE_ENTRIES) as i64),
+                ),
             ])
         })
         .collect();

@@ -68,7 +68,7 @@ impl<'a> BufferedState<'a> {
         let end = start + w1;
         self.cpu_free[leg] = end;
         self.completions[leg].push(end);
-        SpiderTask::new(NodeId { leg, depth: 1 }, start, CommVector::new(vec![emit]), w1)
+        SpiderTask::new(NodeId { leg, depth: 1 }, start, CommVector::from_slice(&[emit]), w1)
     }
 
     fn probe(&self, leg: usize) -> Time {

@@ -150,17 +150,20 @@ impl<'a> LegRuns<'a> {
             .map(|(item, emit)| {
                 let Slot { leg, index } = item.payload;
                 let task = &self.legs[leg].tasks[index];
-                let mut times: Vec<Time> =
-                    task.comms.times().iter().map(|t| t + deadline).collect();
-                debug_assert!(
-                    emit <= times[0],
-                    "fork emission must not be later than the chain emission"
-                );
-                times[0] = emit;
+                let comms = CommVector::from_fill(task.comms.len(), |times| {
+                    for (t, &chain_time) in times.iter_mut().zip(task.comms.times()) {
+                        *t = chain_time + deadline;
+                    }
+                    debug_assert!(
+                        emit <= times[0],
+                        "fork emission must not be later than the chain emission"
+                    );
+                    times[0] = emit;
+                });
                 SpiderTask::new(
                     NodeId { leg, depth: task.proc },
                     task.start + deadline,
-                    CommVector::new(times),
+                    comms,
                     task.work,
                 )
             })
@@ -284,10 +287,12 @@ mod tests {
             .map(|(item, emit)| {
                 let v = item.payload;
                 let task = schedules[v.leg].task(v.task_index);
-                let mut times = task.comms.times().to_vec();
-                times[0] = emit;
+                let comms = CommVector::from_fill(task.comms.len(), |times| {
+                    times.copy_from_slice(task.comms.times());
+                    times[0] = emit;
+                });
                 let node = NodeId { leg: v.leg, depth: task.proc };
-                SpiderTask::new(node, task.start, CommVector::new(times), task.work)
+                SpiderTask::new(node, task.start, comms, task.work)
             })
             .collect();
         SpiderSchedule::new(tasks)

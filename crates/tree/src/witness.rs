@@ -12,7 +12,7 @@
 
 use mst_baselines::asap::TreeAsap;
 use mst_platform::Tree;
-use mst_schedule::{CommVector, TreeSchedule, TreeTask};
+use mst_schedule::{TreeSchedule, TreeTask};
 
 /// Replays an assignment sequence on `tree` and rebuilds the complete
 /// [`TreeSchedule`] from the greedy earliest-feasible placements.
@@ -38,7 +38,7 @@ pub fn tree_schedule_from_sequence(tree: &Tree, sequence: &[usize]) -> TreeSched
         .iter()
         .map(|&node| {
             let (emissions, start, _) = state.place(node);
-            TreeTask::new(node, start, CommVector::new(emissions), tree.node(node).work)
+            TreeTask::new(node, start, emissions, tree.node(node).work)
         })
         .collect();
     TreeSchedule::new(tasks)
