@@ -11,12 +11,18 @@
 //! and a store append, so a hit there takes no slot and wakes no worker.
 //! The key does not name the registry, so a cache must only ever hold
 //! the answers of the one registry that fills it.
+//!
+//! The pieces take the solver the request's name resolved to, resolved
+//! once before the lookup: the canonical form is the one that solver's
+//! algorithm allows ([`crate::Solver::canon_level`]), whatever name config
+//! gave it, and a name the registry lacks never reaches the cache.
 
 use crate::canon::CanonicalInstance;
 use crate::error::SolveError;
 use crate::instance::Instance;
 use crate::registry::SolverRegistry;
 use crate::solution::Solution;
+use crate::solver::Solver;
 use mst_platform::Time;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,16 +240,17 @@ pub struct Miss {
     pub key: CacheKey,
 }
 
-/// Canonicalises `instance` for `solver` and `deadline`, then looks the
-/// canonical form up in `cache`. Counts a hit or a miss.
+/// Canonicalises `instance` and `deadline` at the level of `solver`, the
+/// solver the request's name resolved to, then looks the canonical form
+/// up in `cache` under that name. Counts a hit or a miss.
 pub fn lookup(
     cache: &SolutionCache,
     instance: &Instance,
-    solver: &str,
+    solver: &dyn Solver,
     deadline: Option<Time>,
 ) -> Lookup {
-    let canon = CanonicalInstance::of(instance, solver, deadline);
-    let key = CacheKey::of(&canon, solver);
+    let canon = CanonicalInstance::at(instance, solver.canon_level(), deadline);
+    let key = CacheKey::of(&canon, solver.name());
     match cache.get(&key) {
         Some(hit) => Lookup::Hit(canon.restore(&hit)),
         None => Lookup::Miss(Miss { canon, key }),
@@ -251,23 +258,17 @@ pub fn lookup(
 }
 
 /// Solves a miss's **canonical** instance (so every later hit is the
-/// exact solution a miss produces) with `registry`'s `solver`, under its
-/// canonical deadline when it has one, timed into the `Solve` or `Probe`
-/// kernel histogram.
-pub fn solve_miss(
-    registry: &SolverRegistry,
-    solver: &str,
-    miss: &Miss,
-) -> Result<Solution, SolveError> {
+/// exact solution a miss produces) with the `solver` it was looked up
+/// for, under its canonical deadline when it has one, timed into the
+/// `Solve` or `Probe` kernel histogram.
+pub fn solve_miss(solver: &dyn Solver, miss: &Miss) -> Result<Solution, SolveError> {
     let _solve_span = mst_obs::span(mst_obs::Stage::Solve);
     let started = std::time::Instant::now();
     let (solved, kernel) = match miss.canon.deadline() {
-        Some(d) => {
-            (registry.solve_by_deadline(solver, miss.canon.instance(), d), mst_obs::Kernel::Probe)
-        }
-        None => (registry.solve(solver, miss.canon.instance()), mst_obs::Kernel::Solve),
+        Some(d) => (solver.solve_by_deadline(miss.canon.instance(), d), mst_obs::Kernel::Probe),
+        None => (solver.solve(miss.canon.instance()), mst_obs::Kernel::Solve),
     };
-    mst_obs::kernel_observe(kernel, solver, started.elapsed().as_micros() as u64);
+    mst_obs::kernel_observe(kernel, solver.name(), started.elapsed().as_micros() as u64);
     solved
 }
 
@@ -279,8 +280,10 @@ pub fn memoise(cache: &SolutionCache, miss: Miss, canonical: Solution) -> Soluti
     miss.canon.restore(&canonical)
 }
 
-/// Solves `instance` through `cache`: [`lookup`], and only on a miss
-/// [`solve_miss`] with `registry`, then [`memoise`].
+/// Solves `instance` through `cache`: resolves `solver` in `registry`
+/// once, then [`lookup`], and only on a miss [`solve_miss`], then
+/// [`memoise`]. An unknown name is [`SolveError::UnknownSolver`] before
+/// the cache is consulted.
 pub fn solve_through(
     cache: &SolutionCache,
     registry: &SolverRegistry,
@@ -288,6 +291,7 @@ pub fn solve_through(
     instance: &Instance,
     deadline: Option<Time>,
 ) -> Result<CachedSolve, SolveError> {
+    let solver = registry.resolve(solver)?;
     let cache_span = mst_obs::span(mst_obs::Stage::Cache);
     let miss = match lookup(cache, instance, solver, deadline) {
         Lookup::Hit(solution) => {
@@ -298,7 +302,7 @@ pub fn solve_through(
     };
     drop(cache_span);
     mst_obs::note_cached(false);
-    let canonical = solve_miss(registry, solver, &miss)?;
+    let canonical = solve_miss(solver, &miss)?;
     Ok(CachedSolve { solution: memoise(cache, miss, canonical), cache_hit: false })
 }
 

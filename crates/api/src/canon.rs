@@ -33,6 +33,10 @@
 //! * **Identity.** The divisible-load relaxation rounds a floating-point
 //!   fluid bound (`ceil(x·g) ≠ g·ceil(x)` in general), and unknown solver
 //!   names give no invariance contract at all — both are cached verbatim.
+//!
+//! The level belongs to the solver a request resolves to, not to the name
+//! it asks for ([`crate::Solver::canon_level`]): a heuristic that config
+//! registers as `optimal` keeps its legs in order.
 
 use crate::instance::Instance;
 use crate::platform::Platform;
@@ -58,7 +62,14 @@ pub enum CanonLevel {
     Identity,
 }
 
-/// The canonicalisation level contracted for a solver name.
+/// The canonicalisation level contracted for a built-in solver's name:
+/// what [`crate::Solver::canon_level`] answers by default.
+///
+/// The level belongs to the algorithm a request resolves to, not to the
+/// name it asks for: config may register any solver under another name,
+/// and such a solver answers with the level of the one it wraps. The
+/// cache therefore canonicalises at the resolved solver's
+/// [`crate::Solver::canon_level`].
 ///
 /// Solvers not built into this crate (registered by name at runtime) are
 /// conservatively treated as [`CanonLevel::Identity`]: without an
@@ -67,8 +78,8 @@ pub fn level_for(solver: &str) -> CanonLevel {
     match solver {
         // Optimal / exhaustive: the makespan depends only on the multiset
         // of legs (forks, spiders) or the unordered tree shape.
-        "optimal" | "chain-optimal" | "chain-fast" | "fork-optimal" | "spider-optimal"
-        | "tree-cover" | "exact" => CanonLevel::Full,
+        "optimal" | "chain-optimal" | "fork-optimal" | "spider-optimal" | "tree-cover"
+        | "exact" => CanonLevel::Full,
         // Forward heuristics: scale-invariant decisions, label-sensitive
         // tie-breaks.
         "eager" | "round-robin" | "bandwidth-centric" | "master-only" | "random" => {
@@ -261,10 +272,17 @@ pub struct CanonicalInstance {
 }
 
 impl CanonicalInstance {
-    /// Canonicalises `instance` for `solver` (which fixes the
-    /// [`CanonLevel`]), folding `deadline` into the scale when present.
+    /// Canonicalises `instance` for the solver named `solver`, at the
+    /// [`CanonLevel`] [`level_for`] gives the name, folding `deadline`
+    /// into the scale when present.
     pub fn of(instance: &Instance, solver: &str, deadline: Option<Time>) -> CanonicalInstance {
-        let level = level_for(solver);
+        CanonicalInstance::at(instance, level_for(solver), deadline)
+    }
+
+    /// Canonicalises `instance` at `level`, folding `deadline` into the
+    /// scale when present. The cache passes the level of the solver the
+    /// request resolved to ([`crate::Solver::canon_level`]).
+    pub fn at(instance: &Instance, level: CanonLevel, deadline: Option<Time>) -> CanonicalInstance {
         let g = match level {
             CanonLevel::Identity => 1,
             _ => scale_of(&instance.platform, deadline),
@@ -517,7 +535,7 @@ mod tests {
     fn restore_round_trips_solutions_with_verification() {
         let registry = SolverRegistry::with_defaults();
         let scaled = chain_instance(&[(6, 9), (9, 15)], 6);
-        for solver in ["optimal", "chain-fast", "eager", "exact"] {
+        for solver in ["optimal", "chain-optimal", "eager", "exact"] {
             let direct = registry.solve(solver, &scaled).unwrap();
             let canon = CanonicalInstance::of(&scaled, solver, None);
             let via = canon.restore(&registry.solve(solver, canon.instance()).unwrap());

@@ -9,9 +9,9 @@
 //!   "base": "defaults",
 //!   "solvers": [
 //!     {"solver": "random", "name": "random-7", "seed": 7},
-//!     {"solver": "alias", "name": "fast", "target": "chain-fast"}
+//!     {"solver": "alias", "name": "paper", "target": "chain-optimal"}
 //!   ],
-//!   "only": ["optimal", "exact", "random-7", "fast"]
+//!   "only": ["optimal", "exact", "random-7", "paper"]
 //! }
 //! ```
 //!
@@ -92,12 +92,13 @@
 //! interned once into a process-wide leak-free-enough pool — config
 //! loading happens at startup, not per request.
 
+use crate::canon::CanonLevel;
 use crate::exec::{ExecPolicy, RateLimit};
 use crate::registry::SolverRegistry;
 use crate::solver::Solver;
 use crate::solvers::{
-    ChainFastSolver, ChainOptimalSolver, DivisibleSolver, ExactSolver, ForkOptimalSolver,
-    HeuristicSolver, OptimalSolver, SpiderOptimalSolver, TreeCoverSolver,
+    ChainOptimalSolver, DivisibleSolver, ExactSolver, ForkOptimalSolver, HeuristicSolver,
+    OptimalSolver, SpiderOptimalSolver, TreeCoverSolver,
 };
 use crate::wire::Json;
 use crate::{instance::Instance, platform::TopologyKind, solution::Solution, SolveError};
@@ -170,6 +171,10 @@ impl Solver for RenamedSolver {
         self.inner.by_deadline()
     }
 
+    fn canon_level(&self) -> CanonLevel {
+        self.inner.canon_level()
+    }
+
     fn solve(&self, instance: &Instance) -> Result<Solution, SolveError> {
         self.inner.solve(instance)
     }
@@ -201,7 +206,6 @@ fn instantiate(kind: &str, spec: &Json) -> Result<Arc<dyn Solver>, ConfigError> 
     Ok(match kind {
         "optimal" => Arc::new(OptimalSolver),
         "chain-optimal" => Arc::new(ChainOptimalSolver),
-        "chain-fast" => Arc::new(ChainFastSolver),
         "fork-optimal" => Arc::new(ForkOptimalSolver),
         "spider-optimal" => Arc::new(SpiderOptimalSolver),
         "tree-cover" => Arc::new(TreeCoverSolver),

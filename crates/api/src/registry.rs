@@ -31,8 +31,8 @@ use crate::platform::TopologyKind;
 use crate::solution::Solution;
 use crate::solver::Solver;
 use crate::solvers::{
-    ChainFastSolver, ChainOptimalSolver, DivisibleSolver, ExactSolver, ForkOptimalSolver,
-    HeuristicSolver, OptimalSolver, SpiderOptimalSolver, TreeCoverSolver,
+    ChainOptimalSolver, DivisibleSolver, ExactSolver, ForkOptimalSolver, HeuristicSolver,
+    OptimalSolver, SpiderOptimalSolver, TreeCoverSolver,
 };
 use mst_platform::Time;
 use std::sync::{Arc, OnceLock};
@@ -65,7 +65,6 @@ impl SolverRegistry {
         let mut registry = SolverRegistry::new();
         registry.register(OptimalSolver);
         registry.register(ChainOptimalSolver);
-        registry.register(ChainFastSolver);
         registry.register(ForkOptimalSolver);
         registry.register(SpiderOptimalSolver);
         registry.register(TreeCoverSolver);

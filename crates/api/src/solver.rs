@@ -1,5 +1,6 @@
 //! The [`Solver`] trait: one `solve()` entry point over every topology.
 
+use crate::canon::{level_for, CanonLevel};
 use crate::error::SolveError;
 use crate::instance::Instance;
 use crate::platform::TopologyKind;
@@ -47,6 +48,14 @@ pub trait Solver: Send + Sync {
     ) -> Result<Solution, SolveError> {
         let _ = (instance, deadline);
         Err(SolveError::DeadlineUnsupported { solver: self.name().to_string() })
+    }
+
+    /// How far the cache may canonicalise an instance for this solver:
+    /// [`level_for`] its name. A solver registered under another name
+    /// answers for the solver it wraps, so the level follows the
+    /// algorithm, not the name a request used.
+    fn canon_level(&self) -> CanonLevel {
+        level_for(self.name())
     }
 
     /// Convenience guard shared by implementations: validates the task

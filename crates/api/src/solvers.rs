@@ -8,9 +8,10 @@ use crate::solution::Solution;
 use crate::solver::Solver;
 use mst_baselines::asap::TreeAsap;
 use mst_baselines::{
-    asap_chain, divisible_star, eager_chain, master_only_chain, random_chain, round_robin_chain,
+    asap_chain, divisible_star, eager_chain, master_only_chain, optimal_tree_sequence,
+    random_chain, round_robin_chain,
 };
-use mst_core::{schedule_chain, schedule_chain_by_deadline, schedule_chain_fast};
+use mst_core::{schedule_chain, schedule_chain_by_deadline};
 use mst_fork::{max_tasks_fork_by_deadline, schedule_fork};
 use mst_platform::{NodeId, Spider, Time, Tree};
 use mst_schedule::{SpiderSchedule, SpiderTask};
@@ -150,31 +151,6 @@ impl Solver for ChainOptimalSolver {
             self.name(),
             schedule_chain_by_deadline(chain, instance.tasks, deadline),
         ))
-    }
-}
-
-/// The prefix-min ablation variant of the chain algorithm — bit-identical
-/// schedules, different candidate evaluation.
-#[derive(Debug)]
-pub struct ChainFastSolver;
-
-impl Solver for ChainFastSolver {
-    fn name(&self) -> &'static str {
-        "chain-fast"
-    }
-
-    fn description(&self) -> &'static str {
-        "prefix-min candidate-front chain variant (bit-identical to chain-optimal)"
-    }
-
-    fn supports(&self, kind: TopologyKind) -> bool {
-        kind == TopologyKind::Chain
-    }
-
-    fn solve(&self, instance: &Instance) -> Result<Solution, SolveError> {
-        self.check_instance(instance)?;
-        let chain = instance.platform.as_chain().expect("checked chain");
-        Ok(Solution::from_chain(self.name(), schedule_chain_fast(chain, instance.tasks)))
     }
 }
 
@@ -418,14 +394,13 @@ impl Solver for HeuristicSolver {
 /// truth the optimality theorems are validated against.
 ///
 /// Exponential in the task count: meant for the small instances of the
-/// validation experiments (`n ≤ 8`, `p ≤ 5`). Unlike the raw
-/// `mst_baselines::exact` functions this solver also reconstructs the
-/// witness schedule on **every** topology — chains and spiders in their
-/// native representations, general trees as a
-/// [`mst_schedule::TreeSchedule`] (replaying the optimal assignment
-/// sequence through the same greedy evaluator the search uses) — so all
-/// its solutions pass the same [`crate::verify`] oracle as everyone
-/// else's.
+/// validation experiments (`n ≤ 8`, `p ≤ 5`). It runs
+/// [`mst_baselines::exact`]'s search, and reconstructs the witness
+/// schedule on **every** topology — chains and spiders in their native
+/// representations, general trees as a [`mst_schedule::TreeSchedule`]
+/// (replaying the optimal assignment sequence through the same greedy
+/// evaluator the search uses) — so all its solutions pass the same
+/// [`crate::verify`] oracle as everyone else's.
 #[derive(Debug)]
 pub struct ExactSolver;
 
@@ -448,77 +423,25 @@ impl Solver for ExactSolver {
         match &instance.platform {
             Platform::Chain(chain) => {
                 let tree = Tree::from_chain(chain);
-                let (_, sequence) = best_sequence(&tree, n);
+                let (_, sequence) = optimal_tree_sequence(&tree, n);
                 Ok(Solution::from_chain(self.name(), asap_chain(chain, &sequence)))
             }
             Platform::Fork(_) | Platform::Spider(_) => {
                 let spider = instance.platform.to_spider().expect("fork/spider embeds");
                 let tree = Tree::from_spider(&spider);
-                let (_, sequence) = best_sequence(&tree, n);
+                let (_, sequence) = optimal_tree_sequence(&tree, n);
                 Ok(Solution::from_spider(
                     self.name(),
                     spider_schedule_from_sequence(&spider, &tree, &sequence),
                 ))
             }
             Platform::Tree(tree) => {
-                let (makespan, sequence) = best_sequence(tree, n);
+                let (makespan, sequence) = optimal_tree_sequence(tree, n);
                 let witness = tree_schedule_from_sequence(tree, &sequence);
                 debug_assert_eq!(witness.makespan(), makespan, "replay must match the search");
                 Ok(Solution::from_tree(self.name(), witness))
             }
         }
-    }
-}
-
-/// Branch-and-bound over assignment sequences, returning the optimal
-/// makespan *and* a witnessing sequence (the part
-/// `mst_baselines::exact` does not expose).
-fn best_sequence(tree: &Tree, n: usize) -> (Time, Vec<usize>) {
-    // Incumbent: everything on the single best node.
-    let (mut best, mut best_seq) = (1..=tree.len())
-        .map(|v| {
-            let mut state = TreeAsap::new(tree);
-            for _ in 0..n {
-                state.place(v);
-            }
-            (state.makespan(), vec![v; n])
-        })
-        .min_by_key(|(m, _)| *m)
-        .expect("tree is non-empty");
-
-    let mut prefix = Vec::with_capacity(n);
-    let mut state = TreeAsap::new(tree);
-    descend(tree, n, &mut state, &mut prefix, &mut best, &mut best_seq);
-    (best, best_seq)
-}
-
-fn descend(
-    tree: &Tree,
-    remaining: usize,
-    state: &mut TreeAsap<'_>,
-    prefix: &mut Vec<usize>,
-    best: &mut Time,
-    best_seq: &mut Vec<usize>,
-) {
-    if remaining == 0 {
-        if state.makespan() < *best {
-            *best = state.makespan();
-            *best_seq = prefix.clone();
-        }
-        return;
-    }
-    if state.makespan() >= *best {
-        return; // even free additional tasks cannot improve
-    }
-    for v in 1..=tree.len() {
-        let mut child = state.clone();
-        let (_, _, completion) = child.place(v);
-        if completion >= *best {
-            continue;
-        }
-        prefix.push(v);
-        descend(tree, remaining - 1, &mut child, prefix, best, best_seq);
-        prefix.pop();
     }
 }
 

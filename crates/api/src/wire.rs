@@ -29,7 +29,7 @@
 //!   [`solution_from_json`] decodes a parsed body through it;
 //! * [`read_object`] — the members of an object, each parsed or skipped
 //!   where it stands, for readers that need only some of them (the
-//!   store's frame check);
+//!   store's frame check, which skips a solution with [`Member::skip`]);
 //! * [`tree_schedule_to_json`] / [`tree_schedule_from_json`] — the
 //!   round-trip for the universal tree witness format, validating types
 //!   without trusting the payload (feasibility stays the oracle's job);
@@ -37,6 +37,16 @@
 //!   structured `{"error": {"kind": ..., "message": ...}}` body, so
 //!   clients can dispatch on a stable kind string instead of scraping
 //!   the human-readable message.
+//!
+//! # One grammar
+//!
+//! The JSON grammar is stated once. [`Json::parse`], the skipping scan
+//! behind [`Member::skip`] and the one-pass readers walk arrays and
+//! objects with the same item and member loops, and read string literals
+//! with one scanner, which copies a string's value only for a reader that
+//! keeps it. So skipping a value checks exactly what parsing it checks,
+//! with the same depth cap and the same error messages; there is no
+//! separate validator.
 //!
 //! # Schedules are written once, as text
 //!
@@ -174,22 +184,10 @@ impl Json {
     /// Parses `text` as a single JSON value; trailing non-whitespace is
     /// an error, as is nesting deeper than an internal cap.
     pub fn parse(text: &str) -> Result<Json, WireError> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        end_of_text(bytes, pos)?;
+        let value = parse_value(text, &mut pos, 0)?;
+        end_of_text(text.as_bytes(), pos)?;
         Ok(value)
-    }
-
-    /// Checks that [`Json::parse`] would accept `text`, in one pass that
-    /// builds nothing and, on valid input, allocates nothing. It is a
-    /// separate scan of the same grammar: the same depth cap, the same
-    /// number and escape rules, and the same trailing-data check.
-    pub fn validate(text: &str) -> Result<(), WireError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        skip_value(bytes, &mut pos, 0)?;
-        end_of_text(bytes, pos)
     }
 
     /// The string payload, if this is a string.
@@ -360,7 +358,8 @@ fn skip_whitespace(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+    let bytes = text.as_bytes();
     if depth > MAX_DEPTH {
         return Err(WireError::new("JSON nested too deeply"));
     }
@@ -372,54 +371,21 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wire
         Some(b'f') => expect_literal(bytes, pos, "false").map(|()| Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b'[') => {
-            *pos += 1;
             let mut items = Vec::new();
-            skip_whitespace(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_whitespace(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(WireError::new(format!("expected ',' or ']' at byte {pos}"))),
-                }
-            }
+            read_items(bytes, pos, |pos| {
+                items.push(parse_value(text, pos, depth + 1)?);
+                Ok(())
+            })?;
+            Ok(Json::Arr(items))
         }
         Some(b'{') => {
-            *pos += 1;
             let mut members = Vec::new();
-            skip_whitespace(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_whitespace(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_whitespace(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(WireError::new(format!("expected ':' at byte {pos}")));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                members.push((key, value));
-                skip_whitespace(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(WireError::new(format!("expected ',' or '}}' at byte {pos}"))),
-                }
-            }
+            read_members(bytes, pos, |literal, pos| {
+                let key = key(text, literal)?.into_owned();
+                members.push((key, parse_value(text, pos, depth + 1)?));
+                Ok(())
+            })?;
+            Ok(Json::Obj(members))
         }
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos).map(Json::Num),
         Some(c) => Err(unexpected_byte(*c, *pos)),
@@ -481,30 +447,52 @@ fn exact_int(n: f64) -> Option<i64> {
     (n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15).then_some(n as i64)
 }
 
+/// The string literal under `pos`, unescaped.
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
+    let mut out = String::new();
+    scan_string(bytes, pos, Some(&mut out))?;
+    Ok(out)
+}
+
+/// Scans the string literal under `pos`, checking its escapes, and
+/// appends its value to `out` when handed one: the one string scanner of
+/// the copying and the skipping reader.
+///
+/// Each run up to the next byte that needs escaping is copied in one go,
+/// and only a copied run is checked as UTF-8. Every byte that ends a run
+/// is ASCII, so on `&str` input each run is whole scalars.
+fn scan_string(
+    bytes: &[u8],
+    pos: &mut usize,
+    mut out: Option<&mut String>,
+) -> Result<(), WireError> {
     if bytes.get(*pos) != Some(&b'"') {
         return Err(WireError::new(format!("expected string at byte {pos}")));
     }
     *pos += 1;
-    let mut out = String::new();
     loop {
-        // Copy the run up to the next byte that needs escaping in one go,
-        // validating only that run.
         let run = *pos;
         while *pos < bytes.len() && !needs_escape(bytes[*pos]) {
             *pos += 1;
         }
-        out.push_str(
-            std::str::from_utf8(&bytes[run..*pos])
-                .map_err(|_| WireError::new("non-UTF-8 string content"))?,
-        );
+        if let Some(out) = out.as_deref_mut() {
+            out.push_str(
+                std::str::from_utf8(&bytes[run..*pos])
+                    .map_err(|_| WireError::new("non-UTF-8 string content"))?,
+            );
+        }
         match bytes.get(*pos) {
             None => return Err(WireError::new("unterminated string")),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                return Ok(());
             }
-            Some(b'\\') => out.push(parse_escape(bytes, pos)?),
+            Some(b'\\') => {
+                let ch = parse_escape(bytes, pos)?;
+                if let Some(out) = out.as_deref_mut() {
+                    out.push(ch);
+                }
+            }
             Some(_) => return Err(WireError::new("unescaped control character in string")),
         }
     }
@@ -555,7 +543,7 @@ fn skip_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), WireErr
         Some(b'n') => expect_literal(bytes, pos, "null"),
         Some(b't') => expect_literal(bytes, pos, "true"),
         Some(b'f') => expect_literal(bytes, pos, "false"),
-        Some(b'"') => skip_string(bytes, pos),
+        Some(b'"') => scan_string(bytes, pos, None),
         Some(b'[') => read_items(bytes, pos, |pos| skip_value(bytes, pos, depth + 1)),
         Some(b'{') => read_members(bytes, pos, |_, pos| skip_value(bytes, pos, depth + 1)),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos).map(drop),
@@ -607,7 +595,7 @@ fn read_members(
     loop {
         skip_whitespace(bytes, pos);
         let key = *pos;
-        skip_string(bytes, pos)?;
+        scan_string(bytes, pos, None)?;
         let key = key..*pos;
         skip_whitespace(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
@@ -623,32 +611,6 @@ fn read_members(
                 return Ok(());
             }
             _ => return Err(WireError::new(format!("expected ',' or '}}' at byte {pos}"))),
-        }
-    }
-}
-
-/// [`parse_string`] without the string. Every byte that ends a run is
-/// ASCII, so on `&str` input each run is whole scalars and needs no UTF-8
-/// check.
-fn skip_string(bytes: &[u8], pos: &mut usize) -> Result<(), WireError> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(WireError::new(format!("expected string at byte {pos}")));
-    }
-    *pos += 1;
-    loop {
-        while *pos < bytes.len() && !needs_escape(bytes[*pos]) {
-            *pos += 1;
-        }
-        match bytes.get(*pos) {
-            None => return Err(WireError::new("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(());
-            }
-            Some(b'\\') => {
-                parse_escape(bytes, pos)?;
-            }
-            Some(_) => return Err(WireError::new("unescaped control character in string")),
         }
     }
 }
@@ -793,7 +755,7 @@ pub fn read_object(
         None => return Err(WireError::new("unexpected end of input")),
     }
     read_fields(text, &mut pos, 0, |key, pos| {
-        let mut value = Member { bytes, pos, read: false };
+        let mut value = Member { text, pos, read: false };
         member(key, &mut value)?;
         if value.read {
             Ok(())
@@ -808,7 +770,7 @@ pub fn read_object(
 /// once. Left unread, it is skipped.
 #[derive(Debug)]
 pub struct Member<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: &'a mut usize,
     read: bool,
 }
@@ -817,16 +779,18 @@ impl Member<'_> {
     /// The value, parsed as [`Json::parse`] parses it.
     pub fn parse(&mut self) -> Result<Json, WireError> {
         self.read = true;
-        parse_value(self.bytes, self.pos, 1)
+        parse_value(self.text, self.pos, 1)
     }
 
-    /// Skips the value with [`Json::validate`]'s scan, and gives the byte
-    /// range of its text.
+    /// Skips the value with the validating scan, which checks what
+    /// [`Json::parse`] checks and builds nothing, and gives the byte range
+    /// of its text.
     pub fn skip(&mut self) -> Result<Range<usize>, WireError> {
         self.read = true;
-        skip_whitespace(self.bytes, self.pos);
+        let bytes = self.text.as_bytes();
+        skip_whitespace(bytes, self.pos);
         let start = *self.pos;
-        skip_value(self.bytes, self.pos, 1)?;
+        skip_value(bytes, self.pos, 1)?;
         Ok(start..*self.pos)
     }
 }
@@ -1248,7 +1212,7 @@ fn tree_schedule(tasks: First<Vec<TaskFields>>) -> Result<TreeSchedule, WireErro
 /// [`Json`] tree, yet accepts exactly the texts that
 /// `solution_from_json(&Json::parse(text)?)` accepts, with the same
 /// result: the first member of a name counts, as in [`Json::get`], and
-/// every other value passes [`Json::validate`]'s checks.
+/// every other value passes the checks of [`Member::skip`]'s scan.
 ///
 /// The decode is structural: field types, vector lengths and emission
 /// order are validated (malformed bodies error instead of panicking),
@@ -1695,6 +1659,10 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
     }
 
+    /// The validating scan, [`Member::skip`] under [`read_object`], accepts
+    /// exactly what [`Json::parse`] accepts. Each case is wrapped as a
+    /// member, one level deeper, so the depth cases straddle the cap one
+    /// level sooner.
     #[test]
     fn validate_accepts_exactly_what_parse_accepts() {
         let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
@@ -1706,12 +1674,14 @@ mod tests {
         cases.extend(
             ["\"\\u+0e9\"", "\"\\ud800\"", "-.5", "1.", "[1,]", "{\"a\":1,}"].map(String::from),
         );
-        for depth in [63, 64, 65, 66, 10_000] {
+        for depth in [62, 63, 64, 65, 10_000] {
             cases.push(nested(depth));
             cases.push(objects(depth));
         }
         for case in &cases {
-            assert_eq!(Json::validate(case).is_ok(), Json::parse(case).is_ok(), "{case:?}");
+            let member = format!("{{\"k\":{case}}}");
+            let skipped = read_object(&member, |_, value| value.skip().map(drop));
+            assert_eq!(skipped.is_ok(), Json::parse(&member).is_ok(), "{case:?}");
         }
     }
 

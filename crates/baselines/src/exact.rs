@@ -14,30 +14,55 @@ use mst_platform::{Chain, Spider, Time, Tree};
 /// Minimum makespan of `n` tasks on an arbitrary out-tree platform, by
 /// exhaustive search over assignment sequences.
 pub fn optimal_tree_makespan(tree: &Tree, n: usize) -> Time {
-    assert!(n >= 1, "need at least one task");
-    // Initial incumbent: everything on the single best node.
-    let mut best = (1..=tree.len())
-        .map(|v| {
-            let state = &mut TreeAsap::new(tree);
-            let mut last = 0;
-            for _ in 0..n {
-                last = state.place(v).2;
-            }
-            last
-        })
-        .min()
-        .expect("tree is non-empty");
-    let mut state = TreeAsap::new(tree);
-    search(tree, n, &mut state, &mut best);
-    best
+    optimal_tree_sequence(tree, n).0
 }
 
-fn search(tree: &Tree, remaining: usize, state: &mut TreeAsap<'_>, best: &mut Time) {
+/// Minimum makespan of `n` tasks on an arbitrary out-tree platform, with
+/// a witness: the first assignment sequence, in search order, that
+/// reaches it.
+///
+/// The search is depth first and tries nodes in id order. Its incumbent
+/// starts as every task on the single best node (the lowest id among
+/// ties), and a complete sequence replaces it only when strictly better.
+pub fn optimal_tree_sequence(tree: &Tree, n: usize) -> (Time, Vec<usize>) {
+    assert!(n >= 1, "need at least one task");
+    let (makespan, node) = (1..=tree.len())
+        .map(|v| {
+            let mut state = TreeAsap::new(tree);
+            for _ in 0..n {
+                state.place(v);
+            }
+            (state.makespan(), v)
+        })
+        .min_by_key(|&(makespan, _)| makespan)
+        .expect("tree is non-empty");
+    let mut best = Incumbent { makespan, sequence: vec![node; n] };
+    let mut prefix = Vec::with_capacity(n);
+    search(tree, n, &mut TreeAsap::new(tree), &mut prefix, &mut best);
+    (best.makespan, best.sequence)
+}
+
+/// The best complete assignment sequence found so far.
+struct Incumbent {
+    makespan: Time,
+    sequence: Vec<usize>,
+}
+
+fn search(
+    tree: &Tree,
+    remaining: usize,
+    state: &mut TreeAsap<'_>,
+    prefix: &mut Vec<usize>,
+    best: &mut Incumbent,
+) {
     if remaining == 0 {
-        *best = (*best).min(state.makespan());
+        if state.makespan() < best.makespan {
+            best.makespan = state.makespan();
+            best.sequence.clone_from(prefix);
+        }
         return;
     }
-    if state.makespan() >= *best {
+    if state.makespan() >= best.makespan {
         return; // even with zero additional cost we cannot improve
     }
     for v in 1..=tree.len() {
@@ -45,10 +70,12 @@ fn search(tree: &Tree, remaining: usize, state: &mut TreeAsap<'_>, best: &mut Ti
         // an undo log.
         let mut child = state.clone();
         let (_, _, completion) = child.place(v);
-        if completion >= *best {
+        if completion >= best.makespan {
             continue;
         }
-        search(tree, remaining - 1, &mut child, best);
+        prefix.push(v);
+        search(tree, remaining - 1, &mut child, prefix, best);
+        prefix.pop();
     }
 }
 

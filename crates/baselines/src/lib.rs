@@ -36,5 +36,6 @@ pub use asap::{asap_chain, asap_tree, TreeAsap};
 pub use divisible::{divisible_star, divisible_star_period, DivisibleSolution};
 pub use exact::{
     max_tasks_by_deadline, optimal_chain_makespan, optimal_spider_makespan, optimal_tree_makespan,
+    optimal_tree_sequence,
 };
 pub use heuristics::{eager_chain, master_only_chain, random_chain, round_robin_chain};

@@ -1,12 +1,13 @@
 //! T2 (chain half): the `O(n p^2)` complexity claim, measured.
 //!
 //! Two sweeps — runtime vs `n` at fixed `p` (expected linear) and vs `p`
-//! at fixed `n` (expected quadratic) — plus the reference-vs-fast
-//! candidate-evaluation ablation (same asymptotics, smaller constant on
-//! heterogeneous instances).
+//! at fixed `n` — plus the cost of ties. Every backward step takes the
+//! candidate front, which builds only the candidates tied on it: on a
+//! heterogeneous chain ties are rare and a step is about `O(p)`, while a
+//! homogeneous chain ties every candidate, the `O(p^2)` worst case.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mst_core::{schedule_chain, schedule_chain_fast};
+use mst_core::schedule_chain;
 use mst_platform::{GeneratorConfig, HeterogeneityProfile};
 use std::hint::black_box;
 use std::time::Duration;
@@ -41,21 +42,18 @@ fn bench_scaling_in_p(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fast_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chain/ablation_fast_front");
+fn bench_front_ties(c: &mut Criterion) {
+    let mut group = c.benchmark_group("chain/front_ties");
     group.sample_size(10).warm_up_time(Duration::from_millis(200));
     group.measurement_time(Duration::from_millis(600));
     let chain = GeneratorConfig::new(HeterogeneityProfile::ALL[0], 42).chain(32);
-    group.bench_function("reference_p32_n512", |b| {
+    group.bench_function("heterogeneous_p32_n512", |b| {
         b.iter(|| schedule_chain(black_box(&chain), black_box(512)));
     });
-    group.bench_function("prefix_min_p32_n512", |b| {
-        b.iter(|| schedule_chain_fast(black_box(&chain), black_box(512)));
-    });
-    // Tie-heavy homogeneous chain: the fast path degrades gracefully.
+    // Tie-heavy homogeneous chain: every candidate ties on the front.
     let homo = GeneratorConfig::new(HeterogeneityProfile::Homogeneous { c: 2, w: 3 }, 1).chain(32);
-    group.bench_function("prefix_min_homogeneous_p32_n512", |b| {
-        b.iter(|| schedule_chain_fast(black_box(&homo), black_box(512)));
+    group.bench_function("homogeneous_p32_n512", |b| {
+        b.iter(|| schedule_chain(black_box(&homo), black_box(512)));
     });
     group.finish();
 }
@@ -64,7 +62,7 @@ fn benches(c: &mut Criterion) {
     let c = configure(c);
     bench_scaling_in_n(c);
     bench_scaling_in_p(c);
-    bench_fast_ablation(c);
+    bench_front_ties(c);
 }
 
 criterion_group!(chain_scaling, benches);

@@ -9,8 +9,8 @@
 //!   (Theorem 1/3 optimality ratios, heuristic gaps, steady-state
 //!   convergence, lemma checks, tree covering gaps);
 //! * the Criterion benches under `benches/` measure the runtime-scaling
-//!   claims (`O(n p^2)` chains, `O(n^2 p^2)` spiders) and the
-//!   reference-vs-fast ablation.
+//!   claims (`O(n p^2)` chains, `O(n^2 p^2)` spiders) and the cost of
+//!   ties in the chain's candidate front.
 //!
 //! The table-producing functions live in this library so the binaries,
 //! the benches and the integration tests all consume the same code.

@@ -1004,15 +1004,15 @@ mod tests {
         let out = run_line(&format!("tenants --config {}", config.display())).unwrap();
         let expected = "\
 tenant         token            threads  quota  max-instances  deadline-ms  solvers  cache-entries  rate-limit
-default        -                shared   16     900            -            13       0              5/1000ms
+default        -                shared   16     900            -            12       0              5/1000ms
 acme           acme-secret      2        4      50000          2000         2        128            40/500ms
 lab            lab              shared   -      -              -            1        0              7/1000ms
-plain          plain            shared   -      -              -            13       4096           -
+plain          plain            shared   -      -              -            12       4096           -
 ";
         assert_eq!(out, expected);
         let expected = "\
 tenant         token            threads  quota  max-instances  deadline-ms  solvers  cache-entries  rate-limit
-default        -                shared   -      -              -            13       4096           -
+default        -                shared   -      -              -            12       4096           -
 ";
         assert_eq!(run_line("tenants").unwrap(), expected);
         let out =
@@ -1048,7 +1048,7 @@ exact              yes     yes    yes     yes   -         branch-and-bound over 
                 r#"{"tenants":["#,
                 r#"{"name":"default","token":false,"threads":null,"quota":16,"max_instances":900,"#,
                 r#""deadline_ms":null,"rate_limit":{"requests_per_window":5,"window_ms":1000},"#,
-                r#""solvers":13,"cache_entries":0},"#,
+                r#""solvers":12,"cache_entries":0},"#,
                 r#"{"name":"acme","token":true,"threads":2,"quota":4,"max_instances":50000,"#,
                 r#""deadline_ms":2000,"rate_limit":{"requests_per_window":40,"window_ms":500},"#,
                 r#""solvers":2,"cache_entries":128},"#,
@@ -1056,7 +1056,7 @@ exact              yes     yes    yes     yes   -         branch-and-bound over 
                 r#""deadline_ms":null,"rate_limit":{"requests_per_window":7,"window_ms":1000},"#,
                 r#""solvers":1,"cache_entries":0},"#,
                 r#"{"name":"plain","token":false,"threads":null,"quota":null,"max_instances":null,"#,
-                r#""deadline_ms":null,"rate_limit":null,"solvers":13,"cache_entries":4096}]}"#,
+                r#""deadline_ms":null,"rate_limit":null,"solvers":12,"cache_entries":4096}]}"#,
             ),
             "{reply}"
         );

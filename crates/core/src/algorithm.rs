@@ -6,8 +6,9 @@ use mst_schedule::{ChainSchedule, CommVector, TaskAssignment};
 
 /// One backward step: the chosen placement for the task, plus every
 /// candidate vector considered (index `k - 1` holds the candidate for
-/// processor `k`). Exposed for the Lemma-1 structural checks and for the
-/// figure-generation binaries.
+/// processor `k`). Exposed for the Lemma-1 structural checks, for the
+/// figure-generation binaries, and as the reference the front step is
+/// tested against.
 #[derive(Debug, Clone)]
 pub struct Step {
     /// Candidate communication vectors, one per processor.
@@ -70,6 +71,11 @@ impl<'a> BackwardScheduler<'a> {
     ///
     /// The candidates all have distinct lengths, so the maximum is unique
     /// — "there is only one as their length differ" (Section 3).
+    ///
+    /// This is the paper's step, `O(p^2)` per task. The schedulers take
+    /// [`BackwardScheduler::front_step`], which commits the same
+    /// candidate; this one serves the Lemma-1 check, which needs every
+    /// candidate, and is the front step's reference in tests.
     pub fn step(&mut self) -> Step {
         let p = self.chain.len();
         let mut candidates = Vec::with_capacity(p);
@@ -145,11 +151,11 @@ impl<'a> BackwardScheduler<'a> {
     /// greatest candidate, the one [`BackwardScheduler::step`] picks,
     /// and returns it with its execution start.
     ///
-    /// It is the step of [`schedule_chain_by_deadline`] (through
-    /// [`BackwardScheduler::step_if_feasible`]), of
-    /// [`crate::schedule_chain_fast`], and of the spider algorithm's
-    /// per-leg runs, which anchor at 0 and let the emissions go
-    /// negative.
+    /// Every run takes it: [`schedule_chain`],
+    /// [`schedule_chain_by_deadline`] (through
+    /// [`BackwardScheduler::step_if_feasible`]), and the spider
+    /// algorithm's per-leg runs, which anchor at 0 and let the emissions
+    /// go negative.
     pub fn front_step(&mut self) -> (CommVector, Time) {
         let chosen = self.best_candidate();
         self.commit(chosen)
@@ -166,24 +172,20 @@ impl<'a> BackwardScheduler<'a> {
         }
         Some(self.commit(chosen))
     }
+}
 
-    /// Runs `count` backward steps and returns the schedule in emission
-    /// order, **without** any time shift (times are relative to the
-    /// anchor; the first emission may be negative).
-    fn run(&mut self, count: usize) -> Vec<TaskAssignment> {
-        let mut rev = Vec::with_capacity(count);
-        for _ in 0..count {
-            let step = self.step();
-            let proc = step.chosen.len();
-            rev.push(TaskAssignment::new(proc, step.start, step.chosen, self.chain.w(proc)));
-        }
-        rev.reverse();
-        rev
-    }
+/// The task a backward step placed: `chosen` and its execution start.
+fn assignment(chain: &Chain, (chosen, start): (CommVector, Time)) -> TaskAssignment {
+    let proc = chosen.len();
+    TaskAssignment::new(proc, start, chosen, chain.w(proc))
 }
 
 /// The makespan variant (Sections 3–5): schedules exactly `n` tasks on
-/// `chain`, optimally in makespan (Theorem 1), in `O(n p^2)`.
+/// `chain`, optimally in makespan (Theorem 1).
+///
+/// Each task takes [`BackwardScheduler::front_step`], `O(p)` when the
+/// candidates' first components are distinct. The worst case is
+/// `O(n p^2)`: a homogeneous chain ties every candidate on the front.
 ///
 /// The returned schedule is normalised to start at time 0 (the paper's
 /// final "shift of `C^1_1` units").
@@ -205,7 +207,9 @@ impl<'a> BackwardScheduler<'a> {
 pub fn schedule_chain(chain: &Chain, n: usize) -> ChainSchedule {
     assert!(n >= 1, "schedule_chain requires at least one task");
     let mut scheduler = BackwardScheduler::new(chain, chain.t_infinity(n));
-    let tasks = scheduler.run(n);
+    let mut tasks: Vec<TaskAssignment> =
+        (0..n).map(|_| assignment(chain, scheduler.front_step())).collect();
+    tasks.reverse();
     let mut schedule = ChainSchedule::new(tasks);
     let shift = schedule.start_time().expect("n >= 1");
     schedule.shift(-shift);
@@ -245,9 +249,8 @@ pub fn schedule_chain_by_deadline(
     let mut scheduler = BackwardScheduler::new(chain, deadline);
     let mut rev: Vec<TaskAssignment> = Vec::new();
     while rev.len() < max_tasks {
-        let Some((chosen, start)) = scheduler.step_if_feasible() else { break };
-        let proc = chosen.len();
-        rev.push(TaskAssignment::new(proc, start, chosen, chain.w(proc)));
+        let Some(placed) = scheduler.step_if_feasible() else { break };
+        rev.push(assignment(chain, placed));
     }
     rev.reverse();
     ChainSchedule::new(rev)
@@ -258,6 +261,54 @@ mod tests {
     use super::*;
     use mst_platform::{GeneratorConfig, HeterogeneityProfile};
     use mst_schedule::check_chain;
+
+    /// [`schedule_chain`] through the reference step, which builds every
+    /// candidate: what the front step is tested against.
+    fn schedule_chain_by_step(chain: &Chain, n: usize) -> ChainSchedule {
+        let mut scheduler = BackwardScheduler::new(chain, chain.t_infinity(n));
+        let mut tasks: Vec<TaskAssignment> = (0..n)
+            .map(|_| {
+                let step = scheduler.step();
+                assignment(chain, (step.chosen, step.start))
+            })
+            .collect();
+        tasks.reverse();
+        let mut schedule = ChainSchedule::new(tasks);
+        schedule.shift(-schedule.start_time().expect("n >= 1"));
+        schedule
+    }
+
+    #[test]
+    fn identical_to_reference_on_figure2() {
+        let chain = Chain::paper_figure2();
+        assert_eq!(schedule_chain(&chain, 5), schedule_chain_by_step(&chain, 5));
+    }
+
+    #[test]
+    fn identical_to_reference_on_random_instances() {
+        for seed in 0..60u64 {
+            let profile = HeterogeneityProfile::ALL[(seed % 5) as usize];
+            let g = GeneratorConfig::new(profile, seed);
+            let p = 1 + (seed % 7) as usize;
+            let n = 1 + (seed % 11) as usize;
+            let chain = g.chain(p);
+            assert_eq!(
+                schedule_chain(&chain, n),
+                schedule_chain_by_step(&chain, n),
+                "divergence at seed {seed} (p={p}, n={n})"
+            );
+        }
+    }
+
+    #[test]
+    fn identical_on_tie_heavy_homogeneous_chains() {
+        // Homogeneous chains maximise front ties, stressing the
+        // tie-breaking path.
+        let chain = Chain::from_pairs(&[(2, 2); 6]).unwrap();
+        for n in 1..12 {
+            assert_eq!(schedule_chain(&chain, n), schedule_chain_by_step(&chain, n), "n={n}");
+        }
+    }
 
     #[test]
     fn figure2_reproduced_exactly() {
@@ -427,11 +478,22 @@ mod tests {
             let g = GeneratorConfig::new(HeterogeneityProfile::ALL[(seed % 5) as usize], seed);
             chains.push(g.chain(1 + (seed % 7) as usize));
         }
-        for chain in &chains {
-            for anchor in [0, 17] {
+        // Long runs where ties are heaviest: a homogeneous chain ties every
+        // candidate, and a wide heterogeneous one has many to compare.
+        let long = [
+            Chain::from_pairs(&[(2, 2); 8]).unwrap(),
+            Chain::from_pairs(&[(2, 2); 32]).unwrap(),
+            GeneratorConfig::new(HeterogeneityProfile::ALL[0], 99).chain(64),
+        ];
+        let runs = chains
+            .iter()
+            .map(|chain| (chain, vec![0, 17], 24))
+            .chain(long.iter().map(|chain| (chain, vec![0, 17, chain.t_infinity(512)], 512)));
+        for (chain, anchors, steps) in runs {
+            for anchor in anchors {
                 let mut reference = BackwardScheduler::new(chain, anchor);
                 let mut front = BackwardScheduler::new(chain, anchor);
-                for i in 0..24 {
+                for i in 0..steps {
                     let step = reference.step();
                     assert_eq!(front.front_step(), (step.chosen, step.start), "{chain}, task {i}");
                     assert_eq!(front.state(), reference.state());

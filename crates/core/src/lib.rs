@@ -2,7 +2,8 @@
 //!
 //! The paper's primary contribution: scheduling `n` independent identical
 //! tasks on a heterogeneous [`Chain`](mst_platform::Chain) of processors
-//! under the one-port model, **optimally in makespan**, in `O(n p^2)`.
+//! under the one-port model, **optimally in makespan**, in `O(n p^2)` in
+//! the worst case (a homogeneous chain, which ties every candidate).
 //!
 //! The algorithm (Section 3 of the paper) builds the schedule *backwards*
 //! from an anchor time: it keeps, per link, a *hull* `h_k` (the earliest
@@ -25,24 +26,21 @@
 //!   runs the same construction once per leg, anchored at 0, and shifts
 //!   it to every deadline it tries.
 //!
-//! [`BackwardScheduler::step`] evaluates every candidate vector and
-//! exposes them, so that the Lemma-1/Lemma-2 structural properties can
-//! be checked (see [`lemmas`]); [`schedule_chain`] takes it.
-//! [`BackwardScheduler::front_step`] picks the same winner from the
-//! candidates' first components, building only the tied candidates; it
-//! is the step of every deadline run, and [`fast`] runs the makespan
-//! variant through it.
+//! Every run takes [`BackwardScheduler::front_step`], which finds the
+//! greatest candidate from the candidates' first components and builds
+//! only the candidates tied on the largest one. [`BackwardScheduler::step`]
+//! evaluates every candidate vector and exposes them, so that the
+//! Lemma-1/Lemma-2 structural properties can be checked (see [`lemmas`]);
+//! it is also the reference the front step is tested against.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod algorithm;
 pub mod analysis;
-pub mod fast;
 pub mod lemmas;
 pub mod state;
 
 pub use algorithm::{schedule_chain, schedule_chain_by_deadline, BackwardScheduler, Step};
 pub use analysis::{depth_usage, distribution_crossover, makespan_curve, marginal_costs};
-pub use fast::schedule_chain_fast;
 pub use state::BackwardState;

@@ -520,8 +520,10 @@ fn opt_flag(body: &Json, key: &str) -> Result<bool, Response> {
 /// `"feasible": true` — an infeasible witness, or one ending past the
 /// request's `deadline`, would be a solver bug and answers 500.
 ///
-/// The answering tenant's solution cache is consulted **before**
-/// admission ([`serve_solve`]): a hit answers immediately with
+/// The solver name resolves first, so an unknown name answers 404
+/// `unknown-solver` without touching the cache. The answering tenant's
+/// solution cache is consulted **before** admission ([`serve_solve`]),
+/// canonicalised for the resolved solver: a hit answers immediately with
 /// `"cached": true`, takes no admission slot and wakes no worker. A
 /// miss admits, solves the *canonical* instance, records it in the
 /// persistent store (when configured), memoises it, and answers with
@@ -1111,9 +1113,10 @@ fn batch(
     let registry = answering.batch().registry();
     // Resolve the name up front so an unknown solver is one 404, not a
     // thousand per-instance errors.
-    if let Err(e) = registry.resolve(solver_name) {
-        return ResponseBody::Full(solve_error_response(&e));
-    }
+    let solver = match registry.resolve(solver_name) {
+        Ok(solver) => solver,
+        Err(e) => return ResponseBody::Full(solve_error_response(&e)),
+    };
     mst_obs::note_solver(solver_name);
     let engine = Batch::new(registry.clone())
         .with_pool(Arc::clone(admitting.batch().pool()))
@@ -1124,7 +1127,7 @@ fn batch(
     let cache_span = mst_obs::span(mst_obs::Stage::Cache);
     let jobs: Vec<Lookup> = instances
         .iter()
-        .map(|instance| cache::lookup(answering.cache(), instance, solver_name, deadline))
+        .map(|instance| cache::lookup(answering.cache(), instance, solver, deadline))
         .collect();
     let cache_hits = jobs.iter().filter(|job| matches!(job, Lookup::Hit(_))).count();
     mst_obs::note_cached(!jobs.is_empty() && cache_hits == jobs.len());
@@ -1251,12 +1254,14 @@ fn unknown_session(id: i64) -> Response {
 
 /// The one cache-fronted solve behind `/solve` and the `/session` ops
 /// (the [`mst_api::cache`] pieces around an admission slot and a store
-/// append): the answering tenant's cache is looked up first, and a hit
-/// returns without a slot. A miss admits on the admitting tenant,
-/// solves the canonical instance (under its canonical deadline when one
-/// is set) with the answering registry, counts in the admitting
-/// tenant's stats, appends the record and memoises it. Returns the
-/// restored solution and whether it was a cache hit.
+/// append): the solver name resolves in the answering registry first (an
+/// unknown name answers 404 before the cache, as on `/batch`), then the
+/// answering tenant's cache is looked up, and a hit returns without a
+/// slot. A miss admits on the admitting tenant, solves the canonical
+/// instance (under its canonical deadline when one is set) with the
+/// resolved solver, counts in the admitting tenant's stats, appends the
+/// record and memoises it. Returns the restored solution and whether it
+/// was a cache hit.
 fn serve_solve(
     state: &ServiceState,
     tenants: Tenants,
@@ -1266,8 +1271,10 @@ fn serve_solve(
 ) -> Result<(Solution, bool), Response> {
     let Tenants { admitting, answering } = tenants;
     mst_obs::note_solver(solver_name);
+    let solver =
+        answering.batch().registry().resolve(solver_name).map_err(|e| solve_error_response(&e))?;
     let cache_span = mst_obs::span(mst_obs::Stage::Cache);
-    let miss = match cache::lookup(answering.cache(), instance, solver_name, deadline) {
+    let miss = match cache::lookup(answering.cache(), instance, solver, deadline) {
         Lookup::Hit(solution) => {
             mst_obs::note_cached(true);
             return Ok((solution, true));
@@ -1280,7 +1287,7 @@ fn serve_solve(
     let _slot = admitting.admit().map_err(|e| admission_response(admitting, &e))?;
     drop(admit_span);
     let started = Instant::now();
-    let solved = cache::solve_miss(answering.batch().registry(), solver_name, &miss);
+    let solved = cache::solve_miss(solver, &miss);
     let elapsed = started.elapsed();
     match solved {
         Ok(canonical) => {
@@ -1392,9 +1399,6 @@ fn session_create(body: &Json, state: &ServiceState, tenants: Tenants) -> Respon
         Ok(name) => name.unwrap_or("optimal"),
         Err(response) => return response,
     };
-    if let Err(e) = tenants.answering.batch().registry().resolve(solver_name) {
-        return solve_error_response(&e);
-    }
     let (solution, cached) = match serve_solve(state, tenants, solver_name, &instance, None) {
         Ok(solved) => solved,
         Err(response) => return response,

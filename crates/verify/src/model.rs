@@ -235,7 +235,7 @@ mod tests {
             report.to_json(),
             concat!(
                 r#"{"command":"check-model","bounds":{"max_procs":2,"max_tasks":2,"max_weight":1},"#,
-                r#""platforms":8,"instances":16,"solves":98,"mutations":1003,"duality_checks":40,"#,
+                r#""platforms":8,"instances":16,"solves":94,"mutations":959,"duality_checks":40,"#,
                 r#""monotonicity_checks":40,"bnb_instances":16,"ok":true,"violations_total":0,"#,
                 r#""violations":[]}"#,
             )

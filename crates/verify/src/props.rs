@@ -142,7 +142,7 @@ impl Tally {
 fn proven_optimal(kind: TopologyKind, solver: &str) -> bool {
     match kind {
         TopologyKind::Chain => {
-            matches!(solver, "optimal" | "chain-optimal" | "chain-fast" | "spider-optimal")
+            matches!(solver, "optimal" | "chain-optimal" | "spider-optimal")
         }
         TopologyKind::Fork => matches!(solver, "optimal" | "fork-optimal" | "spider-optimal"),
         TopologyKind::Spider => matches!(solver, "optimal" | "spider-optimal"),

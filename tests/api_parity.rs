@@ -10,7 +10,6 @@
 
 use master_slave_tasking::prelude::*;
 use mst_baselines::{eager_chain, master_only_chain, round_robin_chain};
-use mst_core::schedule_chain_fast;
 use mst_fork::{max_tasks_fork_by_deadline, schedule_fork};
 use mst_sim::{simulate_online, OnlinePolicy};
 use proptest::prelude::*;
@@ -56,10 +55,6 @@ proptest! {
             prop_assert_eq!(solution.chain_schedule().expect("witnessed"), &direct);
             prop_assert!(verify(&instance, &solution).unwrap().is_feasible());
         }
-        prop_assert_eq!(
-            registry.solve("chain-fast", &instance).unwrap().chain_schedule().expect("witnessed"),
-            &schedule_chain_fast(&chain, n)
-        );
 
         // Heuristics agree makespan-for-makespan with the legacy calls.
         let legacy: [(&str, Time); 3] = [

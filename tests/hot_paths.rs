@@ -223,10 +223,11 @@ fn members_match_parse(text: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The store's validating scan accepts and rejects exactly what
-    /// `Json::parse` does: on the string, escape and integer generators
-    /// above, on number-like tokens, and on a valid document cut short
-    /// or with one character overwritten.
+    /// The store's validating scan, `Member::skip` under `read_object`,
+    /// accepts and rejects exactly what `Json::parse` does: on the
+    /// string, escape and integer generators above, on number-like
+    /// tokens, and on a valid document cut short or with one character
+    /// overwritten, each read as a member.
     #[test]
     fn wire_validate_agrees_with_parse(
         s in "[a-zA-Z\u{0}-\u{1f}\"\\/é€😀]{0,24}",
@@ -263,7 +264,6 @@ proptest! {
             chars.into_iter().collect(),
         ];
         for text in &texts {
-            prop_assert_eq!(Json::validate(text).is_ok(), Json::parse(text).is_ok(), "{:?}", text);
             members_match_parse(text);
             members_match_parse(&format!("{{\"k\":{text},\"z\":{text}}}"));
         }

@@ -15,6 +15,10 @@
 //! started at the one-port lower bound and before trees scheduled each
 //! distinct cover once. A deliberate change of output must re-record
 //! them and say why.
+//!
+//! A second pin covers `exact`'s witnesses on small instances, where its
+//! exponential search stays cheap. It was recorded while the solver ran
+//! a branch-and-bound of its own, before it took the baselines' search.
 
 use master_slave_tasking::api::wire::solution_to_json;
 use master_slave_tasking::prelude::*;
@@ -45,16 +49,16 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// `optimal`'s answer to `instance`, solved in canonical form and
+/// `solver`'s answer to `instance`, solved in canonical form and
 /// restored, as the service answers it.
-fn served(instance: &Instance, deadline: Option<Time>) -> Solution {
+fn served(solver: &str, instance: &Instance, deadline: Option<Time>) -> Solution {
     let registry = SolverRegistry::global();
-    let canon = CanonicalInstance::of(instance, "optimal", deadline);
+    let canon = CanonicalInstance::of(instance, solver, deadline);
     let solved = match canon.deadline() {
-        Some(t) => registry.solve_by_deadline("optimal", canon.instance(), t),
-        None => registry.solve("optimal", canon.instance()),
+        Some(t) => registry.solve_by_deadline(solver, canon.instance(), t),
+        None => registry.solve(solver, canon.instance()),
     };
-    canon.restore(&solved.unwrap_or_else(|e| panic!("optimal failed on {instance}: {e}")))
+    canon.restore(&solved.unwrap_or_else(|e| panic!("{solver} failed on {instance}: {e}")))
 }
 
 fn digest(kind: TopologyKind) -> u64 {
@@ -68,9 +72,10 @@ fn digest(kind: TopologyKind) -> u64 {
         };
         let profile = HeterogeneityProfile::ALL[((r >> 16) % 5) as usize];
         let instance = Instance::generate(kind, profile, mix(r), size as usize, tasks as usize);
-        let solved = served(&instance, None);
+        let solved = served("optimal", &instance, None);
         let m = solved.makespan();
-        for solution in [solved, served(&instance, Some(m)), served(&instance, Some(m - 1))] {
+        let at = |deadline| served("optimal", &instance, Some(deadline));
+        for solution in [solved, at(m), at(m - 1)] {
             hash = fnv1a(hash, solution_to_json(&solution).to_string().as_bytes());
         }
     }
@@ -81,4 +86,35 @@ fn digest(kind: TopologyKind) -> u64 {
 fn optimal_outputs_match_the_recorded_digests() {
     let digests = TopologyKind::ALL.map(digest);
     assert_eq!(digests, EXPECTED, "optimal's outputs changed (chain, fork, spider, tree)");
+}
+
+/// Small instances per topology for `exact`, whose search is exponential
+/// in the task count.
+const EXACT_PER_TOPOLOGY: u64 = 150;
+
+/// Digests of `exact`'s witnesses for chains, forks, spiders and trees,
+/// in `TopologyKind::ALL` order. The search keeps the first sequence, in
+/// search order, that reaches the optimum, so these pin its node order
+/// and its prunes as well as the makespan.
+const EXACT_EXPECTED: [u64; 4] =
+    [13911132912654424337, 10904349046563458689, 7190585750002974791, 15844268433464784765];
+
+/// Sizes 1–4 and 1–6 tasks, cycling through every heterogeneity profile.
+fn exact_digest(kind: TopologyKind) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for i in 0..EXACT_PER_TOPOLOGY {
+        let r = mix(i ^ ((kind as u64) << 32));
+        let (size, tasks) = (1 + r % 4, 1 + (r >> 8) % 6);
+        let profile = HeterogeneityProfile::ALL[(i % 5) as usize];
+        let instance = Instance::generate(kind, profile, mix(r), size as usize, tasks as usize);
+        let solved = served("exact", &instance, None);
+        hash = fnv1a(hash, solution_to_json(&solved).to_string().as_bytes());
+    }
+    hash
+}
+
+#[test]
+fn exact_witnesses_match_the_recorded_digests() {
+    let digests = TopologyKind::ALL.map(exact_digest);
+    assert_eq!(digests, EXACT_EXPECTED, "exact's witnesses changed (chain, fork, spider, tree)");
 }

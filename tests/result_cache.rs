@@ -9,12 +9,15 @@
 //!   processor) and the deadline (`T_lim`) path;
 //! * **memoisation** — rescaled copies of one instance share a cache
 //!   entry through [`mst_api::cache::solve_through`];
+//! * **resolution** — the cache canonicalises for the solver a name
+//!   resolves to, so a heuristic renamed `optimal` round-trips too, and a
+//!   name the registry lacks answers 404 even when the log holds its
+//!   record;
 //! * **persistence** — a `--store` server killed and restarted serves
 //!   its **first** repeated `/batch` with a full cache-hit rate, and
 //!   `GET /history` returns the prior records.
 
 use master_slave_tasking::api::cache::solve_through;
-use master_slave_tasking::api::canon::level_for;
 use master_slave_tasking::api::wire::Json;
 use master_slave_tasking::prelude::*;
 use proptest::prelude::*;
@@ -55,27 +58,29 @@ fn scale_platform(platform: &Platform, g: Time) -> Platform {
 }
 
 /// Asserts the canonical-solve round trip for one (instance, solver,
-/// deadline) triple: same outcome as the direct solve, same makespan
-/// and task count, and a restored witness the oracle accepts.
-fn assert_round_trip(instance: &Instance, solver: &str, deadline: Option<Time>) {
-    let registry = SolverRegistry::global();
+/// deadline) triple in `registry`: through a cache that keeps nothing,
+/// so [`solve_through`] canonicalises, solves and restores, the outcome
+/// is the direct solve's, with the same makespan and task count, and
+/// the restored witness passes the oracle.
+fn assert_round_trip(
+    registry: &SolverRegistry,
+    instance: &Instance,
+    solver: &str,
+    deadline: Option<Time>,
+) {
     let direct = match deadline {
         Some(t) => registry.solve_by_deadline(solver, instance, t),
         None => registry.solve(solver, instance),
     };
-    let canon = CanonicalInstance::of(instance, solver, deadline);
-    let via_canon = match (deadline, canon.deadline()) {
-        (Some(_), Some(t)) => registry.solve_by_deadline(solver, canon.instance(), t),
-        _ => registry.solve(solver, canon.instance()),
-    };
+    let via_canon = solve_through(&SolutionCache::disabled(), registry, solver, instance, deadline)
+        .map(|solved| solved.solution);
     match (direct, via_canon) {
-        (Ok(direct), Ok(canonical)) => {
-            let restored = canon.restore(&canonical);
+        (Ok(direct), Ok(restored)) => {
             assert_eq!(
                 restored.makespan(),
                 direct.makespan(),
                 "{solver} (level {:?}, deadline {deadline:?}) on {}",
-                level_for(solver),
+                registry.resolve(solver).map(|s| s.canon_level()),
                 instance.platform
             );
             assert_eq!(restored.n(), direct.n(), "{solver} on {}", instance.platform);
@@ -117,7 +122,7 @@ proptest! {
         let base = Instance::generate(kind, profile, seed, size, tasks);
         let scaled = Instance::new(scale_platform(&base.platform, scale), tasks);
         for solver in SolverRegistry::global().names() {
-            assert_round_trip(&scaled, solver, None);
+            assert_round_trip(SolverRegistry::global(), &scaled, solver, None);
         }
     }
 
@@ -134,7 +139,7 @@ proptest! {
         let base = Instance::generate(kind, profile, seed, 1 + (seed % 3) as usize, 8);
         let scaled = Instance::new(scale_platform(&base.platform, scale), 8);
         for solver in SolverRegistry::global().names() {
-            assert_round_trip(&scaled, solver, Some(deadline * scale));
+            assert_round_trip(SolverRegistry::global(), &scaled, solver, Some(deadline * scale));
         }
     }
 }
@@ -172,10 +177,30 @@ fn degenerate_instances_round_trip_through_canonical_form() {
     let tiny_tree = Instance::new(Platform::parse("tree\nnode 0 3 3\n").unwrap(), 2);
     for instance in [&single, &one_proc, &zero_tasks, &tiny_tree] {
         for solver in registry.names() {
-            assert_round_trip(instance, solver, None);
-            assert_round_trip(instance, solver, Some(0));
-            assert_round_trip(instance, solver, Some(12));
+            assert_round_trip(registry, instance, solver, None);
+            assert_round_trip(registry, instance, solver, Some(0));
+            assert_round_trip(registry, instance, solver, Some(12));
         }
+    }
+}
+
+/// A registry that answers `optimal` with round-robin, a heuristic whose
+/// answer depends on the order of the legs.
+const ROUND_ROBIN_AS_OPTIMAL: &str =
+    r#"{"base": "defaults", "solvers": [{"solver": "round-robin", "name": "optimal"}]}"#;
+
+/// The level belongs to the algorithm, not the name: a heuristic renamed
+/// `optimal` is canonicalised as a heuristic, with its legs kept in
+/// order, so every spider answers through the cache as it solves
+/// directly.
+#[test]
+fn a_renamed_heuristic_round_trips_at_its_own_level() {
+    let set = RegistrySet::parse(ROUND_ROBIN_AS_OPTIMAL).expect("valid config");
+    let registry = &set.default_policy().registry;
+    for seed in 0..200u64 {
+        let profile = HeterogeneityProfile::ALL[(seed % 5) as usize];
+        let instance = Instance::generate(TopologyKind::Spider, profile, seed / 5, 6, 12);
+        assert_round_trip(registry, &instance, "optimal", None);
     }
 }
 
@@ -214,8 +239,16 @@ fn rescaled_instances_share_one_cache_entry() {
 fn start_store_server(
     store: &std::path::Path,
 ) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<mst_serve::ServeReport>) {
+    start_configured_store_server(store, None)
+}
+
+fn start_configured_store_server(
+    store: &std::path::Path,
+    registries: Option<RegistrySet>,
+) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<mst_serve::ServeReport>) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
+        registries,
         store_backend: Some(Arc::new(FileStore::open(store).expect("open the store"))),
         ..ServeConfig::default()
     })
@@ -303,6 +336,41 @@ fn restarted_store_server_hits_its_warm_cache() {
     let default = tenants.get("tenants").and_then(|t| t.get("default")).expect("default tenant");
     assert_eq!(default.get("cache_hits_total").and_then(Json::as_i64), Some(21), "{body}");
     assert_eq!(default.get("store_records").and_then(Json::as_i64), Some(21), "{body}");
+    handle.shutdown();
+    runner.join().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A solver name resolves before the cache is consulted: restarted
+/// without the solver a record names, the server answers the recorded
+/// instance 404, as it answers any other instance for that name, on
+/// `/solve` and on `/batch` alike.
+#[test]
+fn a_solver_the_registry_lost_answers_404_over_its_recorded_solution() {
+    let path = std::env::temp_dir()
+        .join(format!("mst-result-cache-lost-solver-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let instance = |tasks| format!(r#"{{"platform": "chain\n4 6\n6 10\n", "tasks": {tasks}}}"#);
+    let eager = |tasks| {
+        format!(r#"{{"platform": "chain\n4 6\n6 10\n", "tasks": {tasks}, "solver": "eager"}}"#)
+    };
+
+    let (addr, handle, runner) = start_store_server(&path);
+    let (status, body) = post(addr, "/solve", &eager(7));
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+    runner.join().unwrap();
+
+    let only_optimal = RegistrySet::parse(r#"{"base": "defaults", "only": ["optimal"]}"#).unwrap();
+    let (addr, handle, runner) = start_configured_store_server(&path, Some(only_optimal));
+    let batch = format!(r#"{{"instances": [{}], "solver": "eager"}}"#, instance(7));
+    for (route, body) in [("/solve", eager(7)), ("/solve", eager(8)), ("/batch", batch)] {
+        let (status, reply) = post(addr, route, &body);
+        assert_eq!(status, 404, "{route} {body}: {reply}");
+        assert!(reply.contains("\"unknown-solver\""), "{route} {body}: {reply}");
+    }
+    assert_eq!(metric(addr, "solved_total"), 0, "no request was admitted to solve");
+    assert_eq!(metric(addr, "failed_total"), 0, "an unknown name is no failed solve");
     handle.shutdown();
     runner.join().unwrap();
     let _ = std::fs::remove_file(&path);
