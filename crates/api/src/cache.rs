@@ -3,23 +3,28 @@
 //!
 //! An instance is canonicalised ([`crate::canon`]) and keyed by
 //! `(content hash, solver, deadline bucket)`. Entries hold the
-//! *canonical* solution, restored per request by
-//! [`crate::canon::CanonicalInstance::restore`], so hit and miss answers
-//! are bit-identical by construction. A solve is [`lookup`], then on a
-//! miss [`solve_miss`] and [`memoise`]: [`solve_through`] composes them
-//! with no admission and no store, `mst-serve` around an admission slot
-//! and a store append, so a hit there takes no slot and wakes no worker.
-//! The key does not name the registry, so a cache must only ever hold
-//! the answers of the one registry that fills it.
+//! *canonical* solution, packed into a few bytes per task. A hit takes a
+//! reference to the bytes under the shard lock and decodes them after
+//! releasing it, straight into the solution restored to the looked-up
+//! instance, through the mapping
+//! [`crate::canon::CanonicalInstance::restore`] applies to a miss, so
+//! hit and miss answers are bit-identical by construction. A solve is
+//! [`lookup`], then on a miss [`solve_miss`] and [`memoise`]:
+//! [`solve_through`] composes them with no admission and no store,
+//! `mst-serve` around an admission slot and a store append, so a hit
+//! there takes no slot and wakes no worker. The key does not name the
+//! registry, so a cache must only ever hold the answers of the one
+//! registry that fills it.
 //!
 //! The pieces take the solver the request's name resolved to, resolved
 //! once before the lookup: the canonical form is the one that solver's
 //! algorithm allows ([`crate::Solver::canon_level`]), whatever name config
 //! gave it, and a name the registry lacks never reaches the cache.
 
-use crate::canon::CanonicalInstance;
+use crate::canon::{CanonicalInstance, Mapping};
 use crate::error::SolveError;
 use crate::instance::Instance;
+use crate::packed::Packed;
 use crate::registry::SolverRegistry;
 use crate::solution::Solution;
 use crate::solver::Solver;
@@ -57,10 +62,12 @@ impl CacheKey {
 
 #[derive(Debug, Default)]
 struct Shard {
-    entries: HashMap<CacheKey, (u64, Solution)>,
+    entries: HashMap<CacheKey, (u64, Packed)>,
     /// Every entry's key by its LRU stamp, oldest first. Stamps are
     /// unique, so the first entry is the eviction victim.
     by_stamp: BTreeMap<u64, CacheKey>,
+    /// The packed bytes of every entry.
+    bytes: usize,
 }
 
 impl Shard {
@@ -71,7 +78,7 @@ impl Shard {
     }
 }
 
-/// A sharded LRU memo of canonical solutions.
+/// A sharded LRU memo of canonical solutions, each held packed.
 ///
 /// Eviction is least-recently-*used* per shard, tracked by a global
 /// monotonic stamp. Each shard indexes its keys by stamp, so an
@@ -125,6 +132,14 @@ impl SolutionCache {
     /// Looks up a canonical solution, refreshing its LRU stamp. Counts a
     /// hit or miss.
     pub fn get(&self, key: &CacheKey) -> Option<Solution> {
+        self.packed(key).map(|packed| packed.unpack(Mapping::IDENTITY))
+    }
+
+    /// The packed entry under `key`, its LRU stamp refreshed. Only the
+    /// lookup, the restamp and taking a reference to the bytes happen
+    /// under the shard lock: the caller decodes after it is released.
+    /// Counts a hit or miss.
+    fn packed(&self, key: &CacheKey) -> Option<Packed> {
         if !self.is_enabled() {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -136,38 +151,55 @@ impl SolutionCache {
             return None;
         };
         let old = std::mem::replace(&mut entry.0, stamp);
-        let solution = entry.1.clone();
+        let packed = entry.1.clone();
         shard.restamp(old, stamp);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(solution)
+        Some(packed)
     }
 
     /// Inserts (or refreshes) a canonical solution, evicting the shard's
     /// least-recently-used entry when full.
     pub fn insert(&self, key: CacheKey, solution: Solution) {
+        self.keep(key, &solution);
+    }
+
+    /// [`SolutionCache::insert`] of a borrowed solution: the cache keeps
+    /// its packed bytes, packed before the shard lock is taken.
+    fn keep(&self, key: CacheKey, solution: &Solution) {
         if !self.is_enabled() {
             return;
         }
+        let packed = Packed::of(solution);
         let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+        shard.bytes += packed.len();
         if let Some(entry) = shard.entries.get_mut(&key) {
-            let old = std::mem::replace(entry, (stamp, solution)).0;
+            let (old, replaced) = std::mem::replace(entry, (stamp, packed));
+            shard.bytes -= replaced.len();
             shard.restamp(old, stamp);
             return;
         }
         if shard.entries.len() >= self.per_shard {
             if let Some((_, oldest)) = shard.by_stamp.pop_first() {
-                shard.entries.remove(&oldest);
+                let (_, evicted) =
+                    shard.entries.remove(&oldest).expect("every index key has an entry");
+                shard.bytes -= evicted.len();
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         shard.by_stamp.insert(stamp, key.clone());
-        shard.entries.insert(key, (stamp, solution));
+        shard.entries.insert(key, (stamp, packed));
     }
 
     /// Number of live entries across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").entries.len()).sum()
+    }
+
+    /// The packed bytes of every live entry: the sum of their lengths,
+    /// kept as entries are inserted, replaced and evicted.
+    pub fn bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").bytes).sum()
     }
 
     /// Whether the cache currently holds no entries.
@@ -251,8 +283,8 @@ pub fn lookup(
 ) -> Lookup {
     let canon = CanonicalInstance::at(instance, solver.canon_level(), deadline);
     let key = CacheKey::of(&canon, solver.name());
-    match cache.get(&key) {
-        Some(hit) => Lookup::Hit(canon.restore(&hit)),
+    match cache.packed(&key) {
+        Some(packed) => Lookup::Hit(packed.unpack(canon.mapping())),
         None => Lookup::Miss(Miss { canon, key }),
     }
 }
@@ -276,8 +308,11 @@ pub fn solve_miss(solver: &dyn Solver, miss: &Miss) -> Result<Solution, SolveErr
 /// the looked-up instance. Errors are never cached: canonicalisation
 /// makes them scale-invariant, so retries fail identically.
 pub fn memoise(cache: &SolutionCache, miss: Miss, canonical: Solution) -> Solution {
-    cache.insert(miss.key, canonical.clone());
-    miss.canon.restore(&canonical)
+    cache.keep(miss.key, &canonical);
+    match miss.canon.is_identity() {
+        true => canonical,
+        false => miss.canon.restore(&canonical),
+    }
 }
 
 /// Solves `instance` through `cache`: resolves `solver` in `registry`
@@ -421,10 +456,196 @@ mod tests {
         assert_eq!((cache.hits(), cache.evictions()), (model.hits, model.evictions));
         for (shard, reference) in cache.shards.iter().zip(&model.shards) {
             let shard = shard.lock().unwrap();
-            assert_eq!(&shard.entries, reference);
+            let unpacked: HashMap<CacheKey, (u64, Solution)> = shard
+                .entries
+                .iter()
+                .map(|(k, (s, p))| (k.clone(), (*s, p.unpack(Mapping::IDENTITY))))
+                .collect();
+            assert_eq!(&unpacked, reference);
+            assert_eq!(shard.bytes, shard.entries.values().map(|(_, p)| p.len()).sum::<usize>());
             let indexed: BTreeMap<u64, CacheKey> =
                 reference.iter().map(|(k, (s, _))| (*s, k.clone())).collect();
             assert_eq!(shard.by_stamp, indexed);
+        }
+    }
+
+    /// Inserts `canonical` under the key `solver` and `deadline` give
+    /// `instance`, then reads it back both ways: `get` returns it
+    /// unchanged, and a `lookup` hit returns what `restore` makes of it.
+    fn round_trip(
+        instance: &Instance,
+        solver: &dyn Solver,
+        deadline: Option<Time>,
+        canonical: &Solution,
+    ) {
+        let cache = SolutionCache::new(8);
+        let canon = CanonicalInstance::at(instance, solver.canon_level(), deadline);
+        let key = CacheKey::of(&canon, solver.name());
+        cache.insert(key.clone(), canonical.clone());
+        assert_eq!(cache.get(&key).as_ref(), Some(canonical), "get of {canonical:?}");
+        let Lookup::Hit(hit) = lookup(&cache, instance, solver, deadline) else {
+            panic!("{} missed its own entry", solver.name());
+        };
+        assert_eq!(hit, canon.restore(canonical), "lookup of {canonical:?} under {canon:?}");
+    }
+
+    /// One instance per topology whose canonical form both rescales
+    /// (every time is a multiple of 3) and relabels (slaves, legs and
+    /// subtrees out of canonical order).
+    fn scaled_and_permuted() -> Vec<Instance> {
+        use mst_platform::{Fork, Spider, Tree};
+        vec![
+            Instance::new(Chain::from_pairs(&[(6, 9), (3, 12), (9, 3)]).unwrap(), 6),
+            Instance::new(Fork::from_pairs(&[(9, 6), (3, 12), (6, 3)]).unwrap(), 6),
+            Instance::new(
+                Spider::from_legs(&[&[(6, 9), (3, 6)], &[(3, 12)], &[(3, 3), (9, 3), (3, 6)]])
+                    .unwrap(),
+                6,
+            ),
+            Instance::new(
+                Tree::from_triples(&[(0, 6, 9), (1, 3, 6), (0, 3, 12), (1, 3, 3), (4, 3, 3)])
+                    .unwrap(),
+                6,
+            ),
+        ]
+    }
+
+    #[test]
+    fn packed_entries_round_trip_every_solver_on_every_topology() {
+        let registry = SolverRegistry::with_defaults();
+        let (mut covers, mut relaxations, mut empty, mut trees) = (0, 0, 0, 0);
+        for instance in scaled_and_permuted() {
+            let full = CanonicalInstance::at(&instance, crate::CanonLevel::Full, None);
+            assert_eq!(full.scale(), 3, "{}", instance.platform);
+            for solver in registry.supporting(instance.kind()) {
+                // A deadline of 3 fits no task: an empty schedule.
+                let deadlines: &[Option<Time>] =
+                    if solver.by_deadline() { &[None, Some(60), Some(3)] } else { &[None] };
+                for &deadline in deadlines {
+                    let canon = CanonicalInstance::at(&instance, solver.canon_level(), deadline);
+                    let miss = Miss { key: CacheKey::of(&canon, solver.name()), canon };
+                    let canonical = solve_miss(solver, &miss).unwrap();
+                    covers += usize::from(canonical.sub_platform().is_some());
+                    relaxations += usize::from(canonical.relaxed_makespan().is_some());
+                    empty += usize::from(canonical.is_witnessed() && canonical.n() == 0);
+                    trees += usize::from(canonical.tree_schedule().is_some());
+                    round_trip(&instance, solver, deadline, &canonical);
+                    let restored = miss.canon.restore(&canonical);
+                    assert_eq!(memoise(&SolutionCache::new(8), miss, canonical), restored);
+                }
+            }
+        }
+        assert!(covers > 0 && relaxations > 0 && empty > 0 && trees > 0, "every shape is covered");
+    }
+
+    #[test]
+    fn packed_entries_keep_any_i64_and_long_vectors() {
+        use mst_platform::{NodeId, Spider, Tree};
+        use mst_schedule::{
+            ChainSchedule, CommVector, SpiderSchedule, SpiderTask, TaskAssignment, TreeSchedule,
+            TreeTask,
+        };
+        let big = 1 << 53;
+        let chain = |tasks: &[(usize, Time, &[Time], Time)]| {
+            let tasks = tasks.iter().map(|&(proc, start, comms, work)| TaskAssignment {
+                proc,
+                start,
+                comms: CommVector::from_slice(comms),
+                work,
+            });
+            Solution::from_chain("optimal", ChainSchedule::new(tasks.collect()))
+        };
+        let spider = |tasks: &[(usize, usize, Time, &[Time], Time)]| {
+            SpiderSchedule::new(
+                tasks
+                    .iter()
+                    .map(|&(leg, depth, start, comms, work)| SpiderTask {
+                        node: NodeId { leg, depth },
+                        start,
+                        comms: CommVector::from_slice(comms),
+                        work,
+                    })
+                    .collect(),
+            )
+        };
+        let tree = |tasks: &[(usize, Time, &[Time], Time)]| {
+            let tasks = tasks.iter().map(|&(node, start, comms, work)| {
+                TreeTask::new(node, start, CommVector::from_slice(comms), work)
+            });
+            Solution::from_tree("exact", TreeSchedule::new(tasks.collect()))
+        };
+        let cover = Spider::from_legs(&[&[(1 << 40, 3), (5, 1)], &[(2, 2)], &[(1, 1), (1, 1)]]);
+        // Within the wire's integers (below 2^53), so each also takes the
+        // store's decoder: negative times and vectors of 3 and 4 links.
+        let moderate = [
+            chain(&[
+                (3, -2, &[-big + 1, -(1 << 40), -5], 4),
+                (1, 9, &[-3], 7),
+                (2, big - 9, &[big - 20, big - 12], 8),
+            ]),
+            Solution::from_spider(
+                "optimal",
+                spider(&[
+                    (2, 3, -4, &[-30, -20, -10], 6),
+                    (0, 1, 40, &[-1], 2),
+                    (1, 1, 3, &[0], 1),
+                ]),
+            ),
+            Solution::from_cover(
+                "tree-cover",
+                cover.unwrap(),
+                spider(&[(0, 2, 90, &[0, 1 << 40], 1), (2, 2, 7, &[1, 4], 1)]),
+            ),
+            tree(&[(5, -1, &[-9, -7, -5, -3], 2), (1, 4, &[2], 3), (9, 12, &[3, 6, 9], 1)]),
+            Solution::from_chain("optimal", ChainSchedule::empty()),
+            Solution::from_relaxation("divisible", 13.25),
+            Solution::from_relaxation("divisible", -0.5),
+            Solution::from_makespan("divisible", -17),
+        ];
+        // Past the wire's integers: 2^53 and beyond, i64::MIN and
+        // i64::MAX, and places that differ from their vector's length.
+        let extreme = [
+            chain(&[
+                (3, -2, &[Time::MIN, -(1 << 60), -5], 4),
+                (1, big, &[-3], 7),
+                (2, Time::MAX - 3, &[big + 1, Time::MAX - 9], 3),
+            ]),
+            chain(&[(2, Time::MIN, &[Time::MIN, 0, Time::MAX], Time::MAX)]),
+            Solution::from_spider(
+                "optimal",
+                spider(&[(7, 1, Time::MAX, &[Time::MIN, Time::MAX], Time::MIN)]),
+            ),
+            tree(&[(3, Time::MAX, &[Time::MAX; 5], Time::MIN), (2, Time::MIN, &[], 0)]),
+            Solution::from_relaxation("divisible", 1e300),
+        ];
+        let registry = SolverRegistry::with_defaults();
+        let (optimal, divisible) =
+            (registry.resolve("optimal").unwrap(), registry.resolve("divisible").unwrap());
+        // Full-level forms with a scale of 1 that still relabel, and an
+        // identity form.
+        let unscaled = [
+            Instance::new(
+                Spider::from_legs(&[&[(2, 3)], &[(1, 1), (1, 2)], &[(1, 2)]]).unwrap(),
+                3,
+            ),
+            Instance::new(Tree::from_triples(&[(0, 2, 3), (1, 1, 1), (0, 1, 2)]).unwrap(), 3),
+        ];
+        for solution in &moderate {
+            let text = crate::wire::solution_to_json(solution).to_string();
+            let decoded = crate::wire::solution_from_text(&text).unwrap();
+            assert_eq!(&decoded, solution, "{text}");
+        }
+        for solution in moderate.iter().chain(&extreme) {
+            for instance in &unscaled {
+                assert_eq!(CanonicalInstance::at(instance, optimal.canon_level(), None).scale(), 1);
+                round_trip(instance, optimal, None, solution);
+            }
+            round_trip(&unscaled[0], divisible, None, solution);
+        }
+        for solution in &moderate {
+            for instance in scaled_and_permuted() {
+                round_trip(&instance, optimal, None, solution);
+            }
         }
     }
 

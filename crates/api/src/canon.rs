@@ -41,7 +41,7 @@
 use crate::instance::Instance;
 use crate::platform::Platform;
 use crate::solution::{ScheduleRepr, Solution};
-use mst_platform::{Chain, Fork, Processor, Spider, Time, Tree, TreeNode};
+use mst_platform::{Chain, Fork, NodeId, Processor, Spider, Time, Tree, TreeNode};
 use mst_schedule::{
     ChainSchedule, CommVector, SpiderSchedule, SpiderTask, TaskAssignment, TreeSchedule, TreeTask,
 };
@@ -344,7 +344,13 @@ impl CanonicalInstance {
     /// Whether [`CanonicalInstance::restore`] is the identity — the
     /// canonical instance *is* the original.
     pub fn is_identity(&self) -> bool {
-        self.scale == 1 && self.perm.is_empty()
+        self.mapping().is_identity()
+    }
+
+    /// How a solution of this canonical form maps back onto the original
+    /// instance.
+    pub(crate) fn mapping(&self) -> Mapping<'_> {
+        Mapping { scale: self.scale, perm: &self.perm }
     }
 
     /// Maps a solution of the canonical instance back to a solution of
@@ -356,95 +362,155 @@ impl CanonicalInstance {
         if self.is_identity() {
             return solution.clone();
         }
-        let g = self.scale;
-        match solution.schedule() {
-            Some(ScheduleRepr::Chain(schedule)) => {
-                Solution::from_chain(solution.solver(), self.restore_chain(schedule, g))
+        let map = self.mapping();
+        let cover = solution.sub_platform().map(|cover| map.cover(cover));
+        let covered = cover.is_some();
+        let schedule = solution.schedule().map(|schedule| match schedule {
+            ScheduleRepr::Chain(s) => ScheduleRepr::Chain(ChainSchedule::new(
+                s.tasks()
+                    .iter()
+                    .map(|t| TaskAssignment {
+                        proc: t.proc,
+                        start: map.time(t.start),
+                        comms: map.comms(&t.comms),
+                        work: map.time(t.work),
+                    })
+                    .collect(),
+            )),
+            ScheduleRepr::Spider(s) => ScheduleRepr::Spider(SpiderSchedule::new(
+                s.tasks()
+                    .iter()
+                    .map(|t| SpiderTask {
+                        node: NodeId { leg: map.leg(t.node.leg, covered), depth: t.node.depth },
+                        start: map.time(t.start),
+                        comms: map.comms(&t.comms),
+                        work: map.time(t.work),
+                    })
+                    .collect(),
+            )),
+            ScheduleRepr::Tree(s) => ScheduleRepr::Tree(TreeSchedule::new(
+                s.tasks()
+                    .iter()
+                    .map(|t| {
+                        TreeTask::new(
+                            map.node(t.node),
+                            map.time(t.start),
+                            map.comms(&t.comms),
+                            map.time(t.work),
+                        )
+                    })
+                    .collect(),
+            )),
+        });
+        map.assemble(
+            solution.solver(),
+            solution.makespan(),
+            schedule,
+            cover,
+            solution.relaxed_makespan(),
+        )
+    }
+}
+
+/// How a solution of a canonical instance maps back onto the original:
+/// every time, the cover's included, is multiplied by the scale, and
+/// legs or tree nodes are relabelled by the permutation.
+/// [`CanonicalInstance::restore`] and the solution cache's packed decoder
+/// both restore through it, task by task, so a hit answers as a miss
+/// does.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Mapping<'a> {
+    scale: Time,
+    /// `perm[canonical] = original`; empty when nothing was relabelled.
+    perm: &'a [usize],
+}
+
+impl Mapping<'static> {
+    /// The mapping of a canonical form that is the instance itself.
+    pub(crate) const IDENTITY: Mapping<'static> = Mapping { scale: 1, perm: &[] };
+}
+
+impl Mapping<'_> {
+    /// Whether the mapping changes nothing: a scale of 1, no relabelling.
+    fn is_identity(&self) -> bool {
+        self.scale == 1 && self.perm.is_empty()
+    }
+
+    /// A canonical time on the original scale.
+    #[inline]
+    pub(crate) fn time(&self, t: Time) -> Time {
+        t * self.scale
+    }
+
+    /// The original leg of a spider task on canonical leg `leg`. A
+    /// covered tree's witness keeps its labels: it is verified against
+    /// its recorded cover, whose legs keep their order.
+    #[inline]
+    pub(crate) fn leg(&self, leg: usize, covered: bool) -> usize {
+        match covered {
+            true => leg,
+            false => self.perm.get(leg).copied().unwrap_or(leg),
+        }
+    }
+
+    /// The original id of canonical tree node `node` (1-based).
+    #[inline]
+    pub(crate) fn node(&self, node: usize) -> usize {
+        node.checked_sub(1).and_then(|i| self.perm.get(i)).copied().unwrap_or(node)
+    }
+
+    fn comms(&self, comms: &CommVector) -> CommVector {
+        CommVector::from_fill(comms.len(), |times| {
+            for (t, &canonical) in times.iter_mut().zip(comms.times()) {
+                *t = self.time(canonical);
             }
-            Some(ScheduleRepr::Spider(schedule)) => {
-                if let Some(cover) = solution.sub_platform() {
-                    // Cover witnesses are verified against the *recorded*
-                    // cover, so its labels need no remapping — only the
-                    // times rescale.
-                    Solution::from_cover(
-                        solution.solver(),
-                        scale_spider(cover, g),
-                        self.restore_spider(schedule, g, false),
-                    )
-                } else {
-                    Solution::from_spider(solution.solver(), self.restore_spider(schedule, g, true))
-                }
-            }
-            Some(ScheduleRepr::Tree(schedule)) => {
-                Solution::from_tree(solution.solver(), self.restore_tree(schedule, g))
-            }
-            None => match solution.relaxed_makespan() {
-                // Identity level is forced for relaxations, so `g == 1`
-                // and this arm is unreachable in practice; keep it total.
-                Some(r) => Solution::from_relaxation(solution.solver(), r * g as f64),
-                None => Solution::from_makespan(solution.solver(), solution.makespan() * g),
+        })
+    }
+
+    fn cover(&self, cover: &Spider) -> Spider {
+        let legs = cover
+            .legs()
+            .iter()
+            .map(|leg| {
+                let procs = leg
+                    .processors()
+                    .iter()
+                    .map(|p| Processor { comm: self.time(p.comm), work: self.time(p.work) });
+                Chain::new(procs.collect()).expect("a leg keeps its processors")
+            })
+            .collect();
+        Spider::new(legs).expect("a cover keeps its legs")
+    }
+
+    /// The restored solution, from a schedule and cover already restored
+    /// and the canonical makespan and relaxed makespan. The identity keeps
+    /// every field as it stands; any other mapping rebuilds the solution
+    /// through its constructor, which takes a witnessed makespan from the
+    /// schedule.
+    pub(crate) fn assemble(
+        &self,
+        solver: &'static str,
+        makespan: Time,
+        schedule: Option<ScheduleRepr>,
+        cover: Option<Spider>,
+        relaxed: Option<f64>,
+    ) -> Solution {
+        if self.is_identity() {
+            return Solution::from_parts(solver, makespan, schedule, cover, relaxed);
+        }
+        match (schedule, cover) {
+            (Some(ScheduleRepr::Chain(s)), _) => Solution::from_chain(solver, s),
+            (Some(ScheduleRepr::Spider(s)), Some(cover)) => Solution::from_cover(solver, cover, s),
+            (Some(ScheduleRepr::Spider(s)), None) => Solution::from_spider(solver, s),
+            (Some(ScheduleRepr::Tree(s)), _) => Solution::from_tree(solver, s),
+            // Identity level is forced for relaxations, so this arm is
+            // unreachable in practice; keep it total.
+            (None, _) => match relaxed {
+                Some(r) => Solution::from_relaxation(solver, r * self.scale as f64),
+                None => Solution::from_makespan(solver, self.time(makespan)),
             },
         }
     }
-
-    fn restore_chain(&self, schedule: &ChainSchedule, g: Time) -> ChainSchedule {
-        let tasks = schedule
-            .tasks()
-            .iter()
-            .map(|t| TaskAssignment::new(t.proc, t.start * g, scale_comms(&t.comms, g), t.work * g))
-            .collect();
-        ChainSchedule::new(tasks)
-    }
-
-    fn restore_spider(&self, schedule: &SpiderSchedule, g: Time, remap: bool) -> SpiderSchedule {
-        let tasks = schedule
-            .tasks()
-            .iter()
-            .map(|t| {
-                let mut node = t.node;
-                if remap {
-                    node.leg = self.perm.get(node.leg).copied().unwrap_or(node.leg);
-                }
-                SpiderTask::new(node, t.start * g, scale_comms(&t.comms, g), t.work * g)
-            })
-            .collect();
-        SpiderSchedule::new(tasks)
-    }
-
-    fn restore_tree(&self, schedule: &TreeSchedule, g: Time) -> TreeSchedule {
-        let tasks = schedule
-            .tasks()
-            .iter()
-            .map(|t| {
-                let node = self.perm.get(t.node - 1).copied().unwrap_or(t.node);
-                TreeTask::new(node, t.start * g, scale_comms(&t.comms, g), t.work * g)
-            })
-            .collect();
-        TreeSchedule::new(tasks)
-    }
-}
-
-fn scale_comms(comms: &CommVector, g: Time) -> CommVector {
-    CommVector::from_fill(comms.len(), |times| {
-        for (t, &canonical) in times.iter_mut().zip(comms.times()) {
-            *t = canonical * g;
-        }
-    })
-}
-
-// Restore direction: multiplies back up (the inverse of `scaled_proc`,
-// which divides during canonicalisation).
-fn scale_spider(spider: &Spider, g: Time) -> Spider {
-    let legs = spider
-        .legs()
-        .iter()
-        .map(|leg| {
-            let procs =
-                leg.processors().iter().map(|p| Processor { comm: p.comm * g, work: p.work * g });
-            Chain::new(procs.collect()).expect("scaling preserves positivity")
-        })
-        .collect();
-    Spider::new(legs).expect("scaling preserves non-emptiness")
 }
 
 #[cfg(test)]

@@ -34,9 +34,9 @@
 //!   uniform time scale extracted, legs/children sorted where the solver
 //!   permits, a stable 128-bit content hash, and a proven
 //!   solution-restore round-trip;
-//! * [`cache`] — the sharded LRU memo of canonical solutions
-//!   ([`cache::SolutionCache`]) that lets repeat traffic skip the worker
-//!   pools entirely;
+//! * [`cache`] — the sharded LRU memo of canonical solutions, held as
+//!   packed bytes ([`cache::SolutionCache`]), that lets repeat traffic
+//!   skip the worker pools entirely;
 //! * [`mod@repair`] — degraded-mode schedule repair: after a processor
 //!   failure at time *t*, [`repair::degrade`] removes the failed subtree,
 //!   the committed prefix of the witness is kept, and only the surviving
@@ -73,6 +73,7 @@ pub mod exec;
 pub mod fleet;
 pub mod format;
 pub mod instance;
+mod packed;
 pub mod platform;
 pub mod registry;
 pub mod repair;

@@ -108,6 +108,19 @@ impl Solution {
         }
     }
 
+    /// Reassembles a solution from its fields as they stand, the makespan
+    /// included: the inverse of the accessors, for the solution cache's
+    /// packed entries.
+    pub(crate) fn from_parts(
+        solver: &'static str,
+        makespan: Time,
+        schedule: Option<ScheduleRepr>,
+        sub_platform: Option<Spider>,
+        relaxed_makespan: Option<f64>,
+    ) -> Solution {
+        Solution { solver, makespan, schedule, sub_platform, relaxed_makespan }
+    }
+
     /// Name of the solver that produced this solution.
     pub fn solver(&self) -> &'static str {
         self.solver

@@ -50,10 +50,25 @@ impl<'a> TreeAsap<'a> {
     /// emission time on the `d`-th link (**1-based**) of the task's root
     /// path.
     pub fn place(&mut self, node: usize) -> (CommVector, Time, Time) {
-        let path = self.tree.path_from_root(node);
+        let mut depth = 0;
+        let mut hop = node;
+        while hop != 0 {
+            depth += 1;
+            hop = self.tree.node(hop).parent;
+        }
         let mut available = 0; // when the task is ready at the current hop's sender
-        let emissions = CommVector::from_fill(path.len(), |emissions| {
-            for (slot, &hop) in emissions.iter_mut().zip(&path) {
+        let emissions = CommVector::from_fill(depth, |emissions| {
+            // Each slot first holds the node its link enters, filled by
+            // walking the parents up from `node`, then that link's
+            // emission, computed from the master outwards: the route
+            // needs no vector of its own.
+            let mut hop = node;
+            for slot in emissions.iter_mut().rev() {
+                *slot = hop as Time;
+                hop = self.tree.node(hop).parent;
+            }
+            for slot in emissions.iter_mut() {
+                let hop = *slot as usize;
                 let sender = self.tree.node(hop).parent;
                 let emit = available.max(self.out_port_free[sender]);
                 let latency = self.tree.node(hop).comm;

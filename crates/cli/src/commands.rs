@@ -756,13 +756,45 @@ fn cmd_curve(args: &Args) -> Result<String, String> {
 mod tests {
     use super::*;
     use mst_api::verify;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
-    fn tmp(name: &str, contents: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("mst-cli-test-{}-{name}", std::process::id()));
-        fs::write(&p, contents).expect("write temp file");
-        p
+    /// A file in the system temp dir, named for this process, removed
+    /// when the guard drops: a test leaves none of its files behind,
+    /// whether it passes or panics.
+    struct TempFile(PathBuf);
+
+    impl TempFile {
+        /// The path for `name`, with no file written yet.
+        fn named(name: &str) -> TempFile {
+            let file = format!("mst-cli-test-{}-{name}", std::process::id());
+            TempFile(std::env::temp_dir().join(file))
+        }
+    }
+
+    impl std::ops::Deref for TempFile {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempFile {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = fs::remove_file(&self.0);
+        }
+    }
+
+    fn tmp(name: &str, contents: &str) -> TempFile {
+        let file = TempFile::named(name);
+        fs::write(&file, contents).expect("write temp file");
+        file
     }
 
     fn run_line(line: &str) -> Result<String, String> {
@@ -794,7 +826,7 @@ mod tests {
     #[test]
     fn schedule_and_validate_round_trip() {
         let inst = tmp("fig2b.txt", "chain\n2 3\n3 5\n");
-        let sched = std::env::temp_dir().join(format!("mst-cli-sched-{}", std::process::id()));
+        let sched = TempFile::named("sched");
         run_line(&format!("schedule {} --tasks 5 --out {}", inst.display(), sched.display()))
             .unwrap();
         let out = run_line(&format!("validate {} {}", inst.display(), sched.display())).unwrap();
@@ -828,7 +860,7 @@ mod tests {
         assert!(err.starts_with("INFEASIBLE:\n  - "), "the violation list, as for chains: {err}");
         assert!(!err.contains("DISAGREE"), "the simulator rejects it too: {err}");
         // A solved fork's --out file validates as well.
-        let sched = std::env::temp_dir().join(format!("mst-cli-fsched-{}", std::process::id()));
+        let sched = TempFile::named("fsched");
         run_line(&format!("schedule {} --tasks 6 --out {}", inst.display(), sched.display()))
             .unwrap();
         let out = run_line(&format!("validate {} {}", inst.display(), sched.display())).unwrap();
@@ -865,7 +897,7 @@ mod tests {
     #[test]
     fn spider_instances_schedule_and_validate() {
         let inst = tmp("spider.txt", "spider\nleg 2 3 3 5\nleg 1 4\n");
-        let sched = std::env::temp_dir().join(format!("mst-cli-ssched-{}", std::process::id()));
+        let sched = TempFile::named("ssched");
         let out =
             run_line(&format!("schedule {} --tasks 6 --out {}", inst.display(), sched.display()))
                 .unwrap();
@@ -1070,7 +1102,7 @@ exact              yes     yes    yes     yes   -         branch-and-bound over 
         assert!(out.contains("exact makespan for 4 tasks: 9"), "{out}");
         assert!(out.contains("node ="), "the tree witness is printed:\n{out}");
         // Tree schedules have no text file format yet: --out must say so.
-        let dest = std::env::temp_dir().join(format!("mst-cli-tsched-{}", std::process::id()));
+        let dest = TempFile::named("tsched");
         let err = run_line(&format!(
             "schedule {} --tasks 2 --solver exact --out {}",
             inst.display(),
@@ -1171,8 +1203,7 @@ exact              yes     yes    yes     yes   -         branch-and-bound over 
     #[test]
     fn history_command_reads_a_store_log() {
         use mst_store::StoreBackend as _;
-        let path = std::env::temp_dir().join(format!("mst-cli-history-{}.log", std::process::id()));
-        let _ = fs::remove_file(&path);
+        let path = TempFile::named("history.log");
         // A missing store is a loud error, not an empty listing.
         let err = run_line(&format!("history {}", path.display())).unwrap_err();
         assert!(err.contains("no result store"), "{err}");
@@ -1209,15 +1240,12 @@ exact              yes     yes    yes     yes   -         branch-and-bound over 
         assert!(!out.contains("acme"), "filtered out:\n{out}");
         // Newest first: the limit-1 page shows the 7-task record.
         assert!(out.lines().any(|l| l.contains("optimal") && l.contains(" 7 ")), "{out}");
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn history_listing_reads_no_solution() {
         use mst_store::StoreBackend as _;
-        let path =
-            std::env::temp_dir().join(format!("mst-cli-history-index-{}.log", std::process::id()));
-        let _ = fs::remove_file(&path);
+        let path = TempFile::named("history-index.log");
         let instance = Instance::new(Platform::parse("chain\n2 3\n3 5\n").unwrap(), 5);
         let solution = SolverRegistry::global().solve("optimal", &instance).unwrap();
         let records: Vec<mst_store::Record> = (0..10_000usize)
@@ -1245,7 +1273,6 @@ exact              yes     yes    yes     yes   -         branch-and-bound over 
         assert_eq!(store.frames_read(), 0, "the listing reads no solution back");
         drop(store);
         assert_eq!(run_line(&format!("history {shown} --limit 1")).unwrap(), out);
-        let _ = fs::remove_file(&path);
     }
 
     #[test]

@@ -153,6 +153,7 @@ fn tenants(state: &ServiceState) -> Vec<(String, Json)> {
                 ("cache_hits_total", count(cache.hits())),
                 ("cache_misses_total", count(cache.misses())),
                 ("cache_entries", count(cache.len() as u64)),
+                ("cache_bytes", count(cache.bytes() as u64)),
                 ("store_records", load(&stats.store_records)),
                 ("queue_depth", count(tenant.queue_depth() as u64)),
             ]);
@@ -251,7 +252,11 @@ mod tests {
                 "tenants".to_string(),
                 Json::Obj(vec![(
                     "acme".to_string(),
-                    Json::obj([("requests_total", count(3)), ("cache_entries", count(2))]),
+                    Json::obj([
+                        ("requests_total", count(3)),
+                        ("cache_entries", count(2)),
+                        ("cache_bytes", count(431)),
+                    ]),
                 )]),
             ),
             ("route_latency_us".to_string(), summaries(snaps, |r| vec![("route", r)])),
@@ -262,6 +267,7 @@ mod tests {
         assert!(out.contains("mst_store_degraded 1\n"), "{out}");
         assert!(out.contains("mst_tenant_requests_total{tenant=\"acme\"} 3\n"), "{out}");
         assert!(out.contains("mst_tenant_cache_entries{tenant=\"acme\"} 2\n"), "{out}");
+        assert!(out.contains("mst_tenant_cache_bytes{tenant=\"acme\"} 431\n"), "{out}");
         assert!(
             out.contains("mst_route_latency_us{route=\"/solve\",quantile=\"0.5\"} 20\n"),
             "{out}"
@@ -272,6 +278,6 @@ mod tests {
         );
         assert!(out.contains("mst_route_latency_us_sum{route=\"/solve\"} 60\n"), "{out}");
         assert!(out.contains("mst_route_latency_us_count{route=\"/solve\"} 3\n"), "{out}");
-        assert_eq!(out.lines().count(), 11, "one line per number or bool:\n{out}");
+        assert_eq!(out.lines().count(), 12, "one line per number or bool:\n{out}");
     }
 }

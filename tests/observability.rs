@@ -288,10 +288,16 @@ fn prometheus_exposition_is_deterministic_and_mirrors_the_json() {
         "mst_tenant_cache_hits_total{tenant=\"default\"}",
         "mst_tenant_cache_misses_total{tenant=\"default\"}",
         "mst_tenant_store_records{tenant=\"default\"}",
+        "mst_tenant_cache_entries{tenant=\"default\"}",
+        "mst_tenant_cache_bytes{tenant=\"default\"}",
     ] {
         assert_eq!(expected[sample], actual[sample], "{sample}");
     }
     assert!(expected["mst_solved_total"] >= 1.0, "the /solve ran a solver");
+    assert!(
+        expected["mst_tenant_cache_bytes{tenant=\"default\"}"] > 0.0,
+        "the cache counts the packed bytes of its entries"
+    );
 
     for text in [&first, &second] {
         assert!(
